@@ -35,7 +35,7 @@ from .construction import (
     check_lengths,
     check_no_cancellation,
 )
-from .girth import beta_bracket, girth_with_stats, verify_three_x
+from .girth import beta_bracket, girth, verify_three_x
 from .magnus import depth_terms, expand, lcs_depth
 from .nielsen import check_nielsen, reduce_with_witnesses, same_subgroup
 from .quotients import PermutationQuotient, permutation_from_cycles
@@ -148,20 +148,21 @@ def _cmd_depth(args) -> int:
 def _cmd_girth(args) -> int:
     t0 = time.monotonic()
     try:
-        outcome, stats = girth_with_stats(
-            args.quotient, args.max_len, workers=args.workers,
-            checkpoint=args.checkpoint, no_prune=args.no_prune)
+        outcome = girth(args.quotient, args.max_len, workers=args.workers,
+                        checkpoint=args.checkpoint, no_prune=args.no_prune)
     except ValueError as ex:
         raise _UsageError(str(ex))
+    except AssertionError as ex:  # the independent re-check refuted the search
+        print(f"girth: {ex}", file=sys.stderr)
+        return EXIT_FAIL
     if isinstance(outcome, NotFoundBelow):
         result = {"girth": None, "witness": None, "exact": False,
                   "searched_to": outcome.bound,
-                  "shards": stats.shards, "elapsed": round(stats.elapsed, 3)}
+                  "shards": outcome.stats.shards}
         _emit_json(_config_of(args), result, t0, args.workers, args.out)
         return EXIT_INCONCLUSIVE
     result = {"girth": outcome.value, "witness": str(outcome.witness),
-              "exact": outcome.exact,
-              "shards": stats.shards, "elapsed": round(stats.elapsed, 3)}
+              "exact": outcome.exact, "shards": outcome.stats.shards}
     _emit_json(_config_of(args), result, t0, args.workers, args.out)
     return EXIT_OK
 
@@ -383,8 +384,11 @@ def _check_depth_laws(ctx) -> Tuple[str, str]:
 
 
 def _check_alpha_table(ctx) -> Tuple[str, str]:
-    entries = alpha_table(4, max_len=min(16, ctx["max_len_cap"] or 16),
-                          workers=ctx["workers"])
+    try:
+        entries = alpha_table(4, max_len=min(16, ctx["max_len_cap"] or 16),
+                              workers=ctx["workers"])
+    except NotFoundBelowError as ex:
+        return "inconclusive", f"alpha search exhausted length {ex.bound}"
     check_alpha_table(entries)
     values = [e.value for e in entries]
     if values[:2] != [1, 4]:
@@ -397,7 +401,8 @@ def _check_alpha_table(ctx) -> Tuple[str, str]:
     for oid in ("lcs:2", "lcs:3"):
         spec_p = SearchSpec(oracle_id=oid, max_len=10,
                             flags=SearchFlags(True, True, True))
-        spec_u = SearchSpec(oracle_id=oid, max_len=10, flags=SearchFlags())
+        spec_u = SearchSpec(oracle_id=oid, max_len=10, flags=SearchFlags(),
+                            no_prune=True)
         rp, _ = search_min(spec_p)
         ru, _ = search_min(spec_u)
         lp = rp[0] if not isinstance(rp, NotFoundBelow) else None
@@ -420,9 +425,13 @@ def _check_girth_theorem(ctx) -> Tuple[str, str]:
     from .quotients import free_abelian_rank2
     lines = []
     for label, q in quotients:
-        rep = verify_three_x(q if q is not None else free_abelian_rank2(),
-                             max_len=min(14, ctx["max_len_cap"] or 14),
-                             workers=ctx["workers"])
+        try:
+            rep = verify_three_x(q if q is not None else free_abelian_rank2(),
+                                 max_len=min(14, ctx["max_len_cap"] or 14),
+                                 workers=ctx["workers"])
+        except NotFoundBelowError as ex:
+            return "inconclusive", (f"{label}: kernel girth not found below "
+                                    f"{ex.bound}")
         if rep.factor_ok is None:
             return "inconclusive", f"{label}: derived search exhausted budget"
         if not rep.factor_ok:
@@ -437,9 +446,8 @@ def _check_beta2(ctx) -> Tuple[str, str]:
     ckpt = ctx["tmpdir"] + "/beta2.ckpt" if ctx["tmpdir"] else None
     if cap < 14:
         # the structural witness lies beyond the budget; search what we can
-        from .girth import girth as girth_fn
-        outcome = girth_fn("derived2", cap, workers=ctx["workers"],
-                           checkpoint=ckpt)
+        outcome = girth("derived2", cap, workers=ctx["workers"],
+                        checkpoint=ckpt)
         if isinstance(outcome, NotFoundBelow):
             return "inconclusive", f"no member below {cap}; need max_len 14"
         return "pass", f"beta(2) = {outcome.value} within budget"

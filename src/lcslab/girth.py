@@ -5,15 +5,17 @@ derived subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .construction import build
 from .quotients import QuotientGroup
 from .search import (
     NotFoundBelow,
+    NotFoundBelowError,
     SearchFlags,
     SearchSpec,
+    SearchStats,
     build_oracle,
     engine_flags,
     search_min,
@@ -28,6 +30,8 @@ class GirthResult:
     witness: Word
     search_bound: int
     exact: bool
+    stats: Optional[SearchStats] = field(default=None, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         if len(self.witness) != self.value:
@@ -39,17 +43,20 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
           no_prune: bool = False) -> Union[GirthResult, NotFoundBelow]:
     """Length of the shortest nontrivial member, by exhaustive search.
 
-    A hit is re-verified on an independent single-threaded unpruned scan
-    unless reverify is off; NotFoundBelow is an explicit outcome, never an
-    absence claim beyond the bound.
+    Either outcome carries the engine counters as `stats`.  A hit is
+    re-verified by verify_minimum, one incremental unpruned walk over
+    every shorter reduced word, unless reverify is off; a disagreement
+    raises AssertionError.  NotFoundBelow is an explicit outcome, never an
+    absence claim beyond the bound.  no_prune turns off every prune of
+    the search itself (symmetry classes, balance, odd-length skip).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
     flags = SearchFlags() if no_prune else engine_flags(oracle)
     spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags,
-                      checkpoint=checkpoint)
-    outcome, _stats = search_min(spec, workers=workers)
+                      checkpoint=checkpoint, no_prune=no_prune)
+    outcome, stats = search_min(spec, workers=workers)
     if isinstance(outcome, NotFoundBelow):
         return outcome
     length, witness = outcome
@@ -58,23 +65,7 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
             f"pruned search and independent scan disagree for {oracle_id} "
             f"at length {length}")
     return GirthResult(value=length, witness=witness,
-                       search_bound=max_len, exact=True)
-
-
-def girth_with_stats(oracle_id: str, max_len: int, workers: int = 1,
-                     checkpoint: Optional[str] = None,
-                     no_prune: bool = False):
-    """girth() plus the engine counters, for reporting surfaces."""
-    oracle = build_oracle(oracle_id)
-    flags = SearchFlags() if no_prune else engine_flags(oracle)
-    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags,
-                      checkpoint=checkpoint)
-    outcome, stats = search_min(spec, workers=workers)
-    if isinstance(outcome, NotFoundBelow):
-        return outcome, stats
-    length, witness = outcome
-    return GirthResult(value=length, witness=witness,
-                       search_bound=max_len, exact=True), stats
+                       search_bound=max_len, exact=True, stats=stats)
 
 
 @dataclass(frozen=True)
@@ -93,14 +84,15 @@ class ThreeXReport:
 
 def verify_three_x(q: QuotientGroup, max_len: int, workers: int = 1
                    ) -> ThreeXReport:
-    """Check girth([kernel, kernel]) >= 3 * girth(kernel) for the quotient."""
+    """Check girth([kernel, kernel]) >= 3 * girth(kernel) for the quotient.
+
+    Raises NotFoundBelowError when the kernel girth lies beyond max_len."""
     spec_string = q.spec_string()
     kernel_id = "z2" if spec_string == "z2" else spec_string
     derived_id = "derived2" if spec_string == "z2" else f"derived-{spec_string}"
     g1 = girth(kernel_id, max_len, workers=workers)
     if isinstance(g1, NotFoundBelow):
-        raise ValueError(
-            f"kernel girth not found below {max_len}; raise max_len")
+        raise NotFoundBelowError(g1.bound)
     g2 = girth(derived_id, max_len, workers=workers)
     if isinstance(g2, NotFoundBelow):
         lower = g2.bound + 1

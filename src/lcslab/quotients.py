@@ -178,7 +178,7 @@ class PermutationQuotient(QuotientGroup):
 
     def multiply(self, x, y):
         # act with x first, then y
-        return tuple(y[x[i]] for i in range(self.degree))
+        return tuple(map(y.__getitem__, x))
 
     def invert(self, x):
         out = [0] * self.degree

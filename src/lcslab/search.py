@@ -17,6 +17,9 @@ Work is sharded by word prefix; shard results merge by (length, bytes)
 minimum, so the outcome is identical for any shard count or scheduling.
 Long searches checkpoint completed (length, prefix) subtrees to a
 versioned binary file and can resume after interruption.
+
+A found minimum is re-checked by verify_minimum, which shares none of the
+above: one unpruned walk over every shorter reduced word.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import json
 import math
 import os
 import struct
-import time
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -146,7 +148,7 @@ class Oracle:
         raise NotImplementedError
 
     def member(self, w: Word) -> bool:
-        """Direct, non-incremental evaluation (the re-verification route)."""
+        """Direct evaluation of one word on a fresh walker."""
         walker = self.make_walker()
         for c in w.data:
             walker.push(c)
@@ -300,11 +302,18 @@ class SearchSpec:
     flags: SearchFlags
     shards: int = 1
     checkpoint: Optional[str] = None
+    # off: no symmetry flag, no balance prune and no odd-length skip
+    no_prune: bool = False
+
+    def __post_init__(self):
+        if self.no_prune and self.flags.any():
+            raise ValueError("no_prune excludes every symmetry flag")
 
     def fingerprint(self) -> dict:
         return {"oracle": self.oracle_id, "max_len": self.max_len,
                 "cyclic": self.flags.cyclic, "inverse": self.flags.inverse,
-                "automorphism": self.flags.automorphism}
+                "automorphism": self.flags.automorphism,
+                "no_prune": self.no_prune}
 
 
 @dataclass
@@ -313,7 +322,6 @@ class SearchStats:
     lengths_completed: List[int] = field(default_factory=list)
     shards: int = 1
     workers: int = 1
-    elapsed: float = 0.0
     resumed_tasks: int = 0
 
 
@@ -322,6 +330,8 @@ class NotFoundBelow:
     """The bounded search exhausted every length <= bound with no member.
     Says nothing about longer words."""
     bound: int
+    stats: Optional[SearchStats] = field(default=None, compare=False,
+                                         repr=False)
 
 
 def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags,
@@ -329,7 +339,7 @@ def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags,
     """Best (byte-least) member of length exactly L under this prefix."""
     walker = oracle.make_walker()
     balance = oracle.requires_zero_exponent_sums and not no_prune
-    cyc = flags.cyclic and not no_prune
+    cyc = flags.cyclic
     ea = eb = 0
     for c in prefix:
         walker.push(c)
@@ -371,11 +381,11 @@ _WORKER_ORACLES: Dict[str, Oracle] = {}
 
 
 def _pool_task(args):
-    oracle_id, prefix, L, flags = args
+    oracle_id, prefix, L, flags, no_prune = args
     oracle = _WORKER_ORACLES.get(oracle_id)
     if oracle is None:
         oracle = _WORKER_ORACLES[oracle_id] = build_oracle(oracle_id)
-    best, tested = _scan_prefix(oracle, prefix, L, flags)
+    best, tested = _scan_prefix(oracle, prefix, L, flags, no_prune)
     return prefix, L, best, tested
 
 
@@ -443,19 +453,18 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     """
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
-    t0 = time.monotonic()
     stats = SearchStats(shards=max(1, spec.shards), workers=max(1, workers))
     done = _load_checkpoint(spec.checkpoint, spec.fingerprint()) if spec.checkpoint else {}
     stats.resumed_tasks = len(done)
     pool = Pool(workers) if workers > 1 else None
     try:
         for L in range(1, spec.max_len + 1):
-            if oracle.requires_zero_exponent_sums and L % 2:
+            if oracle.requires_zero_exponent_sums and L % 2 and not spec.no_prune:
                 stats.lengths_completed.append(L)
                 continue
             prefixes = [p for p in _prefixes(L, flags) if len(p) <= L]
             stats.shards = max(stats.shards, len(prefixes))
-            todo = [(spec.oracle_id, p, L, flags)
+            todo = [(spec.oracle_id, p, L, flags, spec.no_prune)
                     for p in prefixes if (L, p) not in done]
             results = pool.imap_unordered(_pool_task, todo) if pool is not None \
                 else map(_pool_task, todo)
@@ -475,27 +484,42 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
                     if length == L and b is not None]
             if hits:
                 witness = min(hits)
-                stats.elapsed = time.monotonic() - t0
                 return (L, Word.from_reduced(canonical_bytes(witness, flags))), stats
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    stats.elapsed = time.monotonic() - t0
-    return NotFoundBelow(spec.max_len), stats
+    return NotFoundBelow(spec.max_len, stats), stats
 
 
 def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
-    """Independent single-threaded re-check: the witness is a member, and no
-    reduced word shorter than it (no pruning at all) is a member."""
+    """Independent single-threaded re-check: the witness has the claimed
+    length and is a member, and no reduced word shorter than it is.
+
+    The shorter words are covered by one unpruned push/pop walk over the
+    tree of reduced words of length 1..found_length-1, testing membership
+    at every node, so each word costs one push on a single walker.  It
+    shares nothing with the pruned engine: no symmetry flags, no balance
+    or cyclic prune, no prefix shards and no odd-length skip.  Returns
+    False at the first shorter member.
+    """
     oracle = build_oracle(oracle_id)
     if len(witness) != found_length or not oracle.member(witness):
         return False
-    if found_length > 1:
-        for w in enumerate_words(found_length - 1, SearchFlags()):
-            if oracle.member(w):
-                return False
-    return True
+    walker = oracle.make_walker()
+    push, pop, is_member = walker.push, walker.pop, walker.is_member
+    deepest = found_length - 1
+
+    def shorter_member(letters: bytes, depth: int) -> bool:
+        for c in letters:
+            push(c)
+            if is_member() or (depth < deepest
+                               and shorter_member(_ALLOWED[c], depth + 1)):
+                return True
+            pop(c)
+        return False
+
+    return deepest < 1 or not shorter_member(_BYTE_ORDER, 1)
 
 
 # ----------------------------------------------------------------------

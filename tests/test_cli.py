@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,32 @@ def test_girth_found_and_not_found():
     doc = run_json("girth", "--quotient", "lcs:5", "--max-len", "4", expect=2)
     assert doc["result"]["girth"] is None
     assert doc["result"]["searched_to"] == 4
+
+
+def test_girth_output_is_deterministic():
+    # a plain diff with the one timing field masked
+    runs = [run_cli("girth", "--quotient", "derived-perm:a=(1 2)(3 4);"
+                    "b=(1 3)(2 4)", "--max-len", "8").stdout
+            for _ in range(2)]
+    masked = [re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0',
+                     text) for text in runs]
+    assert masked[0] == masked[1]
+    result = json.loads(masked[0])["result"]
+    assert result["girth"] == 8 and "elapsed" not in result
+
+
+def test_girth_reverifies_every_minimum(monkeypatch, capsys):
+    from lcslab import girth as girth_module
+    calls = []
+
+    def refuting(oracle_id, length, witness):
+        calls.append((oracle_id, length, str(witness)))
+        return False
+
+    monkeypatch.setattr(girth_module, "verify_minimum", refuting)
+    assert cli.main(["girth", "--quotient", "z2", "--max-len", "6"]) == 1
+    assert calls == [("z2", 4, "ABab")]
+    assert "disagree" in capsys.readouterr().err
 
 
 def test_girth_no_prune_agrees():
@@ -178,3 +205,13 @@ def test_battery_constants_check_fails_on_delta():
     status, detail = cli._check_constants(ctx)
     assert status == "fail"
     assert "delta" in detail
+
+
+def test_battery_budgets_give_inconclusive():
+    ctx = {"workers": 1, "max_len_cap": 10, "tmpdir": None}
+    status, detail = cli._check_alpha_table(ctx)
+    assert status == "inconclusive", detail
+    ctx["max_len_cap"] = 3
+    status, detail = cli._check_girth_theorem(ctx)
+    assert status == "inconclusive", detail
+    assert "z2" in detail

@@ -70,6 +70,15 @@ def test_group_axioms_by_enumeration():
                             == q.multiply(x, q.multiply(y, z)))
 
 
+def test_permutation_product_acts_left_factor_first():
+    q = s3_transpositions()
+    x = permutation_from_cycles("(1 2)", 3)
+    y = permutation_from_cycles("(2 3)", 3)
+    # point 1 -> 2 under x, then 2 -> 3 under y
+    assert q.multiply(x, y) == permutation_from_cycles("(1 3 2)", 3)
+    assert q.multiply(y, x) == permutation_from_cycles("(1 2 3)", 3)
+
+
 def test_image_is_homomorphism():
     q = s3_transpositions()
     u, v = Word.parse("abA"), Word.parse("aBBa")

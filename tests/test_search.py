@@ -26,7 +26,14 @@ from lcslab.search import (
     verify_minimum,
 )
 from lcslab.girth import BetaBracket, GirthResult, beta_bracket, girth, verify_three_x
-from lcslab.quotients import free_abelian_rank2, klein_four, s3_transpositions
+from lcslab.quotients import (
+    free_abelian_rank2,
+    in_derived_lambda,
+    in_lambda,
+    klein_four,
+    parse_quotient_spec,
+    s3_transpositions,
+)
 
 
 def test_enumeration_counts_unpruned():
@@ -257,3 +264,124 @@ def test_girth_validates_bad_args():
         girth("z2", 0)
     with pytest.raises(ValueError):
         build_oracle("bogus")
+
+
+# ----------------------------------------------------------------------
+# the independent re-check
+
+S3_KERNEL = "perm:a=(1 2);b=(1 2 3)"
+KLEIN_KERNEL = "perm:a=(1 2)(3 4);b=(1 3)(2 4)"
+# oracle id -> membership projected from scratch (no walker)
+BRUTE_FORCE = {
+    "z2": lambda w: in_lambda(w, parse_quotient_spec("z2")),
+    "derived2": lambda w: in_derived_lambda(w, parse_quotient_spec("z2")),
+    S3_KERNEL: lambda w: in_lambda(w, parse_quotient_spec(S3_KERNEL)),
+    KLEIN_KERNEL: lambda w: in_lambda(w, parse_quotient_spec(KLEIN_KERNEL)),
+    "derived-" + S3_KERNEL:
+        lambda w: in_derived_lambda(w, parse_quotient_spec(S3_KERNEL)),
+    "derived-" + KLEIN_KERNEL:
+        lambda w: in_derived_lambda(w, parse_quotient_spec(KLEIN_KERNEL)),
+}
+
+
+@pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
+def test_verify_minimum_agrees_with_brute_force(oid):
+    members, others = {}, {}
+    for w in enumerate_words(8):
+        (members if BRUTE_FORCE[oid](w) else others).setdefault(len(w), w)
+    shortest = min(members, default=None)
+    for L in range(1, 9):
+        if L in members:
+            assert verify_minimum(oid, L, members[L]) == (L == shortest)
+        if L in others:
+            assert not verify_minimum(oid, L, others[L])
+
+
+def test_verify_minimum_rejections():
+    oid = "derived-" + S3_KERNEL
+    witness = Word.parse("AABABaabab")
+    assert verify_minimum(oid, 10, witness)
+    # a member, but not a shortest one
+    longer = Word.parse("BAABABaababb")
+    assert BRUTE_FORCE[oid](longer)
+    assert not verify_minimum(oid, 12, longer)
+    # a non-member, and a wrong claimed length
+    assert not verify_minimum(oid, 4, Word.parse("ABab"))
+    assert not verify_minimum(oid, 11, witness)
+    assert not verify_minimum(oid, 9, witness)
+
+
+class _DepthCountingWalker:
+    """Records the word length at every membership test."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log, self.depth = inner, log, 0
+
+    def push(self, c):
+        self.inner.push(c)
+        self.depth += 1
+
+    def pop(self, c):
+        self.inner.pop(c)
+        self.depth -= 1
+
+    def is_member(self):
+        self.log.append(self.depth)
+        return self.inner.is_member()
+
+
+@pytest.mark.parametrize("oid,witness", [
+    ("z2", "ABab"), ("derived-" + KLEIN_KERNEL, "AABBaabb")])
+def test_verify_minimum_tests_every_shorter_word_once(monkeypatch, oid,
+                                                      witness):
+    cls = type(build_oracle(oid))
+    make_walker = cls.make_walker
+    log = []
+    monkeypatch.setattr(cls, "make_walker",
+                        lambda self: _DepthCountingWalker(make_walker(self),
+                                                          log))
+    L = len(witness)
+    assert verify_minimum(oid, L, Word.parse(witness))
+    assert sum(1 for d in log if d < L) == 2 * (3 ** (L - 1) - 1)
+    assert log.count(L) == 1  # the witness itself
+    for d in range(1, L):
+        assert log.count(d) == 4 * 3 ** (d - 1)
+
+
+# ----------------------------------------------------------------------
+# unpruned search
+
+def test_unpruned_search_tests_every_word():
+    pruned = girth("z2", 6, reverify=False)
+    plain = girth("z2", 6, reverify=False, no_prune=True)
+    assert pruned.value == plain.value == 4
+    # every reduced word of length 1..4, odd lengths included
+    assert plain.stats.tested == 2 * (3 ** 4 - 1)
+    assert pruned.stats.tested < plain.stats.tested
+
+
+def test_no_prune_excludes_flags_and_enters_the_fingerprint(tmp_path):
+    with pytest.raises(ValueError):
+        SearchSpec(oracle_id="z2", max_len=4,
+                   flags=SearchFlags(cyclic=True), no_prune=True)
+    path = os.fspath(tmp_path / "search.ckpt")
+    plain = SearchSpec(oracle_id="z2", max_len=6, flags=SearchFlags(),
+                       checkpoint=path, no_prune=True)
+    search_min(plain)
+    balanced = SearchSpec(oracle_id="z2", max_len=6, flags=SearchFlags(),
+                          checkpoint=path)
+    with pytest.raises(ValueError):
+        search_min(balanced)
+
+
+def test_girth_outcomes_carry_stats():
+    found = girth("z2", 6)
+    assert found.stats.tested > 0 and found.stats.lengths_completed[-1] == 4
+    missed = girth("derived2", 6)
+    assert missed == NotFoundBelow(6)
+    assert missed.stats.lengths_completed == [1, 2, 3, 4, 5, 6]
+
+
+def test_verify_three_x_kernel_beyond_budget():
+    with pytest.raises(NotFoundBelowError):
+        verify_three_x(free_abelian_rank2(), max_len=3)
