@@ -401,8 +401,7 @@ def _check_alpha_table(ctx) -> Tuple[str, str]:
     for oid in ("lcs:2", "lcs:3"):
         spec_p = SearchSpec(oracle_id=oid, max_len=10,
                             flags=SearchFlags(True, True, True))
-        spec_u = SearchSpec(oracle_id=oid, max_len=10, flags=SearchFlags(),
-                            no_prune=True)
+        spec_u = SearchSpec(oracle_id=oid, max_len=10, flags=SearchFlags())
         rp, _ = search_min(spec_p)
         ru, _ = search_min(spec_u)
         lp = rp[0] if not isinstance(rp, NotFoundBelow) else None

@@ -5,6 +5,7 @@ derived subgroup.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -55,10 +56,10 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
     oracle = build_oracle(oracle_id)
     flags = SearchFlags() if no_prune else engine_flags(oracle)
     spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags,
-                      checkpoint=checkpoint, no_prune=no_prune)
+                      checkpoint=checkpoint)
     outcome, stats = search_min(spec, workers=workers)
     if isinstance(outcome, NotFoundBelow):
-        return outcome
+        return dataclasses.replace(outcome, stats=stats)
     length, witness = outcome
     if reverify and not verify_minimum(oracle_id, length, witness):
         raise AssertionError(

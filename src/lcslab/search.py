@@ -302,18 +302,11 @@ class SearchSpec:
     flags: SearchFlags
     shards: int = 1
     checkpoint: Optional[str] = None
-    # off: no symmetry flag, no balance prune and no odd-length skip
-    no_prune: bool = False
-
-    def __post_init__(self):
-        if self.no_prune and self.flags.any():
-            raise ValueError("no_prune excludes every symmetry flag")
 
     def fingerprint(self) -> dict:
         return {"oracle": self.oracle_id, "max_len": self.max_len,
                 "cyclic": self.flags.cyclic, "inverse": self.flags.inverse,
-                "automorphism": self.flags.automorphism,
-                "no_prune": self.no_prune}
+                "automorphism": self.flags.automorphism}
 
 
 @dataclass
@@ -328,17 +321,18 @@ class SearchStats:
 @dataclass(frozen=True)
 class NotFoundBelow:
     """The bounded search exhausted every length <= bound with no member.
-    Says nothing about longer words."""
+    Says nothing about longer words.  girth() attaches the engine
+    counters as stats; search_min returns them beside the outcome."""
     bound: int
     stats: Optional[SearchStats] = field(default=None, compare=False,
                                          repr=False)
 
 
-def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags,
-                 no_prune: bool = False) -> Tuple[Optional[bytes], int]:
+def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags
+                 ) -> Tuple[Optional[bytes], int]:
     """Best (byte-least) member of length exactly L under this prefix."""
     walker = oracle.make_walker()
-    balance = oracle.requires_zero_exponent_sums and not no_prune
+    balance = oracle.requires_zero_exponent_sums and flags.any()
     cyc = flags.cyclic
     ea = eb = 0
     for c in prefix:
@@ -381,11 +375,11 @@ _WORKER_ORACLES: Dict[str, Oracle] = {}
 
 
 def _pool_task(args):
-    oracle_id, prefix, L, flags, no_prune = args
+    oracle_id, prefix, L, flags = args
     oracle = _WORKER_ORACLES.get(oracle_id)
     if oracle is None:
         oracle = _WORKER_ORACLES[oracle_id] = build_oracle(oracle_id)
-    best, tested = _scan_prefix(oracle, prefix, L, flags, no_prune)
+    best, tested = _scan_prefix(oracle, prefix, L, flags)
     return prefix, L, best, tested
 
 
@@ -449,7 +443,8 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
 
     Sweeps lengths in increasing order; within a length, all prefix tasks
     complete and merge by byte-least witness, so results do not depend on
-    worker scheduling or shard count.
+    worker scheduling or shard count.  With no symmetry flag set the search
+    is unpruned: no balance prune and no odd-length skip either.
     """
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
@@ -459,12 +454,12 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     pool = Pool(workers) if workers > 1 else None
     try:
         for L in range(1, spec.max_len + 1):
-            if oracle.requires_zero_exponent_sums and L % 2 and not spec.no_prune:
+            if oracle.requires_zero_exponent_sums and L % 2 and flags.any():
                 stats.lengths_completed.append(L)
                 continue
             prefixes = [p for p in _prefixes(L, flags) if len(p) <= L]
             stats.shards = max(stats.shards, len(prefixes))
-            todo = [(spec.oracle_id, p, L, flags, spec.no_prune)
+            todo = [(spec.oracle_id, p, L, flags)
                     for p in prefixes if (L, p) not in done]
             results = pool.imap_unordered(_pool_task, todo) if pool is not None \
                 else map(_pool_task, todo)
@@ -489,7 +484,7 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
         if pool is not None:
             pool.close()
             pool.join()
-    return NotFoundBelow(spec.max_len, stats), stats
+    return NotFoundBelow(spec.max_len), stats
 
 
 def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:

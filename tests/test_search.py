@@ -25,6 +25,7 @@ from lcslab.search import (
     search_min,
     verify_minimum,
 )
+from lcslab.magnus import lcs_depth
 from lcslab.girth import BetaBracket, GirthResult, beta_bracket, girth, verify_three_x
 from lcslab.quotients import (
     free_abelian_rank2,
@@ -271,8 +272,11 @@ def test_girth_validates_bad_args():
 
 S3_KERNEL = "perm:a=(1 2);b=(1 2 3)"
 KLEIN_KERNEL = "perm:a=(1 2)(3 4);b=(1 3)(2 4)"
-# oracle id -> membership projected from scratch (no walker)
+# oracle id -> membership decided from scratch (no walker): Fox
+# derivatives projected to the quotient, or a fresh truncated expansion
 BRUTE_FORCE = {
+    "lcs:2": lambda w: lcs_depth(w, 1).lower_bound() >= 2,
+    "lcs:3": lambda w: lcs_depth(w, 2).lower_bound() >= 3,
     "z2": lambda w: in_lambda(w, parse_quotient_spec("z2")),
     "derived2": lambda w: in_derived_lambda(w, parse_quotient_spec("z2")),
     S3_KERNEL: lambda w: in_lambda(w, parse_quotient_spec(S3_KERNEL)),
@@ -360,18 +364,19 @@ def test_unpruned_search_tests_every_word():
     assert pruned.stats.tested < plain.stats.tested
 
 
-def test_no_prune_excludes_flags_and_enters_the_fingerprint(tmp_path):
-    with pytest.raises(ValueError):
-        SearchSpec(oracle_id="z2", max_len=4,
-                   flags=SearchFlags(cyclic=True), no_prune=True)
+def test_flagless_search_is_unpruned_and_not_resumed_pruned(tmp_path):
     path = os.fspath(tmp_path / "search.ckpt")
-    plain = SearchSpec(oracle_id="z2", max_len=6, flags=SearchFlags(),
-                       checkpoint=path, no_prune=True)
-    search_min(plain)
-    balanced = SearchSpec(oracle_id="z2", max_len=6, flags=SearchFlags(),
-                          checkpoint=path)
+    plain = SearchSpec(oracle_id="lcs:2", max_len=4, flags=SearchFlags(),
+                       checkpoint=path)
+    out, stats = search_min(plain)
+    assert out[0] == 4
+    # no balance prune and no odd-length skip: every word to length 4
+    assert stats.tested == 2 * (3 ** 4 - 1)
+    pruned = SearchSpec(oracle_id="lcs:2", max_len=4,
+                        flags=engine_flags(build_oracle("lcs:2")),
+                        checkpoint=path)
     with pytest.raises(ValueError):
-        search_min(balanced)
+        search_min(pruned)
 
 
 def test_girth_outcomes_carry_stats():
@@ -380,6 +385,10 @@ def test_girth_outcomes_carry_stats():
     missed = girth("derived2", 6)
     assert missed == NotFoundBelow(6)
     assert missed.stats.lengths_completed == [1, 2, 3, 4, 5, 6]
+    # search_min hands its counters back beside the outcome only
+    out, stats = search_min(SearchSpec(oracle_id="derived2", max_len=6,
+                                       flags=SearchFlags(cyclic=True)))
+    assert out.stats is None and stats.lengths_completed[-1] == 6
 
 
 def test_verify_three_x_kernel_beyond_budget():
