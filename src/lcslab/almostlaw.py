@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -564,7 +564,7 @@ def seed_pool_obstruction(max_len: int = 16, workers: int = 1,
     spec = SearchSpec(oracle_id=oracle_id, max_len=max_len,
                       flags=SearchFlags(cyclic=True, inverse=True,
                                         automorphism=False),
-                      shards=1, checkpoint=checkpoint)
+                      checkpoint=checkpoint)
     outcome, stats = search_min(spec, workers=workers)
     return SeedObstruction(max_len=max_len, outcome=outcome, stats=stats)
 

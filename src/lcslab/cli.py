@@ -21,39 +21,30 @@ import platform
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
 from . import almostlaw
-from .construction import (
-    DEFAULT_LETTER_BUDGET,
-    build,
-    check_identities,
-    check_lengths,
-    check_no_cancellation,
-)
-from .girth import beta_bracket, girth, verify_three_x
-from .magnus import depth_terms, expand, lcs_depth
-from .nielsen import check_nielsen, reduce_with_witnesses, same_subgroup
-from .quotients import PermutationQuotient, permutation_from_cycles
-from .search import (
-    AlphaEntry,
-    NotFoundBelow,
-    NotFoundBelowError,
-    SearchFlags,
-    SearchSpec,
-    alpha,
-    alpha_table,
-    check_alpha_table,
+from .battery import (
+    PRINTED_DIGITS,
+    CheckRow,
     matches_printed,
     quotient_tables,
     report_constants,
-    search_min,
+    run_battery,
 )
-from .words import Word, commutator, random_word
+from .construction import DEFAULT_LETTER_BUDGET, build
+from .girth import beta_bracket, girth
+from .magnus import depth_terms
+from .search import (
+    NotFoundBelow,
+    NotFoundBelowError,
+    alpha,
+    alpha_table,
+)
+from .words import Word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -169,10 +160,8 @@ def _cmd_girth(args) -> int:
 
 def _cmd_alpha(args) -> int:
     t0 = time.monotonic()
-    degree = args.degree if args.degree is not None else max(args.n, 2)
     try:
-        entry = alpha(args.n, args.max_len, degree,
-                      workers=args.workers, shards=args.shards)
+        entry = alpha(args.n, args.max_len, args.n, workers=args.workers)
     except NotFoundBelowError as ex:
         print(f"alpha: {ex}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
@@ -204,17 +193,13 @@ def _cmd_beta(args) -> int:
 def _cmd_report(args) -> int:
     t0 = time.monotonic()
     consts = report_constants()
-    printed = [("mu", "3.56155"), ("nu", "1.44115577304"),
-               ("delta", "0.69391"), ("log2_3", "1.5849"),
-               ("log2_mu", "1.8325")]
     checks = [{"name": name, "printed": p,
                "matches": matches_printed(consts[name], p)}
-              for name, p in printed]
+              for name, p in PRINTED_DIGITS]
     entries = []
     if args.alpha_n_max >= 1:
         entries = alpha_table(args.alpha_n_max, max_len=args.max_len,
                               workers=args.workers)
-        check_alpha_table(entries)
     betas = {}
     if args.beta_n_max >= 1:
         for n in range(1, args.beta_n_max + 1):
@@ -293,254 +278,7 @@ def _cmd_almostlaw(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# the verification battery
-
-@dataclass
-class CheckRow:
-    name: str
-    status: str       # pass | fail | inconclusive | skipped
-    detail: str
-    seconds: float
-
-
-def _check_construction_lengths(ctx) -> Tuple[str, str]:
-    seq = build(14)
-    table = check_lengths(seq)
-    row0, row1, row2 = table.rows[0], table.rows[1], table.rows[2]
-    if (row0.len_b, row1.len_b, row2.len_b) != (1, 4, 14):
-        return "fail", f"lengths {(row0.len_b, row1.len_b, row2.len_b)}"
-    for r in table.rows:
-        if r.len_a != r.len_b or r.len_b < 2 ** r.n:
-            return "fail", f"length law broken at n={r.n}"
-    for n in range(2, 15):
-        if table.rows[n].len_b > 3 * table.rows[n - 1].len_b + 2 * table.rows[n - 2].len_b:
-            return "fail", f"upper recurrence broken at n={n}"
-    return "pass", "lengths 1,4,14; laws hold to n=14"
-
-
-def _check_no_cancellation(ctx) -> Tuple[str, str]:
-    seq = build(14)
-    for n in range(15):
-        rep = check_no_cancellation(seq, n)
-        if not rep.ok:
-            return "fail", f"cancellation at n={n}: {rep.cancelled}"
-    return "pass", "8 products, n<=14, zero cancellation"
-
-
-def _check_identities(ctx) -> Tuple[str, str]:
-    seq = build(12)
-    for n in range(2, 13):
-        rep = check_identities(seq, n)
-        if not rep.ok:
-            return "fail", f"identity broken at n={n}"
-    return "pass", "exact word identities for 2<=n<=12"
-
-
-def _check_magnus_depths(ctx) -> Tuple[str, str]:
-    seq = build(4)
-    D = 13
-    got = [lcs_depth(seq.b(n), D) for n in range(4)]
-    want = [1, 2, 5, 12]
-    exact = []
-    for n, d in enumerate(got):
-        if not d.is_exact:
-            return "fail", f"depth of level {n} not exact at D={D}"
-        exact.append(d.value)
-    if exact[:2] != [1, 2]:
-        return "fail", f"base depths {exact[:2]}"
-    if exact[2] < 5 or exact[3] < 12:
-        return "fail", f"certified depths {exact} below 1,2,5,12"
-    for n in range(2, 4):
-        if exact[n] < 2 * exact[n - 1] + exact[n - 2]:
-            return "fail", f"depth recurrence broken at n={n}"
-    return "pass", f"depths {exact} at D={D}, recurrence holds"
-
-
-def _check_depth_laws(ctx) -> Tuple[str, str]:
-    import random
-    r = random.Random(20260822)
-    D = 8
-    for i in range(1000):
-        u = random_word(r, r.randrange(1, 13))
-        v = random_word(r, r.randrange(1, 13))
-        du, dv = lcs_depth(u, D), lcs_depth(v, D)
-        dp = lcs_depth(u * v, D)
-        if du.is_exact and dv.is_exact and dp.is_exact:
-            if dp.value < min(du.value, dv.value):
-                return "fail", f"product subadditivity broken: {u} {v}"
-        dc = lcs_depth(commutator(u, v), D)
-        if du.is_exact and dv.is_exact and du.value + dv.value <= D:
-            if dc.lower_bound() < du.value + dv.value:
-                return "fail", f"commutator additivity broken: {u} {v}"
-        conj = v * u * ~v
-        dj = lcs_depth(conj, D)
-        if (du.kind, du.value) != (dj.kind, dj.value):
-            return "fail", f"conjugation changed depth: {u} by {v}"
-        if i % 100 == 0:
-            su, sv = expand(u, 4), expand(v, 4)
-            if expand(u * v, 4) != su * sv:
-                return "fail", f"expansion not multiplicative: {u} {v}"
-    return "pass", "1000 pairs, D=8: all depth laws hold"
-
-
-def _check_alpha_table(ctx) -> Tuple[str, str]:
-    try:
-        entries = alpha_table(4, max_len=min(16, ctx["max_len_cap"] or 16),
-                              workers=ctx["workers"])
-    except NotFoundBelowError as ex:
-        return "inconclusive", f"alpha search exhausted length {ex.bound}"
-    check_alpha_table(entries)
-    values = [e.value for e in entries]
-    if values[:2] != [1, 4]:
-        return "fail", f"alpha(1..2) = {values[:2]}"
-    if len(values) < 4:
-        return "inconclusive", f"searched values {values}"
-    if values[3] > values[1] ** 2:
-        return "fail", "submultiplicativity broken at n=4"
-    # pruning soundness at small lengths
-    for oid in ("lcs:2", "lcs:3"):
-        spec_p = SearchSpec(oracle_id=oid, max_len=10,
-                            flags=SearchFlags(True, True, True))
-        spec_u = SearchSpec(oracle_id=oid, max_len=10, flags=SearchFlags())
-        rp, _ = search_min(spec_p)
-        ru, _ = search_min(spec_u)
-        lp = rp[0] if not isinstance(rp, NotFoundBelow) else None
-        lu = ru[0] if not isinstance(ru, NotFoundBelow) else None
-        if lp != lu:
-            return "fail", f"pruned/unpruned disagree on {oid}: {lp} vs {lu}"
-    return "pass", f"alpha(1..4) = {values}, pruning sound to len 10"
-
-
-def _check_girth_theorem(ctx) -> Tuple[str, str]:
-    quotients = [
-        ("z2", None),
-        ("S3-kernel", PermutationQuotient(
-            permutation_from_cycles("(1 2)", degree=3),
-            permutation_from_cycles("(1 2 3)", degree=3))),
-        ("klein-kernel", PermutationQuotient(
-            permutation_from_cycles("(1 2)(3 4)", degree=4),
-            permutation_from_cycles("(1 3)(2 4)", degree=4))),
-    ]
-    from .quotients import free_abelian_rank2
-    lines = []
-    for label, q in quotients:
-        try:
-            rep = verify_three_x(q if q is not None else free_abelian_rank2(),
-                                 max_len=min(14, ctx["max_len_cap"] or 14),
-                                 workers=ctx["workers"])
-        except NotFoundBelowError as ex:
-            return "inconclusive", (f"{label}: kernel girth not found below "
-                                    f"{ex.bound}")
-        if rep.factor_ok is None:
-            return "inconclusive", f"{label}: derived search exhausted budget"
-        if not rep.factor_ok:
-            return "fail", (f"{label}: derived girth {rep.derived_lower} < "
-                            f"3*{rep.kernel_girth.value}")
-        lines.append(f"{label}:{rep.kernel_girth.value}->{rep.derived_lower}")
-    return "pass", "; ".join(lines)
-
-
-def _check_beta2(ctx) -> Tuple[str, str]:
-    cap = min(14, ctx["max_len_cap"] or 14)
-    ckpt = ctx["tmpdir"] + "/beta2.ckpt" if ctx["tmpdir"] else None
-    if cap < 14:
-        # the structural witness lies beyond the budget; search what we can
-        outcome = girth("derived2", cap, workers=ctx["workers"],
-                        checkpoint=ckpt)
-        if isinstance(outcome, NotFoundBelow):
-            return "inconclusive", f"no member below {cap}; need max_len 14"
-        return "pass", f"beta(2) = {outcome.value} within budget"
-    bracket = beta_bracket(2, max_len=14, workers=ctx["workers"],
-                           checkpoint=ckpt)
-    if bracket.exact is None:
-        return "inconclusive", "search exhausted below the witness"
-    if not (9 <= bracket.exact <= 14):
-        return "fail", f"beta(2) = {bracket.exact} escapes [9, 14]"
-    return "pass", f"beta(2) = {bracket.exact}, witness {bracket.witness}"
-
-
-def _check_nielsen(ctx) -> Tuple[str, str]:
-    import random
-    r = random.Random(20260822)
-    for i in range(500):
-        gens = [random_word(r, r.randrange(0, 9))
-                for _ in range(r.randrange(1, 6))]
-        rep = reduce_with_witnesses(gens)
-        msg = check_nielsen(rep.basis)
-        if msg is not None:
-            return "fail", f"case {i}: {msg}"
-        if not rep.verified():
-            return "fail", f"case {i}: rewriting witnesses broken"
-        if not same_subgroup(gens, list(rep.basis)):
-            return "fail", f"case {i}: subgroup changed"
-    return "pass", "500 random lists reduced and verified"
-
-
-def _check_almostlaw(ctx) -> Tuple[str, str]:
-    report = almostlaw.seed_search(max_len=16, samples=2000, seed=7,
-                                   workers=ctx["workers"])
-    best_word, best_lower = report.best
-    if report.admissible:
-        # a certified seed would have to be produced here; no candidate
-        # ever passes the sampled threshold, so this branch is unreachable
-        return "fail", "admissible seed claimed but not certified"
-    return "fail", (
-        f"no certified seed exists: every candidate has sampled lower bound "
-        f">= {best_lower:.3f} > 1/3 (best: {best_word}), and exhaustively "
-        f"no word of length <= {report.obstruction.max_len} meets the "
-        f"necessary algebraic conditions (icosahedral obstruction)")
-
-
-def _check_constants(ctx) -> Tuple[str, str]:
-    consts = report_constants()
-    expected = [("mu", "3.56155"), ("nu", "1.44115577304"),
-                ("log2_3", "1.5849"), ("log2_mu", "1.8325"),
-                ("delta", "0.69391")]
-    bad = [name for name, p in expected
-           if not matches_printed(consts[name], p)]
-    if bad:
-        vals = ", ".join(f"{n}={consts[n]:.12f}" for n in bad)
-        return "fail", f"printed digits unreachable from closed form: {vals}"
-    return "pass", "all printed decimals match"
-
-
-BATTERY: List[Tuple[str, Callable]] = [
-    ("construction-lengths", _check_construction_lengths),
-    ("no-cancellation", _check_no_cancellation),
-    ("word-identities", _check_identities),
-    ("magnus-depths", _check_magnus_depths),
-    ("depth-laws", _check_depth_laws),
-    ("alpha-table", _check_alpha_table),
-    ("girth-theorem", _check_girth_theorem),
-    ("beta2-bracket", _check_beta2),
-    ("nielsen-reduction", _check_nielsen),
-    ("almost-law", _check_almostlaw),
-    ("constants-report", _check_constants),
-]
-
-
-def run_battery(workers: int = 1, budget_seconds: Optional[float] = None,
-                budget_letters: Optional[int] = None,
-                tmpdir: Optional[str] = None) -> List[CheckRow]:
-    """Run every acceptance check; a check that would start after the time
-    budget is exhausted is marked skipped, never failed."""
-    ctx = {"workers": workers, "max_len_cap": budget_letters,
-           "tmpdir": tmpdir}
-    rows: List[CheckRow] = []
-    t0 = time.monotonic()
-    for name, fn in BATTERY:
-        if budget_seconds is not None and time.monotonic() - t0 >= budget_seconds:
-            rows.append(CheckRow(name, "skipped", "time budget exhausted", 0.0))
-            continue
-        t1 = time.monotonic()
-        try:
-            status, detail = fn(ctx)
-        except Exception as ex:  # a crash is a failure, not a crash of verify
-            status, detail = "fail", f"{type(ex).__name__}: {ex}"
-        rows.append(CheckRow(name, status, detail,
-                             round(time.monotonic() - t1, 2)))
-    return rows
-
+# the verification battery (the checks live in battery.py)
 
 def _battery_exit(rows: List[CheckRow]) -> int:
     if any(r.status == "fail" for r in rows):
@@ -620,9 +358,6 @@ def build_parser() -> _Parser:
     a = sub.add_parser("alpha", help="minimal length at a filtration depth")
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--max-len", type=int, required=True)
-    a.add_argument("--degree", type=int, default=None,
-                   help="series truncation (default: n)")
-    a.add_argument("--shards", type=int, default=1)
     a.set_defaults(func=_cmd_alpha)
 
     b = sub.add_parser("beta", help="minimal length in a derived subgroup")

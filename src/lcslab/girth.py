@@ -78,10 +78,6 @@ class ThreeXReport:
     derived_lower: int           # certified: girth([kernel, kernel]) >= this
     factor_ok: Optional[bool]    # None = inconclusive
 
-    @property
-    def conclusive(self) -> bool:
-        return self.factor_ok is not None
-
 
 def verify_three_x(q: QuotientGroup, max_len: int, workers: int = 1
                    ) -> ThreeXReport:

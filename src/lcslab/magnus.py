@@ -29,7 +29,6 @@ from .words import (
     LETTER_BI,
     Word,
     concat_bytes,
-    inverse_bytes,
 )
 
 MAX_TRUNCATION = 22  # 2^23 coefficient slots, the desk-scale memory ceiling

@@ -11,7 +11,6 @@ which decides it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Tuple
 
 from .words import (
@@ -20,7 +19,6 @@ from .words import (
     LETTER_B,
     LETTER_BI,
     Word,
-    inverse_letter,
 )
 
 

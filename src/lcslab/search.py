@@ -25,7 +25,6 @@ above: one unpruned walk over every shorter reduced word.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -33,13 +32,8 @@ from multiprocessing import Pool
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .magnus import MagnusWalker
-from .quotients import (
-    DerivedKernelWalker,
-    KernelWalker,
-    free_abelian_rank2,
-    parse_quotient_spec,
-)
-from .words import Word, inverse_bytes, inverse_letter, is_reduced
+from .quotients import DerivedKernelWalker, KernelWalker, parse_quotient_spec
+from .words import Word, inverse_bytes, inverse_letter
 
 _BYTE_ORDER = b"ABab"  # enumeration order = byte order, so streams are lexicographic
 _ALLOWED: Dict[int, bytes] = {
@@ -300,7 +294,6 @@ class SearchSpec:
     oracle_id: str
     max_len: int
     flags: SearchFlags
-    shards: int = 1
     checkpoint: Optional[str] = None
 
     def fingerprint(self) -> dict:
@@ -448,7 +441,7 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     """
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
-    stats = SearchStats(shards=max(1, spec.shards), workers=max(1, workers))
+    stats = SearchStats(workers=max(1, workers))
     done = _load_checkpoint(spec.checkpoint, spec.fingerprint()) if spec.checkpoint else {}
     stats.resumed_tasks = len(done)
     pool = Pool(workers) if workers > 1 else None
@@ -518,7 +511,7 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
 
 
 # ----------------------------------------------------------------------
-# alpha table and constants
+# alpha table
 
 class NotFoundBelowError(RuntimeError):
     def __init__(self, bound: int):
@@ -537,7 +530,7 @@ class AlphaEntry:
 
 
 def alpha(n: int, max_len: int, D: int, workers: int = 1,
-          shards: int = 1, checkpoint: Optional[str] = None) -> AlphaEntry:
+          checkpoint: Optional[str] = None) -> AlphaEntry:
     """Shortest word at lower-central depth >= n, exact below max_len."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -545,8 +538,7 @@ def alpha(n: int, max_len: int, D: int, workers: int = 1,
         raise ValueError("truncation degree must be >= n")
     oracle = build_oracle(f"lcs:{n}")
     spec = SearchSpec(oracle_id=oracle.oracle_id, max_len=max_len,
-                      flags=engine_flags(oracle), shards=shards,
-                      checkpoint=checkpoint)
+                      flags=engine_flags(oracle), checkpoint=checkpoint)
     outcome, _ = search_min(spec, workers=workers)
     if isinstance(outcome, NotFoundBelow):
         raise NotFoundBelowError(outcome.bound)
@@ -555,12 +547,10 @@ def alpha(n: int, max_len: int, D: int, workers: int = 1,
                       max_len=max_len, degree=D)
 
 
-def alpha_table(n_max: int, max_len: int, D: Optional[int] = None,
-                workers: int = 1) -> List[AlphaEntry]:
+def alpha_table(n_max: int, max_len: int, workers: int = 1) -> List[AlphaEntry]:
     entries = []
     for n in range(1, n_max + 1):
-        entries.append(alpha(n, max_len, D if D is not None else max(n, 2),
-                             workers=workers))
+        entries.append(alpha(n, max_len, max(n, 2), workers=workers))
     check_alpha_table(entries)
     return entries
 
@@ -582,59 +572,3 @@ def check_alpha_table(entries: Sequence[AlphaEntry]) -> None:
                 raise AssertionError(
                     f"alpha({n*m}) = {g.value} violates submultiplicativity "
                     f"<= alpha({n})*alpha({m}) = {e.value * f.value}")
-
-
-def matches_printed(value: float, printed: str) -> bool:
-    """Does the printed decimal string agree with the value?
-
-    Sources print either truncated or rounded digits, so accept both
-    renderings at the printed precision.
-    """
-    if "." not in printed:
-        raise ValueError("printed form must contain a decimal point")
-    places = len(printed) - printed.index(".") - 1
-    scaled = value * 10 ** places
-    truncated = f"{math.floor(scaled) / 10 ** places:.{places}f}"
-    rounded = f"{value:.{places}f}"
-    return printed in (truncated, rounded)
-
-
-def report_constants() -> dict:
-    """Closed-form constants of the growth analysis, to double precision."""
-    mu = (3.0 + math.sqrt(17.0)) / 2.0
-    growth_log = math.log2(3.0 + math.sqrt(17.0)) - 1.0  # = log2(mu)
-    contraction_log = math.log2(1.0 + math.sqrt(2.0))
-    delta = contraction_log / growth_log
-    nu = growth_log / contraction_log
-    return {
-        "mu": mu,
-        "nu": nu,
-        "delta": delta,
-        "log2_3": math.log2(3.0),
-        "log2_mu": growth_log,
-        "log2_silver": contraction_log,
-    }
-
-
-def quotient_tables(alpha_entries: Sequence[AlphaEntry] = (),
-                    beta_values: Dict[int, int] = {}) -> dict:
-    """Finite-scale sample quotients; the limits themselves are out of reach,
-    so these are emitted only with consistency checks, never asserted against
-    the asymptotic constants."""
-    alpha_rows = []
-    for e in alpha_entries:
-        q = math.log2(e.value) / math.log2(e.n) if e.n > 1 else None
-        alpha_rows.append({"n": e.n, "alpha": e.value,
-                           "witness": str(e.witness), "quotient": q})
-    beta_rows = [{"n": n, "beta": v,
-                  "quotient": (math.log2(v) / n if n > 0 else None)}
-                 for n, v in sorted(beta_values.items())]
-    relation = []
-    by_n = {e.n: e.value for e in alpha_entries}
-    for n, beta_v in sorted(beta_values.items()):
-        a = by_n.get(2 ** n)
-        if a is not None:
-            relation.append({"n": n, "alpha_2^n": a, "beta": beta_v,
-                             "ok": a <= beta_v})
-    return {"alpha": alpha_rows, "beta": beta_rows,
-            "alpha_vs_beta": relation}

@@ -9,7 +9,7 @@ once the recursive families reach tens of millions of letters.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 LETTER_A = 0x61  # a
 LETTER_AI = 0x41  # a^-1
@@ -27,15 +27,6 @@ for _c, _d in zip(b"aAbB", b"AaBb"):
 
 def inverse_letter(c: int) -> int:
     return _INV_BYTE[c]
-
-
-def letter_generator(c: int) -> str:
-    """'a' or 'b', ignoring the sign."""
-    return "a" if c in (LETTER_A, LETTER_AI) else "b"
-
-
-def letter_sign(c: int) -> int:
-    return 1 if c >= 0x61 else -1
 
 
 def reduce_bytes(raw: bytes) -> bytes:
@@ -123,10 +114,6 @@ class Word:
         if bad:
             raise ValueError(f"invalid letters in word: {text!r} (use a,A,b,B or 1)")
         return Word(raw)
-
-    @staticmethod
-    def from_letters(letters: Iterable[int]) -> "Word":
-        return Word(bytes(letters))
 
     # -- basics -----------------------------------------------------------
 

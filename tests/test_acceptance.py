@@ -1,13 +1,16 @@
 """Acceptance battery: one test per shipped guarantee.
 
-Each test prints exactly one line
+The checks live in ``lcslab/battery.py`` and are the ones ``lcs-lab verify``
+runs; criterion NN is the NN-th check there.  Each test prints exactly one
+line
 
     [criterion-NN slug] PASS|FAIL (T.Ts): detail
 
 and then asserts.  Run with ``pytest tests/test_acceptance.py -v -s`` to see
 every line; without ``-s`` the lines still appear for failing criteria in the
-captured-stdout section.  Runtime budgets are part of the guarantees and are
-asserted after the substance of each check.
+captured-stdout section; ``-k criterion-07`` selects one check.  Runtime
+budgets are part of the guarantees and are asserted after the substance of
+each check.
 
 Two criteria fail by design and are expected to stay red:
 
@@ -20,31 +23,34 @@ Two criteria fail by design and are expected to stay red:
   the closed form by neither truncation nor rounding.
 """
 
-import random
 import time
 
 import pytest
 
-from lcslab import almostlaw
-from lcslab.construction import (build, check_identities, check_lengths,
-                                 check_no_cancellation)
-from lcslab.girth import beta_bracket, verify_three_x
-from lcslab.magnus import expand, lcs_depth
-from lcslab.nielsen import check_nielsen, reduce_with_witnesses, same_subgroup
-from lcslab.quotients import (PermutationQuotient, free_abelian_rank2,
-                              permutation_from_cycles)
-from lcslab.search import (NotFoundBelow, SearchFlags, SearchSpec, alpha_table,
-                           check_alpha_table, matches_printed, quotient_tables,
-                           report_constants, search_min)
-from lcslab.words import commutator, random_word
+from lcslab import battery
+from lcslab.girth import beta_bracket
 
-_RESULTS = {}  # cross-test cache: alpha entries, beta values
+# battery check -> (test name, runtime budget in seconds, workers)
+CRITERIA = {
+    "construction-lengths": ("lengths", 10, 1),
+    "no-cancellation": ("no_cancellation", 10, 1),
+    "word-identities": ("identities", 30, 1),
+    "magnus-depths": ("depths", 300, 1),
+    "depth-laws": ("depth_laws", 120, 1),
+    "alpha-table": ("alpha_table", 600, 1),
+    "girth-theorem": ("girth_factor_three", 600, 1),
+    "beta2-bracket": ("beta2_bracket", 1800, 2),
+    "nielsen-reduction": ("nielsen", 120, 1),
+    "almost-law": ("almost_law_decay", 600, 1),
+    "constants-report": ("constants", 1, 1),
+}
+assert list(CRITERIA) == list(battery.CHECKS)
 
 
-def _seq14():
-    if "seq14" not in _RESULTS:
-        _RESULTS["seq14"] = build(14)
-    return _RESULTS["seq14"]
+@pytest.fixture(scope="module")
+def ctx():
+    # shared across the module: the construction, alpha entries and beta(2)
+    return {"workers": 1, "max_len_cap": None, "tmpdir": None}
 
 
 def _report(tag, ok, seconds, detail, budget):
@@ -55,245 +61,36 @@ def _report(tag, ok, seconds, detail, budget):
     assert seconds < budget, f"[{tag}] over budget: {seconds:.1f}s >= {budget}s"
 
 
-def test_criterion_01_lengths():
-    t0 = time.monotonic()
-    seq = _seq14()
-    table = check_lengths(seq)
-    lens = [r.len_b for r in table.rows]
-    ok = (lens[:3] == [1, 4, 14]
-          and all(r.lengths_equal for r in table.rows)
-          and all(r.at_least_2n for r in table.rows)
-          and all(r.recurrence_ok for r in table.rows if r.n >= 2))
-    _report("criterion-01 construction-lengths", ok, time.monotonic() - t0,
-            f"len(b_n) for n<=14 starts {lens[:5]}, equals len(a_n), "
-            f">= 2^n, upper recurrence holds; C' = {table.c_prime:.6f}",
-            budget=10)
+def _criterion_test(number, name, budget, workers):
+    def test(ctx, tmp_path):
+        ctx.update(workers=workers, tmpdir=str(tmp_path))
+        row = battery.run_check(name, ctx)
+        if name == "beta2-bracket":
+            assert (tmp_path / "beta2.ckpt").exists()
+        _report(f"criterion-{number:02d} {name}", row.status == "pass",
+                row.seconds, row.detail, budget)
+    # pytest takes function attributes as keywords: -k criterion-07 selects
+    setattr(test, f"criterion-{number:02d}-{name}", True)
+    return test
 
 
-def test_criterion_02_no_cancellation():
-    t0 = time.monotonic()
-    seq = _seq14()
-    bad = []
-    for n in range(15):
-        rep = check_no_cancellation(seq, n)
-        if not rep.ok:
-            bad.append((n, rep.cancelled))
-    _report("criterion-02 no-cancellation", not bad, time.monotonic() - t0,
-            "8 products per level, n <= 14, zero cancelled letters"
-            if not bad else f"cancellation at {bad}",
-            budget=10)
+for _number, (_name, (_stem, _budget, _workers)) in enumerate(
+        CRITERIA.items(), 1):
+    globals()[f"test_criterion_{_number:02d}_{_stem}"] = _criterion_test(
+        _number, _name, _budget, _workers)
 
 
-def test_criterion_03_identities():
-    t0 = time.monotonic()
-    seq = _seq14()
-    bad = [n for n in range(2, 13) if not check_identities(seq, n).ok]
-    _report("criterion-03 word-identities", not bad, time.monotonic() - t0,
-            "defining identities hold for 2 <= n <= 12"
-            if not bad else f"broken at n = {bad}",
-            budget=30)
-
-
-def test_criterion_04_depths():
-    t0 = time.monotonic()
-    seq = _seq14()
-    D = 13
-    depths = [lcs_depth(seq.b(n), D) for n in range(4)]
-    exact = [d.value for d in depths]
-    ok = (all(d.is_exact for d in depths)
-          and exact[:2] == [1, 2]
-          and exact[2] >= 5 and exact[3] >= 12
-          and all(exact[n] >= 2 * exact[n - 1] + exact[n - 2]
-                  for n in range(2, 4)))
-    _report("criterion-04 magnus-depths", ok, time.monotonic() - t0,
-            f"depths of b_0..b_3 = {exact} (exact at D={D}), "
-            f"floors 1,2,5,12 met, recurrence d_n >= 2d_(n-1)+d_(n-2) holds",
-            budget=300)
-
-
-def test_criterion_05_depth_laws():
-    t0 = time.monotonic()
-    r = random.Random(20260822)
-    D = 8
-    failures = []
-    for i in range(1000):
-        u = random_word(r, r.randrange(1, 13))
-        v = random_word(r, r.randrange(1, 13))
-        du, dv = lcs_depth(u, D), lcs_depth(v, D)
-        dp = lcs_depth(u * v, D)
-        if du.is_exact and dv.is_exact and dp.is_exact:
-            if dp.value < min(du.value, dv.value):
-                failures.append(f"subadditivity: {u} {v}")
-        dc = lcs_depth(commutator(u, v), D)
-        if du.is_exact and dv.is_exact and du.value + dv.value <= D:
-            if dc.lower_bound() < du.value + dv.value:
-                failures.append(f"commutator additivity: {u} {v}")
-        dj = lcs_depth(v * u * ~v, D)
-        if (du.kind, du.value) != (dj.kind, dj.value):
-            failures.append(f"conjugation invariance: {u} by {v}")
-        if expand(u * v, D) != expand(u, D) * expand(v, D):
-            failures.append(f"expansion homomorphism: {u} {v}")
-        if failures:
-            break
-    _report("criterion-05 depth-laws", not failures, time.monotonic() - t0,
-            f"1000 random pairs (len <= 12) at D={D}: subadditivity, "
-            f"commutator additivity, conjugation invariance, expansion "
-            f"homomorphism all hold"
-            if not failures else failures[0],
-            budget=120)
-
-
-def test_criterion_06_alpha_table():
-    t0 = time.monotonic()
-    entries = alpha_table(4, max_len=16)
-    check_alpha_table(entries)
-    _RESULTS["alpha"] = entries
-    values = [e.value for e in entries]
-    prune_ok = True
-    for oid in ("lcs:2", "lcs:3"):
-        rp, _ = search_min(SearchSpec(oracle_id=oid, max_len=10,
-                                      flags=SearchFlags(True, True, True)))
-        ru, _ = search_min(SearchSpec(oracle_id=oid, max_len=10,
-                                      flags=SearchFlags()))
-        lp = rp[0] if not isinstance(rp, NotFoundBelow) else None
-        lu = ru[0] if not isinstance(ru, NotFoundBelow) else None
-        prune_ok = prune_ok and lp == lu
-    ok = (values == [1, 4, 8, 14]
-          and all(e.exact for e in entries)
-          and values[3] <= values[1] ** 2
-          and prune_ok)
-    _report("criterion-06 alpha-table", ok, time.monotonic() - t0,
-            f"alpha(1..4) = {values}, witnesses "
-            f"{[str(e.witness) for e in entries]}, alpha(4) <= alpha(2)^2, "
-            f"pruned and unpruned searches agree to length 10",
-            budget=600)
-
-
-def test_criterion_07_girth_factor_three():
-    t0 = time.monotonic()
-    quotients = [
-        ("z2", free_abelian_rank2()),
-        ("S3-kernel", PermutationQuotient(
-            permutation_from_cycles("(1 2)", degree=3),
-            permutation_from_cycles("(1 2 3)", degree=3))),
-        ("klein-kernel", PermutationQuotient(
-            permutation_from_cycles("(1 2)(3 4)", degree=4),
-            permutation_from_cycles("(1 3)(2 4)", degree=4))),
-    ]
-    expected = {"z2": (4, 14), "S3-kernel": (2, 10), "klein-kernel": (2, 8)}
-    lines, ok = [], True
-    for label, q in quotients:
-        rep = verify_three_x(q, max_len=14)
-        exact_pair = (rep.kernel_girth.value, rep.derived_lower)
-        ok = (ok and rep.factor_ok is True
-              and not isinstance(rep.derived_girth, NotFoundBelow)
-              and exact_pair == expected[label])
-        lines.append(f"{label}: {exact_pair[0]} -> {exact_pair[1]}")
-    _report("criterion-07 girth-theorem", ok, time.monotonic() - t0,
-            "girth of derived kernel >= 3x kernel girth, all exact: "
-            + "; ".join(lines),
-            budget=600)
-
-
-def test_criterion_08_beta2_bracket(tmp_path):
-    t0 = time.monotonic()
-    ckpt = tmp_path / "beta2.ckpt"
-    bracket = beta_bracket(2, max_len=14, workers=2, checkpoint=str(ckpt))
-    _RESULTS["beta"] = {2: bracket.exact}
-    ok = (bracket.exact == 14
-          and bracket.lower == 9
-          and bracket.upper == 14
-          and bracket.witness is not None
-          and str(bracket.witness) == "AABabaBAAbaBab"
-          and ckpt.exists())
-    _report("criterion-08 beta2-bracket", ok, time.monotonic() - t0,
-            f"beta(2) = {bracket.exact} in [{bracket.lower}, "
-            f"{bracket.upper}], witness {bracket.witness}, checkpointed "
-            f"search over 2 workers",
-            budget=1800)
-
-
-def test_criterion_09_nielsen():
-    t0 = time.monotonic()
-    r = random.Random(20260822)
-    failures = []
-    for i in range(500):
-        gens = [random_word(r, r.randrange(0, 9))
-                for _ in range(r.randrange(1, 6))]
-        rep = reduce_with_witnesses(gens)
-        msg = check_nielsen(rep.basis)
-        if msg is not None:
-            failures.append(f"case {i}: {msg}")
-        elif not rep.verified():
-            failures.append(f"case {i}: rewriting witnesses broken")
-        elif not same_subgroup(gens, list(rep.basis)):
-            failures.append(f"case {i}: subgroup changed")
-        if failures:
-            break
-    _report("criterion-09 nielsen-reduction", not failures,
-            time.monotonic() - t0,
-            "500 random generating lists: reduced bases satisfy "
-            "conditions (i)-(iii), rewriting witnesses verified, "
-            "subgroup unchanged"
-            if not failures else failures[0],
-            budget=120)
-
-
-def test_criterion_10_almost_law_decay():
-    # Expected red.  The decay pipeline demands seed words whose certified
-    # bound is <= 1/3; three independent obstructions show none exists
-    # within reach, so this criterion cannot be satisfied honestly.  The
-    # machinery itself (sampling, grid certification, bound propagation,
-    # the decay table) is exercised green in tests/test_almostlaw.py.
-    t0 = time.monotonic()
-    report = almostlaw.seed_search(max_len=16, samples=10_000, seed=7)
-    best_word, best_lower = report.best
-    obs = report.obstruction
-    cost = almostlaw.certification_cost_at_threshold(best_word)
-    ok = bool(report.admissible)
-    _report("criterion-10 almost-law", ok, time.monotonic() - t0,
-            f"no admissible certified seed: (1) best sampled lower bound "
-            f"{best_lower:.4f} (word {best_word}) far exceeds the 1/3 "
-            f"threshold over a pool of {len(report.pool)} candidates at "
-            f"10^4 samples each; (2) exhaustive search proves no word of "
-            f"length <= {obs.max_len} has zero exponent sums and dies in "
-            f"every alternating-degree-5 image ({obs.stats.tested} words "
-            f"tested), both necessary for a bound <= 1/3, since the "
-            f"nearest nontrivial value of a <= 1/3 word map would lie in "
-            f"the binary icosahedral subgroup at distance {obs.gap:.4f} "
-            f"> 1/3; (3) grid certification of the best candidate at the "
-            f"threshold would need ~{cost:.3e} pair evaluations",
-            budget=600)
-
-
-def test_criterion_11_constants():
-    # Expected red: delta's published decimal expansion is unreachable
-    # from the closed form by truncation or rounding (the others match).
-    t0 = time.monotonic()
-    consts = report_constants()
-    printed = [("mu", "3.56155"), ("nu", "1.44115577304"),
-               ("delta", "0.69391"), ("log2_3", "1.5849"),
-               ("log2_mu", "1.8325")]
-    bad = [(name, p) for name, p in printed
-           if not matches_printed(consts[name], p)]
-    _report("criterion-11 constants-report", not bad, time.monotonic() - t0,
-            "all printed decimals reachable from closed forms"
-            if not bad else "printed digits unreachable from closed form: "
-            + ", ".join(f"{n} prints '{p}' but computes "
-                        f"{consts[n]:.12f}" for n, p in bad),
-            budget=1)
-
-
-def test_quotient_tables_consistency():
+def test_quotient_tables_consistency(ctx):
     # Finite-scale quotients are emitted for inspection only; here they
     # are checked for internal consistency, never against the limits.
+    # They reuse what criteria 06 and 08 left in the context, and run
+    # those checks only when they were deselected.
     t0 = time.monotonic()
-    entries = _RESULTS.get("alpha") or alpha_table(4, max_len=16)
-    beta_values = dict(_RESULTS.get("beta") or {})
-    if 2 not in beta_values:
-        beta_values[2] = beta_bracket(2, max_len=14).exact
-    beta_values[1] = beta_bracket(1, max_len=4).exact
-    tables = quotient_tables(entries, beta_values)
+    for name, key in (("alpha-table", "alpha"), ("beta2-bracket", "beta2")):
+        if key not in ctx:
+            battery.run_check(name, ctx)
+    beta_values = {1: beta_bracket(1, max_len=4).exact, 2: ctx["beta2"]}
+    tables = battery.quotient_tables(ctx["alpha"], beta_values)
     ok = (all(row["quotient"] >= 1.0 for row in tables["alpha"]
               if row["quotient"] is not None)
           and all(row["quotient"] >= 1.0 for row in tables["beta"])

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from lcslab import cli
+from lcslab import battery, cli
 from lcslab.construction import build
+from lcslab.search import AlphaEntry
 from lcslab.words import Word
 
 
@@ -72,16 +73,32 @@ def test_girth_found_and_not_found():
     assert doc["result"]["searched_to"] == 4
 
 
-def test_girth_output_is_deterministic():
+def run_twice_masked(*argv, expect=0):
     # a plain diff with the one timing field masked
-    runs = [run_cli("girth", "--quotient", "derived-perm:a=(1 2)(3 4);"
-                    "b=(1 3)(2 4)", "--max-len", "8").stdout
-            for _ in range(2)]
+    runs = [run_cli(*argv, expect=expect).stdout for _ in range(2)]
     masked = [re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0',
                      text) for text in runs]
     assert masked[0] == masked[1]
-    result = json.loads(masked[0])["result"]
+    return masked[0]
+
+
+def test_girth_output_is_deterministic():
+    text = run_twice_masked("girth", "--quotient", "derived-perm:a=(1 2)(3 4);"
+                            "b=(1 3)(2 4)", "--max-len", "8")
+    result = json.loads(text)["result"]
     assert result["girth"] == 8 and "elapsed" not in result
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (("gen", "--n", "3"), 0),
+    (("depth", "--word", "abAB"), 0),
+    (("alpha", "--n", "2", "--max-len", "6"), 0),
+    (("beta", "--n", "1", "--max-len", "6"), 0),
+    (("report",), 0),
+    (("almostlaw", "--pool-max-len", "8", "--samples", "100"), 2),
+], ids=["gen", "depth", "alpha", "beta", "report", "almostlaw"])
+def test_output_is_deterministic(argv, expect):
+    run_twice_masked(*argv, expect=expect)
 
 
 def test_girth_reverifies_every_minimum(monkeypatch, capsys):
@@ -182,11 +199,15 @@ def test_unknown_command_is_usage_error():
 
 
 def test_battery_exit_mapping():
-    mk = lambda s: cli.CheckRow("x", s, "", 0.0)
+    mk = lambda s: battery.CheckRow("x", s, "", 0.0)
     assert cli._battery_exit([mk("pass")]) == 0
     assert cli._battery_exit([mk("pass"), mk("inconclusive")]) == 2
     assert cli._battery_exit([mk("pass"), mk("skipped")]) == 2
     assert cli._battery_exit([mk("skipped"), mk("fail")]) == 1
+
+
+def _ctx(max_len_cap=None):
+    return {"workers": 1, "max_len_cap": max_len_cap, "tmpdir": None}
 
 
 def test_battery_checks_detect_tampering(monkeypatch):
@@ -194,24 +215,37 @@ def test_battery_checks_detect_tampering(monkeypatch):
     # for one with a corrupted level-2 word and watch the first check fail
     real = build(14)
     real.b_words[2] = Word.parse("ab")
-    monkeypatch.setattr(cli, "build", lambda *a, **k: real)
-    ctx = {"workers": 1, "max_len_cap": None, "tmpdir": None}
-    status, detail = cli._check_construction_lengths(ctx)
-    assert status == "fail"
+    monkeypatch.setattr(battery, "build", lambda *a, **k: real)
+    row = battery.run_check("construction-lengths", _ctx())
+    assert row.status == "fail"
+
+
+def test_battery_alpha_check_asserts_every_value(monkeypatch):
+    # alpha(3) = 9 keeps the table monotone and submultiplicative; only the
+    # exact values catch it
+    w = Word.parse("a")
+    wrong = [AlphaEntry(n, v, w, True, 16, max(n, 2))
+             for n, v in enumerate([1, 4, 9, 14], 1)]
+    monkeypatch.setattr(battery, "alpha_table", lambda *a, **k: wrong)
+    row = battery.run_check("alpha-table", _ctx())
+    assert row.status == "fail", row.detail
+    assert "[1, 4, 9, 14]" in row.detail
 
 
 def test_battery_constants_check_fails_on_delta():
-    ctx = {"workers": 1, "max_len_cap": None, "tmpdir": None}
-    status, detail = cli._check_constants(ctx)
-    assert status == "fail"
-    assert "delta" in detail
+    row = battery.run_check("constants-report", _ctx())
+    assert row.status == "fail"
+    assert "delta" in row.detail
 
 
 def test_battery_budgets_give_inconclusive():
-    ctx = {"workers": 1, "max_len_cap": 10, "tmpdir": None}
-    status, detail = cli._check_alpha_table(ctx)
-    assert status == "inconclusive", detail
-    ctx["max_len_cap"] = 3
-    status, detail = cli._check_girth_theorem(ctx)
-    assert status == "inconclusive", detail
-    assert "z2" in detail
+    row = battery.run_check("alpha-table", _ctx(10))
+    assert row.status == "inconclusive", row.detail
+    row = battery.run_check("girth-theorem", _ctx(3))
+    assert row.status == "inconclusive", row.detail
+    assert "z2" in row.detail
+    # a search cut short by the budget never turns into a failure
+    for cap in (3, 8, 10, 12, 13):
+        for name in ("alpha-table", "girth-theorem", "beta2-bracket"):
+            row = battery.run_check(name, _ctx(cap))
+            assert row.status != "fail", (cap, row)

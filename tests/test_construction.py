@@ -11,7 +11,7 @@ import pytest
 
 from lcslab import construction
 from lcslab.construction import MU, build, check_identities, check_lengths, check_no_cancellation
-from lcslab.words import Word, commutator
+from lcslab.words import Word
 
 
 def test_level_zero_is_seeds():

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from lcslab.words import Word, commutator, random_word
 from lcslab.nielsen import (
     ReductionReport,

@@ -8,7 +8,6 @@ from lcslab.quotients import (
     DerivedKernelWalker,
     GroupRingElement,
     KernelWalker,
-    PermutationQuotient,
     cycles_string,
     free_abelian_rank2,
     in_derived_lambda,

@@ -3,8 +3,8 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.words import LETTERS, Word, is_reduced, inverse_bytes
-from lcslab.construction import build
 from lcslab.search import (
     AUTO_TABLES,
     NotFoundBelow,
@@ -18,15 +18,12 @@ from lcslab.search import (
     check_alpha_table,
     engine_flags,
     enumerate_words,
-    matches_printed,
     orbit_words,
-    quotient_tables,
-    report_constants,
     search_min,
     verify_minimum,
 )
 from lcslab.magnus import lcs_depth
-from lcslab.girth import BetaBracket, GirthResult, beta_bracket, girth, verify_three_x
+from lcslab.girth import GirthResult, beta_bracket, girth, verify_three_x
 from lcslab.quotients import (
     free_abelian_rank2,
     in_derived_lambda,
