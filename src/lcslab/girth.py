@@ -30,7 +30,6 @@ class GirthResult:
     value: int
     witness: Word
     search_bound: int
-    exact: bool
     stats: Optional[SearchStats] = field(default=None, compare=False,
                                          repr=False)
 
@@ -66,7 +65,7 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
             f"pruned search and independent scan disagree for {oracle_id} "
             f"at length {length}")
     return GirthResult(value=length, witness=witness,
-                       search_bound=max_len, exact=True, stats=stats)
+                       search_bound=max_len, stats=stats)
 
 
 @dataclass(frozen=True)

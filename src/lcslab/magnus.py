@@ -226,37 +226,6 @@ def depth_terms(w: Word, D: int) -> Tuple[Depth, List[Tuple[str, int]]]:
     return Depth.exact(d), terms
 
 
-class MagnusWalker:
-    """Incrementally maintained expansion along a DFS path.
-
-    push(letter) multiplies by that letter's series; pop(letter) undoes it
-    by multiplying with the inverse letter's series, which is an exact
-    inverse in the truncated ring, so no state needs to be saved.
-    """
-
-    __slots__ = ("D", "rows")
-
-    def __init__(self, D: int):
-        _check_degree(D)
-        self.D = D
-        self.rows = _one_rows(D)
-
-    def push(self, letter: int) -> None:
-        _mul_letter_inplace(self.rows, letter, self.D)
-
-    def pop(self, letter: int) -> None:
-        from .words import inverse_letter
-        _mul_letter_inplace(self.rows, inverse_letter(letter), self.D)
-
-    def vanishes_below(self, n: int) -> bool:
-        """True iff no nonzero coefficient in degrees 1..n-1 (so depth >= n)."""
-        rows = self.rows
-        for d in range(1, min(n, self.D + 1)):
-            if any(rows[d]):
-                return False
-        return True
-
-
 # ----------------------------------------------------------------------
 # Fox calculus in the integer group ring of F2
 

@@ -7,6 +7,11 @@ whose kernel is the commutator subgroup).  Membership in the kernel is
 evaluation; membership in [kernel, kernel] projects both Fox derivatives
 into the integer group ring of the quotient and requires them to vanish,
 which decides it exactly.
+
+in_lambda and in_derived_lambda evaluate one word from scratch.  The
+search oracles (search.KernelOracle, search.DerivedKernelOracle) carry
+the same image and projected derivatives letter by letter, as the states
+of a search.GroupWalker; the tests check one against the other.
 """
 
 from __future__ import annotations
@@ -296,82 +301,3 @@ def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
         return False
     return (project_fox(w, q, "a").is_zero()
             and project_fox(w, q, "b").is_zero())
-
-
-# ----------------------------------------------------------------------
-# incremental walkers (push/pop membership along a search path)
-
-class KernelWalker:
-    """Tracks the quotient image of the current prefix."""
-
-    __slots__ = ("q", "stack")
-
-    def __init__(self, q: QuotientGroup):
-        self.q = q
-        self.stack = [q.identity()]
-
-    def push(self, letter: int) -> None:
-        self.stack.append(self.q.multiply(self.stack[-1],
-                                          self.q.letter_images[letter]))
-
-    def pop(self, letter: int) -> None:
-        self.stack.pop()
-
-    def is_member(self) -> bool:
-        return len(self.stack) > 1 and self.stack[-1] == self.q.identity()
-
-
-class DerivedKernelWalker:
-    """Tracks the image and both projected Fox derivatives incrementally.
-
-    Nonzero-entry counters make the vanishing test O(1) per query.
-    """
-
-    __slots__ = ("q", "stack", "da", "db", "nza", "nzb")
-
-    def __init__(self, q: QuotientGroup):
-        self.q = q
-        self.stack = [q.identity()]
-        self.da: Dict[Hashable, int] = {}
-        self.db: Dict[Hashable, int] = {}
-        self.nza = 0
-        self.nzb = 0
-
-    def _bump(self, table: Dict[Hashable, int], key: Hashable, delta: int) -> int:
-        old = table.get(key, 0)
-        new = old + delta
-        if new:
-            table[key] = new
-        else:
-            del table[key]
-        return (1 if new else 0) - (1 if old else 0)
-
-    def push(self, letter: int) -> None:
-        q = self.q
-        p = self.stack[-1]
-        p2 = q.multiply(p, q.letter_images[letter])
-        if letter == LETTER_A:
-            self.nza += self._bump(self.da, p, 1)
-        elif letter == LETTER_AI:
-            self.nza += self._bump(self.da, p2, -1)
-        elif letter == LETTER_B:
-            self.nzb += self._bump(self.db, p, 1)
-        else:
-            self.nzb += self._bump(self.db, p2, -1)
-        self.stack.append(p2)
-
-    def pop(self, letter: int) -> None:
-        p2 = self.stack.pop()
-        p = self.stack[-1]
-        if letter == LETTER_A:
-            self.nza += self._bump(self.da, p, -1)
-        elif letter == LETTER_AI:
-            self.nza += self._bump(self.da, p2, 1)
-        elif letter == LETTER_B:
-            self.nzb += self._bump(self.db, p, -1)
-        else:
-            self.nzb += self._bump(self.db, p2, 1)
-
-    def is_member(self) -> bool:
-        return (len(self.stack) > 1 and self.nza == 0 and self.nzb == 0
-                and self.stack[-1] == self.q.identity())

@@ -2,8 +2,11 @@
 
 The engine sweeps lengths in increasing order; each sweep walks the radix
 tree of reduced words (no inverse-adjacency, enforced at branch time) and
-tests membership at the leaves through an incremental push/pop walker.
-Pruning is driven by invariances the oracle itself declares:
+tests membership at the leaves on a GroupWalker, one stack of prefix
+states for every oracle: the image of the prefix in a quotient, in Z^2 x
+a quotient, the image plus projected Fox derivatives, or a truncated
+Magnus expansion.  Pruning is driven by invariances the oracle itself
+declares:
 
   * conjugation-invariant oracles only need cyclically reduced words
     (the shortest member of a conjugation-closed set is cyclically
@@ -31,9 +34,10 @@ from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .magnus import MagnusWalker
-from .quotients import DerivedKernelWalker, KernelWalker, parse_quotient_spec
-from .words import Word, inverse_bytes, inverse_letter
+from .magnus import _check_degree, _mul_letter_inplace, _one_rows
+from .quotients import parse_quotient_spec
+from .words import (LETTER_A, LETTER_AI, LETTER_B, Word, inverse_bytes,
+                    inverse_letter)
 
 _BYTE_ORDER = b"ABab"  # enumeration order = byte order, so streams are lexicographic
 _ALLOWED: Dict[int, bytes] = {
@@ -127,10 +131,38 @@ def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterato
 # ----------------------------------------------------------------------
 # oracles
 
+class GroupWalker:
+    """Membership along a search path, kept as a stack of prefix states.
+
+    Every oracle maps a word to a group state: its image in a quotient,
+    possibly with more data (exponent sums, projected Fox derivatives, a
+    truncated Magnus expansion).  A nontrivial word is a member exactly
+    when its state is the identity.  step(state, letter) returns the state
+    of the longer prefix and never changes its argument, so pop only drops
+    the top state and no undo arithmetic exists.
+    """
+
+    __slots__ = ("identity", "step", "stack")
+
+    def __init__(self, identity, step):
+        self.identity = identity
+        self.step = step
+        self.stack = [identity]
+
+    def push(self, letter: int) -> None:
+        self.stack.append(self.step(self.stack[-1], letter))
+
+    def pop(self, letter: int) -> None:
+        self.stack.pop()
+
+    def is_member(self) -> bool:
+        return len(self.stack) > 1 and self.stack[-1] == self.identity
+
+
 class Oracle:
     """A membership predicate on nontrivial reduced words, with declared
-    invariances (the engine prunes only on what is declared) and an
-    incremental walker factory."""
+    invariances (the engine prunes only on what is declared) and a
+    GroupWalker factory."""
 
     oracle_id: str = "abstract"
     conjugation_invariant = False
@@ -138,7 +170,7 @@ class Oracle:
     automorphism_invariant = False
     requires_zero_exponent_sums = False
 
-    def make_walker(self):
+    def make_walker(self) -> GroupWalker:
         raise NotImplementedError
 
     def member(self, w: Word) -> bool:
@@ -160,8 +192,22 @@ class KernelOracle(Oracle):
             self.requires_zero_exponent_sums = True
             self.automorphism_invariant = True
 
-    def make_walker(self):
-        return KernelWalker(self.q)
+    def make_walker(self) -> GroupWalker:
+        # state: the image of the prefix in the quotient
+        multiply, images = self.q.multiply, self.q.letter_images
+        return GroupWalker(self.q.identity(),
+                           lambda p, c: multiply(p, images[c]))
+
+
+def _bump(table: Dict, key, delta: int) -> Dict:
+    """A copy of table with delta added at key; zeros are never stored."""
+    out = dict(table)
+    c = out.get(key, 0) + delta
+    if c:
+        out[key] = c
+    else:
+        del out[key]
+    return out
 
 
 class DerivedKernelOracle(Oracle):
@@ -176,32 +222,26 @@ class DerivedKernelOracle(Oracle):
         # derived subgroups consist of products of commutators
         self.requires_zero_exponent_sums = True
 
-    def make_walker(self):
-        return DerivedKernelWalker(self.q)
+    def make_walker(self) -> GroupWalker:
+        # state: the image p plus both Fox derivatives projected into the
+        # group ring of the quotient (see quotients.project_fox), as dicts
+        # copied on write.  A letter adds +p, an inverse letter -(p after it).
+        multiply, images = self.q.multiply, self.q.letter_images
 
+        def step(state, c):
+            p, da, db = state
+            p2 = multiply(p, images[c])
+            if c == LETTER_A:
+                da = _bump(da, p, 1)
+            elif c == LETTER_AI:
+                da = _bump(da, p2, -1)
+            elif c == LETTER_B:
+                db = _bump(db, p, 1)
+            else:
+                db = _bump(db, p2, -1)
+            return p2, da, db
 
-class _ZeroSumKernelWalker:
-    __slots__ = ("inner", "ea", "eb")
-
-    def __init__(self, q):
-        self.inner = KernelWalker(q)
-        self.ea = 0
-        self.eb = 0
-
-    def push(self, letter: int) -> None:
-        self.inner.push(letter)
-        da, db = _DELTA[letter]
-        self.ea += da
-        self.eb += db
-
-    def pop(self, letter: int) -> None:
-        self.inner.pop(letter)
-        da, db = _DELTA[letter]
-        self.ea -= da
-        self.eb -= db
-
-    def is_member(self) -> bool:
-        return self.ea == 0 and self.eb == 0 and self.inner.is_member()
+        return GroupWalker((self.q.identity(), {}, {}), step)
 
 
 class ZeroSumKernelOracle(KernelOracle):
@@ -217,28 +257,16 @@ class ZeroSumKernelOracle(KernelOracle):
         self.oracle_id = f"zerosum-{quotient_spec}"
         self.requires_zero_exponent_sums = True
 
-    def make_walker(self):
-        return _ZeroSumKernelWalker(self.q)
+    def make_walker(self) -> GroupWalker:
+        # state: both exponent sums and the image, the identity in Z^2 x Q
+        multiply, images = self.q.multiply, self.q.letter_images
 
+        def step(state, c):
+            ea, eb, p = state
+            da, db = _DELTA[c]
+            return ea + da, eb + db, multiply(p, images[c])
 
-class _DepthWalkerAdapter:
-    __slots__ = ("walker", "n", "length")
-
-    def __init__(self, n: int):
-        self.walker = MagnusWalker(max(1, n - 1))
-        self.n = n
-        self.length = 0
-
-    def push(self, letter: int) -> None:
-        self.walker.push(letter)
-        self.length += 1
-
-    def pop(self, letter: int) -> None:
-        self.walker.pop(letter)
-        self.length -= 1
-
-    def is_member(self) -> bool:
-        return self.length > 0 and self.walker.vanishes_below(self.n)
+        return GroupWalker((0, 0, self.q.identity()), step)
 
 
 class DepthOracle(Oracle):
@@ -251,6 +279,7 @@ class DepthOracle(Oracle):
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("depth threshold must be >= 1")
+        _check_degree(max(1, n - 1))
         self.oracle_id = f"lcs:{n}"
         self.n = n
         self.conjugation_invariant = True
@@ -258,8 +287,17 @@ class DepthOracle(Oracle):
         self.automorphism_invariant = True  # the series terms are fully invariant
         self.requires_zero_exponent_sums = n >= 2  # degree-1 terms are the sums
 
-    def make_walker(self):
-        return _DepthWalkerAdapter(self.n)
+    def make_walker(self) -> GroupWalker:
+        # state: the Magnus expansion truncated at degree n-1 (none at all
+        # for n = 1), which is 1 exactly when depth >= n
+        D = self.n - 1
+
+        def step(rows, c):
+            rows = [row[:] for row in rows]
+            _mul_letter_inplace(rows, c, D)
+            return rows
+
+        return GroupWalker(_one_rows(D), step)
 
 
 def build_oracle(oracle_id: str) -> Oracle:
@@ -428,6 +466,8 @@ def _save_checkpoint(path: str, fingerprint: dict,
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
         fh.write(blob)
+        fh.flush()
+        os.fsync(fh.fileno())  # the rename must never expose a torn file
     os.replace(tmp, path)
 
 
@@ -524,7 +564,6 @@ class AlphaEntry:
     n: int
     value: int
     witness: Word
-    exact: bool
     max_len: int
     degree: int
 
@@ -543,8 +582,8 @@ def alpha(n: int, max_len: int, D: int, workers: int = 1,
     if isinstance(outcome, NotFoundBelow):
         raise NotFoundBelowError(outcome.bound)
     length, witness = outcome
-    return AlphaEntry(n=n, value=length, witness=witness, exact=True,
-                      max_len=max_len, degree=D)
+    return AlphaEntry(n=n, value=length, witness=witness, max_len=max_len,
+                      degree=D)
 
 
 def alpha_table(n_max: int, max_len: int, workers: int = 1) -> List[AlphaEntry]:

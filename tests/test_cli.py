@@ -192,10 +192,16 @@ def test_verify_time_budget_skips_everything():
     lines = proc.stdout.strip().split("\n")
     assert all("skipped" in l for l in lines[:-1])
     assert "11 skipped" in lines[-1]
+    doc = run_json("--budget-seconds", "0", "verify", "--format", "json",
+                   expect=2)
+    assert [r["status"] for r in doc["result"]] == ["skipped"] * 11
 
 
 def test_unknown_command_is_usage_error():
     run_cli("nosuch", expect=3)
+    # --format belongs to verify alone, and csv is no choice
+    run_cli("--format", "csv", "gen", "--n", "1", expect=3)
+    run_cli("verify", "--format", "csv", expect=3)
 
 
 def test_battery_exit_mapping():
@@ -224,7 +230,7 @@ def test_battery_alpha_check_asserts_every_value(monkeypatch):
     # alpha(3) = 9 keeps the table monotone and submultiplicative; only the
     # exact values catch it
     w = Word.parse("a")
-    wrong = [AlphaEntry(n, v, w, True, 16, max(n, 2))
+    wrong = [AlphaEntry(n, v, w, 16, max(n, 2))
              for n, v in enumerate([1, 4, 9, 14], 1)]
     monkeypatch.setattr(battery, "alpha_table", lambda *a, **k: wrong)
     row = battery.run_check("alpha-table", _ctx())
@@ -249,3 +255,9 @@ def test_battery_budgets_give_inconclusive():
         for name in ("alpha-table", "girth-theorem", "beta2-bracket"):
             row = battery.run_check(name, _ctx(cap))
             assert row.status != "fail", (cap, row)
+    # almost-law is red by design under any cap, but it searches only to
+    # the cap, and below the shortest seed candidate (length 4) says so
+    row = battery.run_check("almost-law", _ctx(3))
+    assert row.status == "fail" and "letter budget 3" in row.detail, row
+    row = battery.run_check("almost-law", _ctx(8))
+    assert row.status == "fail" and "length <= 8 " in row.detail, row

@@ -10,9 +10,9 @@ from lcslab.words import (
     exponent_sums,
 )
 from lcslab.construction import build
+from lcslab.search import DepthOracle
 from lcslab.magnus import (
     Depth,
-    MagnusWalker,
     NcSeries,
     depth_terms,
     expand,
@@ -197,27 +197,28 @@ def test_depth_str():
 
 
 # ----------------------------------------------------------------------
-# incremental walker
+# incremental walker (the depth oracle's stack of Magnus states)
 
 def test_walker_tracks_expand():
-    w = build(2).b(2)
-    walker = MagnusWalker(6)
+    w = build(2).b(2)  # depth exactly 5
+    walkers = {n: DepthOracle(n).make_walker() for n in (5, 6, 7)}
     for c in w.data:
-        walker.push(c)
-    assert NcSeries(6, walker.rows) == expand(w, 6)
-    assert walker.vanishes_below(5)
-    assert not walker.vanishes_below(6)
+        for walker in walkers.values():
+            walker.push(c)
+    assert NcSeries(6, walkers[7].stack[-1]) == expand(w, 6)
+    assert walkers[5].is_member() and not walkers[6].is_member()
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.sampled_from(list(LETTERS)), max_size=12))
-def test_walker_push_pop_roundtrip(letters):
-    walker = MagnusWalker(4)
+@given(letter_strings, st.integers(0, 16))
+def test_walker_push_pop_roundtrip(letters, cut):
+    walker = DepthOracle(5).make_walker()
     for c in letters:
         walker.push(c)
-    for c in reversed(letters):
+    for c in reversed(letters[cut:]):
         walker.pop(c)
-    assert NcSeries(4, walker.rows) == NcSeries.one(4)
+    assert len(walker.stack) == len(letters[:cut]) + 1
+    assert NcSeries(4, walker.stack[-1]) == naive_expand(Word(letters[:cut]), 4)
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from lcslab.words import LETTERS, Word, commutator, conjugate
 from lcslab.construction import build
 from lcslab.magnus import fox_derivative, lcs_depth
+from lcslab.search import DerivedKernelOracle, KernelOracle
 from lcslab.quotients import (
-    DerivedKernelWalker,
     GroupRingElement,
-    KernelWalker,
     cycles_string,
     free_abelian_rank2,
     in_derived_lambda,
@@ -150,38 +149,35 @@ def test_membership_oracles_inversion_invariant(w):
         assert in_derived_lambda(w, q) == in_derived_lambda(~w, q)
 
 
+# the specs of QUOTIENTS, for the oracles' walkers
+SPECS = ["z2", "perm:a=(1 2);b=(2 3)", "perm:a=(1 2)(3 4);b=(1 3)(2 4)"]
+
+
 @settings(max_examples=50, deadline=None)
 @given(words)
 def test_walkers_match_direct_evaluation(w):
-    for q in QUOTIENTS:
-        kw = KernelWalker(q)
-        dw = DerivedKernelWalker(q)
+    for spec, q in zip(SPECS, QUOTIENTS):
+        kw = KernelOracle(spec).make_walker()
+        dw = DerivedKernelOracle(spec).make_walker()
         for c in w.data:
             kw.push(c)
             dw.push(c)
-        if len(w):
-            assert kw.is_member() == in_lambda(w, q)
-            assert dw.is_member() == in_derived_lambda(w, q)
-        else:
-            assert not kw.is_member() and not dw.is_member()
+        assert kw.is_member() == (len(w) > 0 and in_lambda(w, q))
+        assert dw.is_member() == (len(w) > 0 and in_derived_lambda(w, q))
 
 
 @settings(max_examples=30, deadline=None)
-@given(letter_lists, st.integers(0, 19))
+@given(letter_lists, st.integers(0, 20))
 def test_walker_push_pop_consistency(letters, cut):
-    q = s3_transpositions()
-    cut = min(cut, len(letters))
-    dw = DerivedKernelWalker(q)
+    q, prefix = s3_transpositions(), Word(bytes(letters[:cut]))
+    dw = DerivedKernelOracle(SPECS[1]).make_walker()
     for c in letters:
         dw.push(c)
     for c in reversed(letters[cut:]):
         dw.pop(c)
-    ref = DerivedKernelWalker(q)
-    for c in letters[:cut]:
-        ref.push(c)
-    assert dw.stack == ref.stack
-    assert dw.da == ref.da and dw.db == ref.db
-    assert dw.nza == ref.nza and dw.nzb == ref.nzb
+    assert len(dw.stack) == len(letters[:cut]) + 1
+    assert dw.stack[-1] == (q.image(prefix), project_fox(prefix, q, "a").coeffs,
+                            project_fox(prefix, q, "b").coeffs)
 
 
 def test_commutators_of_kernel_words_are_derived_members():

@@ -1,16 +1,21 @@
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lcslab.battery import matches_printed, quotient_tables, report_constants
-from lcslab.words import LETTERS, Word, is_reduced, inverse_bytes
+from lcslab.construction import build
+from lcslab.words import (LETTERS, Word, exponent_sums, inverse_bytes,
+                          inverse_letter, is_reduced)
 from lcslab.search import (
     AUTO_TABLES,
+    DepthOracle,
+    DerivedKernelOracle,
     NotFoundBelow,
     NotFoundBelowError,
     SearchFlags,
     SearchSpec,
+    ZeroSumKernelOracle,
     alpha,
     alpha_table,
     build_oracle,
@@ -22,7 +27,7 @@ from lcslab.search import (
     search_min,
     verify_minimum,
 )
-from lcslab.magnus import lcs_depth
+from lcslab.magnus import expand, lcs_depth
 from lcslab.girth import GirthResult, beta_bracket, girth, verify_three_x
 from lcslab.quotients import (
     free_abelian_rank2,
@@ -30,6 +35,7 @@ from lcslab.quotients import (
     in_lambda,
     klein_four,
     parse_quotient_spec,
+    project_fox,
     s3_transpositions,
 )
 
@@ -96,7 +102,7 @@ def test_canonical_is_orbit_minimum_and_idempotent(letters):
 def test_small_girths():
     g = girth("z2", 6)
     assert isinstance(g, GirthResult)
-    assert g.value == 4 and g.exact
+    assert g.value == 4
     assert str(g.witness) == "ABab"
 
     g = girth("perm:a=(1 2);b=(2 3)", 6)
@@ -154,10 +160,14 @@ def test_checkpoint_rejects_mismatch_and_corruption(tmp_path):
                        checkpoint=path)
     with pytest.raises(ValueError):
         search_min(other)
-    with open(path, "r+b") as fh:
-        fh.write(b"XXXX")
-    with pytest.raises(ValueError):
-        search_min(spec)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    # a payload cut short by a torn write, and a bad magic
+    for bad in (blob[:-5], b"XXXX" + blob[4:]):
+        with open(path, "wb") as fh:
+            fh.write(bad)
+        with pytest.raises(ValueError, match="checkpoint corruption"):
+            search_min(spec)
 
 
 def test_alpha_small_values():
@@ -189,11 +199,11 @@ def test_alpha_table_checks_fire():
     from lcslab.search import AlphaEntry
     w = Word.parse("A")
     # a minimum below n is impossible: depth(w) <= len(w)
-    bad = [AlphaEntry(1, 1, w, True, 4, 1), AlphaEntry(3, 2, w, True, 6, 2)]
+    bad = [AlphaEntry(1, 1, w, 4, 1), AlphaEntry(3, 2, w, 6, 2)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
     # the sequence is nondecreasing in n
-    bad = [AlphaEntry(1, 4, w, True, 4, 1), AlphaEntry(2, 3, w, True, 6, 2)]
+    bad = [AlphaEntry(1, 4, w, 4, 1), AlphaEntry(2, 3, w, 6, 2)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
 
@@ -282,7 +292,51 @@ BRUTE_FORCE = {
         lambda w: in_derived_lambda(w, parse_quotient_spec(S3_KERNEL)),
     "derived-" + KLEIN_KERNEL:
         lambda w: in_derived_lambda(w, parse_quotient_spec(KLEIN_KERNEL)),
+    "zerosum-" + S3_KERNEL:
+        lambda w: (in_lambda(w, parse_quotient_spec(S3_KERNEL))
+                   and exponent_sums(w) == (0, 0)),
+    "lcs:4": lambda w: lcs_depth(w, 3).lower_bound() >= 4,
 }
+
+
+def _fresh_state(oracle, w: Word):
+    """The walker state of w, computed from scratch."""
+    if isinstance(oracle, DepthOracle):
+        return expand(w, oracle.n - 1).rows
+    q = oracle.q
+    if isinstance(oracle, DerivedKernelOracle):
+        return (q.image(w), project_fox(w, q, "a").coeffs,
+                project_fox(w, q, "b").coeffs)
+    if isinstance(oracle, ZeroSumKernelOracle):
+        return (*exponent_sums(w), q.image(w))
+    return q.image(w)
+
+
+# b_2 lies at depth 5 and in derived2: push it, pop three letters, push
+# them back
+_B2 = [LETTERS.index(c) for c in build(2).b(2).data]
+
+
+@settings(max_examples=40, deadline=None)
+@example(_B2 + [-1] * 3 + _B2[-3:])
+@given(st.lists(st.integers(-1, 3), max_size=30))
+def test_walker_tracks_every_prefix(ops):
+    # -1 pops, 0..3 pushes LETTERS[op] unless it would cancel
+    for oid in sorted(BRUTE_FORCE):
+        oracle = build_oracle(oid)
+        walker = oracle.make_walker()
+        path = bytearray()
+        for op in ops:
+            if op < 0:
+                if path:
+                    walker.pop(path.pop())
+            elif not path or LETTERS[op] != inverse_letter(path[-1]):
+                path.append(LETTERS[op])
+                walker.push(LETTERS[op])
+            w = Word.from_reduced(bytes(path))
+            assert walker.stack[-1] == _fresh_state(oracle, w), (oid, w)
+            assert walker.is_member() == (len(w) > 0
+                                          and BRUTE_FORCE[oid](w)), (oid, w)
 
 
 @pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
