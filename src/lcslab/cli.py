@@ -161,12 +161,15 @@ def _cmd_girth(args) -> int:
 def _cmd_alpha(args) -> int:
     t0 = time.monotonic()
     try:
-        entry = alpha(args.n, args.max_len, args.n, workers=args.workers)
+        entry = alpha(args.n, args.max_len, args.n)
     except NotFoundBelowError as ex:
         print(f"alpha: {ex}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except ValueError as ex:
         raise _UsageError(str(ex))
+    except AssertionError as ex:  # the independent re-check refuted the search
+        print(f"alpha: {ex}", file=sys.stderr)
+        return EXIT_FAIL
     result = {"n": entry.n, "alpha": entry.value,
               "witness": str(entry.witness), "exact": True,
               "quotient_log2": (math.log2(entry.value) / math.log2(entry.n)
@@ -198,8 +201,7 @@ def _cmd_report(args) -> int:
               for name, p in PRINTED_DIGITS]
     entries = []
     if args.alpha_n_max >= 1:
-        entries = alpha_table(args.alpha_n_max, max_len=args.max_len,
-                              workers=args.workers)
+        entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
     betas = {}
     if args.beta_n_max >= 1:
         for n in range(1, args.beta_n_max + 1):
@@ -241,6 +243,10 @@ def _cmd_almostlaw(args) -> int:
         _emit("\n".join(head) + "\n" + almostlaw.decay_csv(table), args.out)
         return EXIT_OK
     # honest mode: try to obtain a certified seed and report why none exists
+    shortest = min(len(w) for w in almostlaw.seed_candidate_pool())
+    if args.pool_max_len < shortest:
+        raise _UsageError(f"--pool-max-len must be at least {shortest}: the "
+                          f"shortest pool word has length {shortest}")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
                                    samples=args.samples, seed=args.seed,
                                    workers=args.workers)

@@ -44,7 +44,7 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
     """Length of the shortest nontrivial member, by exhaustive search.
 
     Either outcome carries the engine counters as `stats`.  A hit is
-    re-verified by verify_minimum, one incremental unpruned walk over
+    re-verified by verify_minimum, an unpruned meet in the middle over
     every shorter reduced word, unless reverify is off; a disagreement
     raises AssertionError.  NotFoundBelow is an explicit outcome, never an
     absence claim beyond the bound.  no_prune turns off every prune of

@@ -1,12 +1,10 @@
 """Exhaustive shortest-witness search over reduced words.
 
-The engine sweeps lengths in increasing order; each sweep walks the radix
-tree of reduced words (no inverse-adjacency, enforced at branch time) and
-tests membership at the leaves on a GroupWalker, one stack of prefix
-states for every oracle: the image of the prefix in a quotient, in Z^2 x
-a quotient, the image plus projected Fox derivatives, or a truncated
-Magnus expansion.  Pruning is driven by invariances the oracle itself
-declares:
+Every oracle maps a word to a group state: its image in a quotient, in
+Z^2 x a quotient, the image plus projected Fox derivatives, or a truncated
+Magnus expansion.  A nontrivial word is a member exactly when its state is
+the identity, and each oracle exposes (identity, step, key) for its states.
+Pruning is driven by invariances the oracle itself declares:
 
   * conjugation-invariant oracles only need cyclically reduced words
     (the shortest member of a conjugation-closed set is cyclically
@@ -16,13 +14,20 @@ declares:
   * oracles whose members must have both exponent sums zero admit the
     balance prune |ea| + |eb| <= letters remaining, and even lengths only.
 
-Work is sharded by word prefix; shard results merge by (length, bytes)
-minimum, so the outcome is identical for any shard count or scheduling.
-Long searches checkpoint completed (length, prefix) subtrees to a
-versioned binary file and can resume after interruption.
+Two searches return the same outcome.  search_min, the depth-first
+engine, sweeps lengths in increasing order and walks the radix tree of
+reduced words on a GroupWalker, one stack of prefix states.  Its work is
+sharded by word prefix; shard results merge by (length, bytes) minimum, so
+the outcome is identical for any shard count or scheduling, and long
+searches checkpoint completed (length, prefix) subtrees to a versioned
+binary file and can resume after interruption.  search_mitm, the
+square-root search (Schroeppel-Shamir 1981), meets in the middle: a
+reduced word uv is a member exactly when state(u) = state(v^-1), so it
+buckets the left halves by key and looks each right half up once, at
+3^(L/2) cost per length rather than 3^L.  alpha uses it.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
-above: one unpruned walk over every shorter reduced word.
+pruning: an unpruned meet in the middle at every shorter length.
 """
 
 from __future__ import annotations
@@ -31,8 +36,10 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from multiprocessing import Pool
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .magnus import _check_degree, _mul_letter_inplace, _one_rows
 from .quotients import parse_quotient_spec
@@ -161,8 +168,14 @@ class GroupWalker:
 
 class Oracle:
     """A membership predicate on nontrivial reduced words, with declared
-    invariances (the engine prunes only on what is declared) and a
-    GroupWalker factory."""
+    invariances (the engine prunes only on what is declared).
+
+    group() returns (identity, step, key): the state of the empty word,
+    step(state, letter) -> the state of the longer prefix (it never
+    changes its argument), and key(state) -> a hashable value, equal for
+    two states exactly when the states are equal.  Word to state is a
+    homomorphism into a group, so w is a member exactly when its state is
+    the identity.  make_walker wraps the first two in a GroupWalker."""
 
     oracle_id: str = "abstract"
     conjugation_invariant = False
@@ -170,15 +183,15 @@ class Oracle:
     automorphism_invariant = False
     requires_zero_exponent_sums = False
 
+    def group(self) -> Tuple[object, Callable, Callable]:
+        raise NotImplementedError
+
     def make_walker(self) -> GroupWalker:
         raise NotImplementedError
 
-    def member(self, w: Word) -> bool:
-        """Direct evaluation of one word on a fresh walker."""
-        walker = self.make_walker()
-        for c in w.data:
-            walker.push(c)
-        return walker.is_member()
+
+def _state_key(state):
+    return state
 
 
 class KernelOracle(Oracle):
@@ -192,11 +205,14 @@ class KernelOracle(Oracle):
             self.requires_zero_exponent_sums = True
             self.automorphism_invariant = True
 
-    def make_walker(self) -> GroupWalker:
+    def group(self):
         # state: the image of the prefix in the quotient
         multiply, images = self.q.multiply, self.q.letter_images
-        return GroupWalker(self.q.identity(),
-                           lambda p, c: multiply(p, images[c]))
+        return (self.q.identity(), lambda p, c: multiply(p, images[c]),
+                _state_key)
+
+    def make_walker(self) -> GroupWalker:
+        return GroupWalker(*self.group()[:2])
 
 
 def _bump(table: Dict, key, delta: int) -> Dict:
@@ -208,6 +224,11 @@ def _bump(table: Dict, key, delta: int) -> Dict:
     else:
         del out[key]
     return out
+
+
+def _derived_key(state):
+    p, da, db = state
+    return p, frozenset(da.items()), frozenset(db.items())
 
 
 class DerivedKernelOracle(Oracle):
@@ -222,7 +243,7 @@ class DerivedKernelOracle(Oracle):
         # derived subgroups consist of products of commutators
         self.requires_zero_exponent_sums = True
 
-    def make_walker(self) -> GroupWalker:
+    def group(self):
         # state: the image p plus both Fox derivatives projected into the
         # group ring of the quotient (see quotients.project_fox), as dicts
         # copied on write.  A letter adds +p, an inverse letter -(p after it).
@@ -241,7 +262,10 @@ class DerivedKernelOracle(Oracle):
                 db = _bump(db, p2, -1)
             return p2, da, db
 
-        return GroupWalker((self.q.identity(), {}, {}), step)
+        return (self.q.identity(), {}, {}), step, _derived_key
+
+    def make_walker(self) -> GroupWalker:
+        return GroupWalker(*self.group()[:2])
 
 
 class ZeroSumKernelOracle(KernelOracle):
@@ -257,7 +281,7 @@ class ZeroSumKernelOracle(KernelOracle):
         self.oracle_id = f"zerosum-{quotient_spec}"
         self.requires_zero_exponent_sums = True
 
-    def make_walker(self) -> GroupWalker:
+    def group(self):
         # state: both exponent sums and the image, the identity in Z^2 x Q
         multiply, images = self.q.multiply, self.q.letter_images
 
@@ -266,7 +290,14 @@ class ZeroSumKernelOracle(KernelOracle):
             da, db = _DELTA[c]
             return ea + da, eb + db, multiply(p, images[c])
 
-        return GroupWalker((0, 0, self.q.identity()), step)
+        return (0, 0, self.q.identity()), step, _state_key
+
+    def make_walker(self) -> GroupWalker:
+        return GroupWalker(*self.group()[:2])
+
+
+def _rows_key(rows):
+    return tuple(chain.from_iterable(rows))
 
 
 class DepthOracle(Oracle):
@@ -287,9 +318,10 @@ class DepthOracle(Oracle):
         self.automorphism_invariant = True  # the series terms are fully invariant
         self.requires_zero_exponent_sums = n >= 2  # degree-1 terms are the sums
 
-    def make_walker(self) -> GroupWalker:
+    def group(self):
         # state: the Magnus expansion truncated at degree n-1 (none at all
-        # for n = 1), which is 1 exactly when depth >= n
+        # for n = 1), which is 1 exactly when depth >= n; rows of one
+        # degree have a fixed width, so the flattened rows are a key
         D = self.n - 1
 
         def step(rows, c):
@@ -297,7 +329,10 @@ class DepthOracle(Oracle):
             _mul_letter_inplace(rows, c, D)
             return rows
 
-        return GroupWalker(_one_rows(D), step)
+        return _one_rows(D), step, _rows_key
+
+    def make_walker(self) -> GroupWalker:
+        return GroupWalker(*self.group()[:2])
 
 
 def build_oracle(oracle_id: str) -> Oracle:
@@ -520,34 +555,108 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     return NotFoundBelow(spec.max_len), stats
 
 
-def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
-    """Independent single-threaded re-check: the witness has the claimed
-    length and is a member, and no reduced word shorter than it is.
+# ----------------------------------------------------------------------
+# meet in the middle
 
-    The shorter words are covered by one unpruned push/pop walk over the
-    tree of reduced words of length 1..found_length-1, testing membership
-    at every node, so each word costs one push on a single walker.  It
-    shares nothing with the pruned engine: no symmetry flags, no balance
-    or cyclic prune, no prefix shards and no odd-length skip.  Returns
-    False at the first shorter member.
+_SUCCESSORS: Dict[int, List[Tuple[int, bytes]]] = {
+    c: [(d, bytes([d])) for d in reversed(_ALLOWED[c])] for c in _BYTE_ORDER
+}
+
+
+def _halves(identity, step, n: int, roots: bytes
+            ) -> Iterator[Tuple[bytes, object]]:
+    """(word, state) for every reduced word of length n whose first letter
+    is in roots, in byte order.  A depth-first walk: it holds the siblings
+    along one path, never a whole level."""
+    if n == 0:
+        yield b"", identity
+        return
+    stack = [(bytes([c]), step(identity, c)) for c in reversed(roots)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        w, state = pop()
+        if len(w) == n:
+            yield w, state
+            continue
+        for c, letter in _SUCCESSORS[w[-1]]:
+            push((w + letter, step(state, c)))
+
+
+def _members(oracle: Oracle, length: int, split: int, roots: bytes,
+             cyclic: bool) -> Iterator[bytes]:
+    """Every member w = uv of this length with |u| = split and first(u) in
+    roots (cyclically reduced too, with cyclic), in no particular order;
+    roots other than all four letters need split >= 1.
+
+    A reduced word uv is a member exactly when state(u) = state(v'), where
+    v' = v^-1, and it is reduced exactly when last(u) != last(v').  The
+    left halves u, the smaller side, go into buckets by key; the right
+    halves v' are walked lazily and each is looked up once.
+    """
+    identity, step, key = oracle.group()
+    buckets: Dict[object, List[bytes]] = {}
+    for u, state in _halves(identity, step, split, roots):
+        buckets.setdefault(key(state), []).append(u)
+    for v1, state in _halves(identity, step, length - split, _BYTE_ORDER):
+        for u in buckets.get(key(state), ()):
+            if u and v1 and (u[-1] == v1[-1] or (cyclic and u[0] == v1[0])):
+                continue
+            yield u + inverse_bytes(v1)
+
+
+def search_mitm(oracle_id: str, max_len: int):
+    """Shortest member as (length, canonical witness Word), or
+    NotFoundBelow(max_len): the outcome of search_min under engine_flags,
+    found by meeting in the middle at 3^(L/2) cost per length instead of
+    3^L.
+
+    It prunes what the oracle declares: left halves start with 'A' when it
+    is automorphism-invariant, odd lengths are skipped when members need
+    zero exponent sums, and joins are cyclically reduced when it is
+    conjugation-invariant.  The byte-least member of the minimal length
+    is returned in canonical form, as search_min does.
     """
     oracle = build_oracle(oracle_id)
-    if len(witness) != found_length or not oracle.member(witness):
-        return False
-    walker = oracle.make_walker()
-    push, pop, is_member = walker.push, walker.pop, walker.is_member
-    deepest = found_length - 1
+    flags = engine_flags(oracle)
+    roots = b"A" if flags.automorphism else _BYTE_ORDER
+    for L in range(1, max_len + 1):
+        if oracle.requires_zero_exponent_sums and L % 2:
+            continue
+        # the left halves are the smaller side: 3^(split-1) words against
+        # 4*3^(L-split-1) when they start with 'A', 4*3^(split-1) otherwise
+        split = (L + 1) // 2 if flags.automorphism else L // 2
+        best = min(_members(oracle, L, split, roots, flags.cyclic),
+                   default=None)
+        if best is not None:
+            return L, Word.from_reduced(canonical_bytes(best, flags))
+    return NotFoundBelow(max_len)
 
-    def shorter_member(letters: bytes, depth: int) -> bool:
-        for c in letters:
-            push(c)
-            if is_member() or (depth < deepest
-                               and shorter_member(_ALLOWED[c], depth + 1)):
-                return True
-            pop(c)
-        return False
 
-    return deepest < 1 or not shorter_member(_BYTE_ORDER, 1)
+def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
+    """Independent re-check: the witness has the claimed length and is a
+    member, and no reduced word shorter than it is.
+
+    The shorter words are covered by an unpruned meet in the middle at
+    every length 1..found_length-1, odd lengths included, split at half
+    the length: all four first letters, no symmetry flags, no balance or
+    cyclic prune.  Each shorter word is tested once, as one pair of
+    halves, and the pairs are found by key lookup, so the cost is about
+    3^(found_length/2) rather than 3^(found_length-1).  Returns False at
+    the first shorter member.
+    """
+    oracle = build_oracle(oracle_id)
+    identity, step, key = oracle.group()
+    state = identity
+    for c in witness.data:
+        state = step(state, c)
+    if (len(witness) != found_length or not witness
+            or key(state) != key(identity)):
+        return False
+    for length in range(1, found_length):
+        for _ in _members(oracle, length, length // 2, _BYTE_ORDER,
+                          cyclic=False):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -568,28 +677,32 @@ class AlphaEntry:
     degree: int
 
 
-def alpha(n: int, max_len: int, D: int, workers: int = 1,
-          checkpoint: Optional[str] = None) -> AlphaEntry:
-    """Shortest word at lower-central depth >= n, exact below max_len."""
+def alpha(n: int, max_len: int, D: int) -> AlphaEntry:
+    """Shortest word at lower-central depth >= n, exact below max_len.
+
+    Found by search_mitm and re-checked by verify_minimum; a refuted
+    minimum raises AssertionError."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if D < n:
         raise ValueError("truncation degree must be >= n")
-    oracle = build_oracle(f"lcs:{n}")
-    spec = SearchSpec(oracle_id=oracle.oracle_id, max_len=max_len,
-                      flags=engine_flags(oracle), checkpoint=checkpoint)
-    outcome, _ = search_min(spec, workers=workers)
+    oracle_id = f"lcs:{n}"
+    outcome = search_mitm(oracle_id, max_len)
     if isinstance(outcome, NotFoundBelow):
         raise NotFoundBelowError(outcome.bound)
     length, witness = outcome
+    if not verify_minimum(oracle_id, length, witness):
+        raise AssertionError(
+            f"square-root search and independent scan disagree for "
+            f"{oracle_id} at length {length}")
     return AlphaEntry(n=n, value=length, witness=witness, max_len=max_len,
                       degree=D)
 
 
-def alpha_table(n_max: int, max_len: int, workers: int = 1) -> List[AlphaEntry]:
+def alpha_table(n_max: int, max_len: int) -> List[AlphaEntry]:
     entries = []
     for n in range(1, n_max + 1):
-        entries.append(alpha(n, max_len, max(n, 2), workers=workers))
+        entries.append(alpha(n, max_len, max(n, 2)))
     check_alpha_table(entries)
     return entries
 

@@ -133,6 +133,20 @@ def test_alpha_values_and_inconclusive():
     run_cli("alpha", "--n", "4", "--max-len", "6", expect=2)
 
 
+def test_alpha_reverifies_every_minimum(monkeypatch, capsys):
+    from lcslab import search
+    calls = []
+
+    def refuting(oracle_id, length, witness):
+        calls.append((oracle_id, length, str(witness)))
+        return False
+
+    monkeypatch.setattr(search, "verify_minimum", refuting)
+    assert cli.main(["alpha", "--n", "2", "--max-len", "6"]) == 1
+    assert calls == [("lcs:2", 4, "ABab")]
+    assert "disagree" in capsys.readouterr().err
+
+
 def test_beta_small_and_open():
     doc = run_json("beta", "--n", "1", "--max-len", "6")
     assert doc["result"]["beta"] == 4
@@ -185,6 +199,13 @@ def test_almostlaw_honest_mode_refuses(tmp_path):
 
 def test_almostlaw_bad_hypothetical_is_usage_error():
     run_cli("almostlaw", "--hypothetical-u0", "0.5", expect=3)
+
+
+@pytest.mark.parametrize("cap", ["3", "0"])
+def test_almostlaw_pool_cap_below_shortest_word_is_usage_error(cap):
+    proc = run_cli("almostlaw", "--pool-max-len", cap, expect=3)
+    assert "shortest pool word has length 4" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_verify_time_budget_skips_everything():

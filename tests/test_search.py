@@ -3,6 +3,7 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lcslab import search
 from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.construction import build
 from lcslab.words import (LETTERS, Word, exponent_sums, inverse_bytes,
@@ -25,11 +26,13 @@ from lcslab.search import (
     enumerate_words,
     orbit_words,
     search_min,
+    search_mitm,
     verify_minimum,
 )
 from lcslab.magnus import expand, lcs_depth
 from lcslab.girth import GirthResult, beta_bracket, girth, verify_three_x
 from lcslab.quotients import (
+    cycles_string,
     free_abelian_rank2,
     in_derived_lambda,
     in_lambda,
@@ -366,41 +369,88 @@ def test_verify_minimum_rejections():
     assert not verify_minimum(oid, 9, witness)
 
 
-class _DepthCountingWalker:
-    """Records the word length at every membership test."""
-
-    def __init__(self, inner, log):
-        self.inner, self.log, self.depth = inner, log, 0
-
-    def push(self, c):
-        self.inner.push(c)
-        self.depth += 1
-
-    def pop(self, c):
-        self.inner.pop(c)
-        self.depth -= 1
-
-    def is_member(self):
-        self.log.append(self.depth)
-        return self.inner.is_member()
+def _constant_key(monkeypatch, cls):
+    """Patch cls.group so every state has the same key: every join the
+    meet in the middle makes is then a match, and it yields every word it
+    tests."""
+    group = cls.group
+    monkeypatch.setattr(cls, "group",
+                        lambda self: (*group(self)[:2], lambda state: 0))
 
 
 @pytest.mark.parametrize("oid,witness", [
     ("z2", "ABab"), ("derived-" + KLEIN_KERNEL, "AABBaabb")])
 def test_verify_minimum_tests_every_shorter_word_once(monkeypatch, oid,
                                                       witness):
-    cls = type(build_oracle(oid))
-    make_walker = cls.make_walker
+    _constant_key(monkeypatch, type(build_oracle(oid)))
+    members = search._members
     log = []
-    monkeypatch.setattr(cls, "make_walker",
-                        lambda self: _DepthCountingWalker(make_walker(self),
-                                                          log))
+
+    def recording(*args, **kwargs):
+        log.extend(members(*args, **kwargs))  # every word the join tests
+        return iter(())                       # and no member among them
+
+    monkeypatch.setattr(search, "_members", recording)
     L = len(witness)
     assert verify_minimum(oid, L, Word.parse(witness))
-    assert sum(1 for d in log if d < L) == 2 * (3 ** (L - 1) - 1)
-    assert log.count(L) == 1  # the witness itself
+    assert len(log) == len(set(log)) == 2 * (3 ** (L - 1) - 1)
+    assert set(log) == {w.data for w in enumerate_words(L - 1)}
     for d in range(1, L):
-        assert log.count(d) == 4 * 3 ** (d - 1)
+        assert sum(1 for w in log if len(w) == d) == 4 * 3 ** (d - 1)
+
+
+def test_pruned_join_makes_each_cyclic_a_word_once(monkeypatch):
+    # the search's join: words starting with 'A', cyclically reduced
+    oracle = build_oracle("lcs:3")
+    _constant_key(monkeypatch, DepthOracle)
+    for length in range(1, 9):
+        joined = list(search._members(oracle, length, (length + 1) // 2,
+                                      b"A", cyclic=True))
+        want = {w.data for w in enumerate_words(length)
+                if len(w) == length and w.data[:1] == b"A"
+                and (length == 1 or w.data[0] != inverse_letter(w.data[-1]))}
+        assert len(joined) == len(set(joined))
+        assert set(joined) == want, length
+
+
+# ----------------------------------------------------------------------
+# the square-root search
+
+SHARED_LEN = 8
+_PERMS = st.permutations(range(4)).map(cycles_string)
+# the oracle kinds of BRUTE_FORCE, on named and on random permutation pairs
+_ORACLE_IDS = st.one_of(
+    st.sampled_from(sorted(BRUTE_FORCE)),
+    st.builds(lambda kind, a, b: f"{kind}perm:a={a};b={b}",
+              st.sampled_from(["", "derived-", "zerosum-"]), _PERMS, _PERMS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ORACLE_IDS, st.integers(1, SHARED_LEN))
+def test_square_root_search_agrees_with_dfs(oid, max_len):
+    oracle = build_oracle(oid)
+    dfs, _ = search_min(SearchSpec(oid, max_len, engine_flags(oracle)))
+    assert search_mitm(oid, max_len) == dfs
+
+
+# every named kind at the shared length, whatever hypothesis draws
+for _oid in sorted(BRUTE_FORCE):
+    test_square_root_search_agrees_with_dfs = example(_oid, SHARED_LEN)(
+        test_square_root_search_agrees_with_dfs)
+
+
+@pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
+def test_group_keys_are_equal_exactly_when_states_are(oid):
+    identity, step, key = build_oracle(oid).group()
+    states = []
+    for w in enumerate_words(4):
+        state = identity
+        for c in w.data:
+            state = step(state, c)
+        states.append((state, key(state)))
+    for s, ks in states:
+        for t, kt in states:
+            assert (ks == kt) == (s == t)
 
 
 # ----------------------------------------------------------------------
