@@ -3,7 +3,7 @@
 Exact word arithmetic, the recursive deep-commutator families, Magnus
 expansions for lower-central-series depth, certified girth searches for
 normal subgroups and their derived subgroups, Nielsen reduction, and
-word-map contraction measurements on SU(k).
+word-map contraction measurements on SU(2).
 """
 
 from .words import (

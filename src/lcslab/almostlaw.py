@@ -1,8 +1,8 @@
-"""Word maps on special unitary groups: sampling, certified bounds, decay.
+"""Word maps on SU(2): sampling, certified bounds, decay.
 
 A word w in two letters induces the evaluation map (u, v) -> w(u, v) on
-SU(k) x SU(k).  The module measures how far that map gets from the identity
-in operator norm:
+SU(2) x SU(2).  The module measures how far that map gets from the identity
+in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
 
   * sampled lower bounds on the maximum (Haar samples plus a derivative-free
     polish step),
@@ -13,11 +13,6 @@ in operator norm:
     U_n = 4 U_{n-1}^2 U_{n-2}, rounded upward so the chain never
     underestimates,
   * a decay table with the fitted constants of the contraction.
-
-For SU(2) the distance to the identity has the closed form
-d(I, U) = sqrt(2 - tr U), so everything trace-related can be cross-checked
-against the classical three-variable trace recursion (tr u, tr v, tr uv),
-which this module also implements as an independent route.
 
 Seed admissibility.  The propagation needs start words whose true maximum
 is at most 1/3.  That is a very strong property: the 120-element
@@ -37,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -92,10 +87,6 @@ class UnitaryMatrix:
     matrix: np.ndarray
     defect: float
 
-    @property
-    def k(self) -> int:
-        return self.matrix.shape[0]
-
 
 def unitarity_defect(m: np.ndarray) -> float:
     k = m.shape[-1]
@@ -131,19 +122,6 @@ def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
     return out
 
 
-def haar_suk(rng: np.random.Generator, k: int, size: int) -> np.ndarray:
-    """Haar SU(k): QR of complex Gaussians, phases fixed, determinant 1."""
-    if k == 2:
-        return haar_su2(rng, size)
-    z = rng.normal(size=(size, k, k)) + 1j * rng.normal(size=(size, k, k))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    q = q * (d / np.abs(d))[:, None, :]
-    det = np.linalg.det(q)
-    q *= (det ** (-1.0 / k))[:, None, None]
-    return q
-
-
 _LETTER_SLOT = {LETTER_A: (0, False), LETTER_AI: (0, True),
                 LETTER_B: (1, False), LETTER_BI: (1, True)}
 
@@ -172,21 +150,15 @@ def evaluate(w: Word, u, v) -> UnitaryMatrix:
 
 
 def distance_to_identity(u) -> float:
-    """Operator norm of I - U; for SU(2) this is sqrt(2 - tr U)."""
+    """Operator norm of I - U on SU(2): sqrt(2 - tr U)."""
     m = u.matrix if isinstance(u, UnitaryMatrix) else np.asarray(u)
-    k = m.shape[-1]
-    if k == 2:
-        tr = m[0, 0] + m[1, 1]
-        return min(2.0, math.sqrt(max(0.0, 2.0 - tr.real)))
-    return min(2.0, float(np.linalg.norm(np.eye(k) - m, ord=2)))
+    tr = m[0, 0] + m[1, 1]
+    return min(2.0, math.sqrt(max(0.0, 2.0 - tr.real)))
 
 
 def _batch_distance(ms: np.ndarray) -> np.ndarray:
-    k = ms.shape[-1]
-    if k == 2:
-        tr = np.trace(ms, axis1=-2, axis2=-1).real
-        return np.sqrt(np.clip(2.0 - tr, 0.0, 4.0))
-    return np.array([distance_to_identity(m) for m in ms])
+    tr = np.trace(ms, axis1=-2, axis2=-1).real
+    return np.sqrt(np.clip(2.0 - tr, 0.0, 4.0))
 
 
 # ----------------------------------------------------------------------
@@ -215,27 +187,21 @@ def _su2_rotation(axis: int, theta: float) -> np.ndarray:
     return math.cos(theta) * np.eye(2, dtype=complex) + 1j * math.sin(theta) * _PAULI[axis]
 
 
-def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int,
-                 rng: np.random.Generator, k: int):
-    """Greedy coordinate perturbation; returns the improved pair and value."""
+def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
+    """Greedy rotation about each Pauli axis; returns the improved pair and
+    value."""
     best = distance_to_identity(batch_evaluate(w, u[None], v[None])[0])
     step = 0.2
     used = 0
     while used < steps and step > 1e-9:
         improved = False
         for side in (0, 1):
-            for axis in range(3 if k == 2 else 1):
+            for axis in range(3):
                 for sign in (1.0, -1.0):
                     if used >= steps:
                         break
                     used += 1
-                    if k == 2:
-                        rot = _su2_rotation(axis, sign * step)
-                    else:
-                        skew = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-                        skew = skew - skew.conj().T
-                        rot = reorthonormalize(np.eye(k) + sign * step * skew)
-                        rot *= np.linalg.det(rot) ** (-1.0 / k)  # stay in SU(k)
+                    rot = _su2_rotation(axis, sign * step)
                     cu = rot @ u if side == 0 else u
                     cv = rot @ v if side == 1 else v
                     d = distance_to_identity(batch_evaluate(w, cu[None], cv[None])[0])
@@ -250,7 +216,7 @@ _CHUNK = 256  # fixed draw granularity so larger budgets extend smaller ones
 
 
 def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
-               seed: int = 0, k: int = 2) -> LEstimate:
+               seed: int = 0) -> LEstimate:
     """Best sampled distance from the identity, then a local polish.
 
     Deterministic for a fixed seed; the sample stream is drawn in fixed-size
@@ -264,15 +230,15 @@ def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
     done = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
-        us = haar_suk(rng, k, _CHUNK)[:m]
-        vs = haar_suk(rng, k, _CHUNK)[:m]
+        us = haar_su2(rng, _CHUNK)[:m]
+        vs = haar_su2(rng, _CHUNK)[:m]
         ds = _batch_distance(batch_evaluate(w, us, vs))
         i = int(np.argmax(ds))
         if ds[i] > best:
             best = float(ds[i])
             best_pair = (us[i], vs[i])
         done += m
-    u, v, best = _polish_pair(w, *best_pair, polish_steps, rng, k)
+    u, v, best = _polish_pair(w, *best_pair, polish_steps)
     witness = (unitary(u), unitary(v))
     best = distance_to_identity(evaluate(w, *witness))
     return LEstimate(word=w, lower=min(best, 2.0), witness=witness, samples=samples)
@@ -345,16 +311,16 @@ def net_points_required(w: Word, eps: float) -> int:
     return per_factor * per_factor
 
 
-def certify_seed(w: Word, eps: float, budget_points: int = 4_000_000,
-                 k: int = 2) -> CertifiedBound:
+def certify_seed(w: Word, eps: float,
+                 budget_points: int = 4_000_000) -> CertifiedBound:
     """Grid certificate: max over an eps-net plus the Lipschitz slack.
 
     Each letter is 1-Lipschitz in each argument, so the word map moves by at
     most len(w) * (shift of u) + len(w) * (shift of v): the slack is
-    2 * len(w) * eps.  SU(2) only.
+    2 * len(w) * eps.
     """
-    if k != 2:
-        raise ValueError("grid certification is implemented for k=2 only")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     lip = float(len(w))
     if not w:
         return CertifiedBound(n=0, upper=0.0,
@@ -385,95 +351,6 @@ def certification_cost_at_threshold(w: Word,
         return 1
     eps = target / (2.0 * len(w))
     return net_points_required(w, eps)
-
-
-# ----------------------------------------------------------------------
-# trace recursion on SU(2): the independent route to tr w(u,v)
-
-def _trace_canonical(word: bytes) -> bytes:
-    """Trace-equivalent canonical form: a distinguished rotation of the word
-    or its inverse (traces are conjugation- and inverse-invariant).
-
-    Representatives with fewer inverse letters come first, so the rewrite
-    below strictly shrinks (inverse count, length) and always terminates.
-    """
-    best = None
-    best_key = None
-    for w in (word, bytes(reversed(word)).translate(_TRACE_INV)):
-        dbl = w + w
-        for i in range(max(1, len(w))):
-            cand = dbl[i:i + len(w)]
-            key = (sum(1 for c in cand if c in (LETTER_AI, LETTER_BI)), cand)
-            if best_key is None or key < best_key:
-                best, best_key = cand, key
-    return best
-
-
-_TRACE_INV = bytes.maketrans(b"aAbB", b"AaBb")
-
-
-def trace_of_word(w: Word, x, y, z):
-    """tr w(u,v) as a polynomial in x = tr u, y = tr v, z = tr uv.
-
-    Uses tr(m g^-1) = tr(g) tr(m) - tr(m g) to clear inverse letters and
-    tr(g (g m)) = tr(g) tr(g m) - tr(m) to shorten repeats; alternating
-    words and pure powers close under the Chebyshev-style three-term rule.
-    Accepts scalars or numpy arrays for x, y, z.
-    """
-    two = 2.0 if not isinstance(x, np.ndarray) else np.full_like(x, 2.0)
-    memo: Dict[bytes, object] = {}
-    gen_trace = {LETTER_A: x, LETTER_B: y}
-
-    def rec(word: bytes):
-        key = _trace_canonical(word)
-        if key in memo:
-            return memo[key]
-        memo[key] = val = _compute(key)
-        return val
-
-    def _compute(word: bytes):
-        if len(word) == 0:
-            return two
-        if len(word) == 1:
-            c = word[0]
-            return gen_trace.get(c, gen_trace.get(ord(chr(c).lower())))
-        if word == b"ab":
-            return z
-        # clear an inverse letter if any: rotate it to the end
-        for i, c in enumerate(word):
-            if c in (LETTER_AI, LETTER_BI):
-                rot = word[i + 1:] + word[:i]   # word ~ rot + [c] cyclically
-                g = ord(chr(c).lower())
-                return gen_trace[g] * rec(rot) - rec(rot + bytes([g]))
-        # positive word: shorten a doubled letter if any (cyclically)
-        dbl = word + word
-        for i in range(len(word)):
-            if dbl[i] == dbl[i + 1]:
-                rot = dbl[i:i + len(word)]      # starts with gg
-                g = rot[0]
-                return gen_trace[g] * rec(rot[1:]) - rec(rot[2:])
-        # square-free positive cyclic word: alternating, (ab)^m with m >= 2
-        m = len(word) // 2
-        return z * rec((b"ab" * (m - 1))) - rec(b"ab" * (m - 2))
-
-    return rec(w.data)
-
-
-def character_region(x, y, z):
-    """True where (x, y, z) is realized by an SU(2) pair:
-    x^2 + y^2 + z^2 - xyz <= 4 inside the cube [-2, 2]^3."""
-    inside = (np.abs(x) <= 2) & (np.abs(y) <= 2) & (np.abs(z) <= 2)
-    return inside & (x * x + y * y + z * z - x * y * z <= 4.0)
-
-
-def scan_min_trace(w: Word, grid: int = 48) -> float:
-    """Numeric minimum of tr w over a character-region grid (heuristic:
-    corroborates sampling, certifies nothing)."""
-    ax = np.linspace(-2.0, 2.0, grid)
-    x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-    mask = character_region(x, y, z)
-    vals = trace_of_word(w, x[mask], y[mask], z[mask])
-    return float(np.min(vals))
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +516,6 @@ class DecayTable:
     exponent_hat: float     # slope of the log-log length regression
     samples: int
     rng_seed: int
-    k: int
 
 
 def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
@@ -655,7 +531,7 @@ def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
 
 
 def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
-                    rng_seed: int, k: int) -> List[float]:
+                    rng_seed: int) -> List[float]:
     """Max sampled distance per level via the value recursion (one pass of
     matrix commutators per level instead of re-reading the long words)."""
     rng = np.random.default_rng(rng_seed)
@@ -663,8 +539,8 @@ def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
     done = 0
     while done < samples:
         m = min(_CHUNK, samples - done)
-        us = haar_suk(rng, k, _CHUNK)[:m]
-        vs = haar_suk(rng, k, _CHUNK)[:m]
+        us = haar_su2(rng, _CHUNK)[:m]
+        vs = haar_su2(rng, _CHUNK)[:m]
         a_val = batch_evaluate(seeds[0], us, vs)
         b_val = batch_evaluate(seeds[1], us, vs)
         lows[0] = max(lows[0], float(np.max(_batch_distance(a_val))))
@@ -682,8 +558,8 @@ def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
 
 def run_decay(seeds: Tuple[Word, Word],
               seed_bounds: Tuple[CertifiedBound, CertifiedBound],
-              n_max: int, samples: int = 10_000, rng_seed: int = 0,
-              k: int = 2) -> DecayTable:
+              n_max: int, samples: int = 10_000,
+              rng_seed: int = 0) -> DecayTable:
     """Propagated upper bounds against sampled lower bounds, with fits.
 
     Refuses to run unless both seed bounds are at most 1/3 (the recursion
@@ -708,7 +584,7 @@ def run_decay(seeds: Tuple[Word, Word],
             provenance=PropagatedProvenance(source=(n - 1, max(0, n - 2)))))
     lowers: List[Optional[float]] = [None] * (n_max + 1)
     if samples > 0:
-        lows = _sampled_lowers(seeds, n_max, samples, rng_seed, k)
+        lows = _sampled_lowers(seeds, n_max, samples, rng_seed)
         for n in range(n_max + 1):
             if lows[n] > uppers[n] + 1e-9:
                 raise AssertionError(
@@ -730,7 +606,7 @@ def run_decay(seeds: Tuple[Word, Word],
     return DecayTable(seeds=tuple(seeds), rows=rows, bounds=tuple(bounds),
                       d_hat=d_hat, d_lsq=d_lsq, c_hat=float(math.exp(log_c)),
                       exponent_hat=float(exponent_hat),
-                      samples=samples, rng_seed=rng_seed, k=k)
+                      samples=samples, rng_seed=rng_seed)
 
 
 CSV_HEADER = "n,len,upper,lower,minus_log_2upper,ratio_to_(1+√2)^n"

@@ -127,7 +127,10 @@ def _cmd_gen(args) -> int:
 def _cmd_depth(args) -> int:
     w = _parse_word(args.word, "--word")
     t0 = time.monotonic()
-    depth, terms = depth_terms(w, args.max_degree)
+    try:
+        depth, terms = depth_terms(w, args.max_degree)
+    except ValueError as ex:
+        raise _UsageError(str(ex))
     result = {"word": str(w),
               "depth": {"kind": depth.kind, "value": depth.value},
               "nonzero_terms_at_depth": [{"monomial": m, "coeff": c}
@@ -148,12 +151,11 @@ def _cmd_girth(args) -> int:
         return EXIT_FAIL
     if isinstance(outcome, NotFoundBelow):
         result = {"girth": None, "witness": None, "exact": False,
-                  "searched_to": outcome.bound,
-                  "shards": outcome.stats.shards}
+                  "searched_to": outcome.bound}
         _emit_json(_config_of(args), result, t0, args.workers, args.out)
         return EXIT_INCONCLUSIVE
     result = {"girth": outcome.value, "witness": str(outcome.witness),
-              "exact": True, "shards": outcome.stats.shards}
+              "exact": True}
     _emit_json(_config_of(args), result, t0, args.workers, args.out)
     return EXIT_OK
 
@@ -201,7 +203,11 @@ def _cmd_report(args) -> int:
               for name, p in PRINTED_DIGITS]
     entries = []
     if args.alpha_n_max >= 1:
-        entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
+        try:
+            entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
+        except NotFoundBelowError as ex:
+            print(f"report: {ex}", file=sys.stderr)
+            return EXIT_INCONCLUSIVE
     betas = {}
     if args.beta_n_max >= 1:
         for n in range(1, args.beta_n_max + 1):
@@ -217,11 +223,11 @@ def _cmd_report(args) -> int:
 
 def _cmd_almostlaw(args) -> int:
     t0 = time.monotonic()
-    if args.k != 2:
-        raise _UsageError("only k=2 is supported")
     if args.hypothetical_u0 is not None:
         if not (0.0 < args.hypothetical_u0 <= almostlaw.SEED_THRESHOLD):
             raise _UsageError("--hypothetical-u0 must be in (0, 1/3]")
+        if args.n_max < 2:
+            raise _UsageError("--n-max must be at least 2")
         # clearly-labeled arithmetic demonstration: the start bound is an
         # assumption, not a certificate, so no sampled column is attached
         b0 = almostlaw.CertifiedBound(
@@ -229,7 +235,7 @@ def _cmd_almostlaw(args) -> int:
             almostlaw.GridProvenance(float("nan"), 0.0))
         seeds = (Word.parse("a"), Word.parse("b"))
         table = almostlaw.run_decay(seeds, (b0, b0), n_max=args.n_max,
-                                    samples=0, rng_seed=args.seed, k=2)
+                                    samples=0, rng_seed=args.seed)
         head = [
             "# HYPOTHETICAL: the level-0 bound below is an assumption "
             "(no certificate exists; see the almostlaw refusal report)",
@@ -247,6 +253,10 @@ def _cmd_almostlaw(args) -> int:
     if args.pool_max_len < shortest:
         raise _UsageError(f"--pool-max-len must be at least {shortest}: the "
                           f"shortest pool word has length {shortest}")
+    if args.samples < 1:
+        raise _UsageError("--samples must be at least 1")
+    if args.certify_eps is not None and not args.certify_eps > 0:
+        raise _UsageError("--certify-eps must be positive")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
                                    samples=args.samples, seed=args.seed,
                                    workers=args.workers)
@@ -375,7 +385,6 @@ def build_parser() -> _Parser:
     v.set_defaults(func=_cmd_verify)
 
     al = sub.add_parser("almostlaw", help="word-map decay experiment")
-    al.add_argument("--k", type=int, default=2)
     al.add_argument("--n-max", type=int, default=8)
     al.add_argument("--samples", type=int, default=10_000)
     al.add_argument("--certify-eps", type=float, default=None)

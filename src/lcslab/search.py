@@ -379,8 +379,6 @@ class SearchSpec:
 class SearchStats:
     tested: int = 0
     lengths_completed: List[int] = field(default_factory=list)
-    shards: int = 1
-    workers: int = 1
     resumed_tasks: int = 0
 
 
@@ -516,7 +514,7 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     """
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
-    stats = SearchStats(workers=max(1, workers))
+    stats = SearchStats()
     done = _load_checkpoint(spec.checkpoint, spec.fingerprint()) if spec.checkpoint else {}
     stats.resumed_tasks = len(done)
     pool = Pool(workers) if workers > 1 else None
@@ -526,7 +524,6 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
                 stats.lengths_completed.append(L)
                 continue
             prefixes = [p for p in _prefixes(L, flags) if len(p) <= L]
-            stats.shards = max(stats.shards, len(prefixes))
             todo = [(spec.oracle_id, p, L, flags)
                     for p in prefixes if (L, p) not in done]
             results = pool.imap_unordered(_pool_task, todo) if pool is not None \

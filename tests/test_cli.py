@@ -67,7 +67,6 @@ def test_girth_found_and_not_found():
     assert doc["result"]["girth"] == 4
     assert doc["result"]["witness"] == "ABab"
     assert doc["result"]["exact"] is True
-    assert doc["result"]["shards"] >= 1
     doc = run_json("girth", "--quotient", "lcs:5", "--max-len", "4", expect=2)
     assert doc["result"]["girth"] is None
     assert doc["result"]["searched_to"] == 4
@@ -199,6 +198,29 @@ def test_almostlaw_honest_mode_refuses(tmp_path):
 
 def test_almostlaw_bad_hypothetical_is_usage_error():
     run_cli("almostlaw", "--hypothetical-u0", "0.5", expect=3)
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (("depth", "--word", "abAB", "--max-degree", "0"), 3),
+    (("depth", "--word", "abAB", "--max-degree", "30"), 3),
+    (("report", "--alpha-n-max", "3", "--max-len", "6"), 2),
+    (("almostlaw", "--pool-max-len", "4", "--samples", "0"), 3),
+    (("almostlaw", "--hypothetical-u0", "0.3", "--n-max", "1"), 3),
+    (("almostlaw", "--pool-max-len", "4", "--samples", "10",
+      "--certify-eps", "0"), 3),
+    (("almostlaw", "--pool-max-len", "4", "--samples", "10", "--k", "2"), 3),
+], ids=["depth-degree-0", "depth-degree-30", "report-alpha-cap",
+        "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
+        "almostlaw-k"])
+def test_bad_input_exits_without_traceback(argv, expect):
+    # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
+    # line; neither may leak a traceback (exit 1 means a check failed)
+    proc = run_cli(*argv, expect=expect)
+    assert "Traceback" not in proc.stderr
+    if expect == 3:
+        assert "error:" in proc.stderr
+    else:
+        assert len(proc.stderr.strip().split("\n")) == 1
 
 
 @pytest.mark.parametrize("cap", ["3", "0"])
