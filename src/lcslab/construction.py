@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .words import Word, commutator, concat, conjugate
+from .words import (Word, cancellation_bytes, common_prefix_bytes,
+                    common_suffix_bytes, commutator, conjugate, inverse_bytes,
+                    product_bytes)
 
 MU = (3.0 + math.sqrt(17.0)) / 2.0
 
@@ -83,8 +85,12 @@ def build(n_max: int,
             raise ValueError(
                 f"n_max={n_max} would exceed the letter budget {budget_letters} "
                 f"at level {n + 1} (lengths grow like {MU:.3f}^n)")
-        a_words.append(commutator(~bn, an))
-        b_words.append(commutator(an, bn))
+        # [b^-1, a] = b^-1 a b a^-1 and [a, b] = a b a^-1 b^-1, each
+        # level's two inverses shared by both commutators
+        ad, bd = an.data, bn.data
+        ai, bi = inverse_bytes(ad), inverse_bytes(bd)
+        a_words.append(Word.from_reduced(product_bytes(bi, ad, bd, ai)))
+        b_words.append(Word.from_reduced(product_bytes(ad, bd, ai, bi)))
     return PairSequence(a_words, b_words, seeds)
 
 
@@ -105,16 +111,19 @@ class NoCancellationReport:
 
 
 def check_no_cancellation(seq: PairSequence, n: int) -> NoCancellationReport:
-    """Cancellation counts of the eight products of the no-cancellation lemma."""
-    an, bn = seq.a(n), seq.b(n)
-    ai, bi = ~an, ~bn
-    pairs = ((an, an), (bn, bn), (ai, bn), (bi, an),
-             (an, bi), (bn, ai), (ai, bi), (bn, an))
-    counts = {}
-    for label, (u, v) in zip(PRODUCT_LABELS, pairs):
-        _, k = concat(u, v)
-        counts[label] = k
-    return NoCancellationReport(n=n, cancelled=counts)
+    """Cancellation counts of the eight products of the no-cancellation lemma.
+
+    No product is formed.  The pairs cancelling in x^-1 y are the longest
+    common prefix of x and y, those in x y^-1 their longest common suffix,
+    and x^-1 y^-1 cancels exactly as much as y x.
+    """
+    ad, bd = seq.a(n).data, seq.b(n).data
+    prefix = common_prefix_bytes(ad, bd)
+    suffix = common_suffix_bytes(ad, bd)
+    ba = cancellation_bytes(bd, ad)
+    counts = (cancellation_bytes(ad, ad), cancellation_bytes(bd, bd),
+              prefix, prefix, suffix, suffix, ba, ba)
+    return NoCancellationReport(n=n, cancelled=dict(zip(PRODUCT_LABELS, counts)))
 
 
 @dataclass

@@ -370,7 +370,8 @@ class SearchSpec:
     checkpoint: Optional[str] = None
 
     def fingerprint(self) -> dict:
-        return {"oracle": self.oracle_id, "max_len": self.max_len,
+        return {"engine": "dfs", "oracle": self.oracle_id,
+                "max_len": self.max_len,
                 "cyclic": self.flags.cyclic, "inverse": self.flags.inverse,
                 "automorphism": self.flags.automorphism}
 
@@ -459,7 +460,7 @@ def _prefixes(L: int, flags: SearchFlags) -> List[bytes]:
 
 
 _CKPT_MAGIC = b"LCSSRCH"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # 2: the spec names the engine
 
 
 def _load_checkpoint(path: str, fingerprint: dict) -> Dict[Tuple[int, bytes], Optional[bytes]]:

@@ -5,6 +5,14 @@ a=0x61, A=0x41, b=0x62, B=0x42, where upper case means inverse.  The empty
 bytes is the identity and serializes as "1".  Keeping words as bytes makes
 concatenation, inversion and letter counting memcpy-speed, which matters
 once the recursive families reach tens of millions of letters.
+
+Cancellation costs memcmp time too.  A product of reduced words cancels
+only at its junctions; the first few pairs of a junction are compared one
+letter at a time, and a longer run is found by comparing blocks that double
+after a match and halve after a mismatch.  A junction cancelling r pairs
+costs O(log r + r / 2^16) block compares of at most 2^16 letters, not r
+interpreter steps.  `product_bytes` settles every junction of a product
+first and then copies each surviving letter once.
 """
 
 from __future__ import annotations
@@ -48,15 +56,69 @@ def is_reduced(data: bytes) -> bool:
     return all(data[i + 1] != inv[data[i]] for i in range(len(data) - 1))
 
 
+# a junction compares its first _SHORT_RUN pairs letter by letter, and no
+# block compare copies more than _BLOCK_MAX letters
+_SHORT_RUN = 16
+_BLOCK_MAX = 1 << 16
+
+
+def _gallop(agree, k: int, n: int) -> int:
+    """Extend a run of k agreeing positions as far as n allows.
+
+    agree(i, j) says whether positions i..j-1 all agree.  Blocks double
+    after a match and halve after a mismatch; the run ends at a mismatching
+    block of one position.
+    """
+    m = max(k, 1)
+    while k < n:
+        step = min(m, n - k)
+        if agree(k, k + step):
+            k += step
+            m = min(2 * step, _BLOCK_MAX)
+        elif step == 1:
+            break
+        else:
+            m = step // 2
+    return k
+
+
+def _junction(u: bytes, ue: int, v: bytes, vs: int, n: int) -> int:
+    """Pairs cancelling where u[:ue] meets v[vs:], at most n."""
+    inv = _INV_BYTE
+    k = 0
+    lim = min(n, _SHORT_RUN)
+    while k < lim and u[ue - 1 - k] == inv[v[vs + k]]:
+        k += 1
+    if k < _SHORT_RUN:
+        return k
+
+    def agree(i: int, j: int) -> bool:
+        return u[ue - j:ue - i][::-1].translate(_INV_TABLE) == v[vs + i:vs + j]
+
+    return _gallop(agree, k, n)
+
+
 def cancellation_bytes(u: bytes, v: bytes) -> int:
     """Number of letter pairs cancelling at the junction of reduced u, v."""
-    k = 0
-    n = min(len(u), len(v))
-    lu = len(u)
-    inv = _INV_BYTE
-    while k < n and u[lu - 1 - k] == inv[v[k]]:
-        k += 1
-    return k
+    if not (u and v and u[-1] == _INV_BYTE[v[0]]):
+        return 0
+    return _junction(u, len(u), v, 0, min(len(u), len(v)))
+
+
+def common_prefix_bytes(u: bytes, v: bytes) -> int:
+    """Length of the longest common prefix; it is the cancellation in u^-1 v."""
+    if not (u and v and u[0] == v[0]):
+        return 0
+    return _gallop(lambda i, j: u[i:j] == v[i:j], 1, min(len(u), len(v)))
+
+
+def common_suffix_bytes(u: bytes, v: bytes) -> int:
+    """Length of the longest common suffix; it is the cancellation in u v^-1."""
+    lu, lv = len(u), len(v)
+    if not (u and v and u[-1] == v[-1]):
+        return 0
+    return _gallop(lambda i, j: u[lu - j:lu - i] == v[lv - j:lv - i],
+                   1, min(lu, lv))
 
 
 def concat_bytes(u: bytes, v: bytes) -> Tuple[bytes, int]:
@@ -70,6 +132,34 @@ def concat_bytes(u: bytes, v: bytes) -> Tuple[bytes, int]:
     if k:
         return u[: len(u) - k] + v[k:], k
     return u + v, 0
+
+
+def product_bytes(*pieces: bytes) -> bytes:
+    """Reduced product of reduced words, copying each surviving letter once.
+
+    The surviving span of every piece is settled first.  A junction may
+    cancel a whole piece; cancellation then goes on into the piece before
+    it.  One join over memoryview spans builds the result.
+    """
+    inv = _INV_BYTE
+    spans = []  # [piece, start, end] of the non-empty surviving spans
+    for p in pieces:
+        s, e = 0, len(p)
+        while spans and s < e:
+            top = spans[-1]
+            q, qs, qe = top
+            if q[qe - 1] != inv[p[s]]:
+                break
+            k = _junction(q, qe, p, s, min(qe - qs, e - s))
+            s += k
+            if k < qe - qs:
+                top[2] = qe - k
+                break
+            spans.pop()
+        if s < e:
+            spans.append([p, s, e])
+    return b"".join([q if qe - qs == len(q) else memoryview(q)[qs:qe]
+                     for q, qs, qe in spans])
 
 
 def inverse_bytes(w: bytes) -> bytes:
@@ -172,18 +262,14 @@ def concat(u: Word, v: Word) -> Tuple[Word, int]:
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1, reduced."""
     ud, vd = u.data, v.data
-    w, _ = concat_bytes(ud, vd)
-    w, _ = concat_bytes(w, inverse_bytes(ud))
-    w, _ = concat_bytes(w, inverse_bytes(vd))
-    return Word.from_reduced(w)
+    return Word.from_reduced(
+        product_bytes(ud, vd, inverse_bytes(ud), inverse_bytes(vd)))
 
 
 def conjugate(u: Word, v: Word) -> Word:
     """v u v^-1, reduced."""
     vd = v.data
-    w, _ = concat_bytes(vd, u.data)
-    w, _ = concat_bytes(w, inverse_bytes(vd))
-    return Word.from_reduced(w)
+    return Word.from_reduced(product_bytes(vd, u.data, inverse_bytes(vd)))
 
 
 def cyclic_reduce(w: Word) -> Tuple[Word, Word]:

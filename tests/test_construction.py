@@ -7,11 +7,13 @@ independent recomputation.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lcslab import construction
 from lcslab.construction import MU, build, check_identities, check_lengths, check_no_cancellation
-from lcslab.words import Word
+from lcslab.words import Word, concat, random_word
 
 
 def test_level_zero_is_seeds():
@@ -64,6 +66,39 @@ def test_no_cancellation_small_n():
         rep = check_no_cancellation(seq, n)
         assert rep.ok, (n, rep.cancelled)
         assert set(rep.cancelled) == set(construction.PRODUCT_LABELS)
+
+
+def test_no_cancellation_counts_equal_formed_products():
+    """The counts read without products equal those of the products
+    themselves, on families whose counts are not all zero."""
+    rng = random.Random(2)
+    nonzero = 0
+    for _ in range(12):
+        seeds = (random_word(rng, rng.randrange(1, 6)),
+                 random_word(rng, rng.randrange(1, 6)))
+        seq = build(4, seeds=seeds)
+        for n in range(5):
+            an, bn = seq.a(n), seq.b(n)
+            ai, bi = ~an, ~bn
+            pairs = ((an, an), (bn, bn), (ai, bn), (bi, an),
+                     (an, bi), (bn, ai), (ai, bi), (bn, an))
+            formed = {label: concat(u, v)[1]
+                      for label, (u, v) in zip(construction.PRODUCT_LABELS, pairs)}
+            assert check_no_cancellation(seq, n).cancelled == formed
+            nonzero += sum(formed.values()) > 0
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_build_passes_derivation_check(seed):
+    """check_derivation recomputes every level through commutator, a route
+    independent of the shared-inverse products in build."""
+    seeds = None
+    if seed is not None:
+        rng = random.Random(seed)
+        seeds = (random_word(rng, 3), random_word(rng, 2))
+    seq = build(10, seeds=seeds)
+    assert seq.check_derivation()
 
 
 def test_a1_b1_product_does_cancel():

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -171,6 +173,20 @@ def test_checkpoint_rejects_mismatch_and_corruption(tmp_path):
             fh.write(bad)
         with pytest.raises(ValueError, match="checkpoint corruption"):
             search_min(spec)
+
+
+def test_checkpoint_refuses_version_one(tmp_path):
+    """A version-1 file (its spec named no engine) is not resumed."""
+    path = os.fspath(tmp_path / "search.ckpt")
+    spec = SearchSpec(oracle_id="lcs:3", max_len=8,
+                      flags=engine_flags(build_oracle("lcs:3")), checkpoint=path)
+    old_spec = {k: v for k, v in spec.fingerprint().items() if k != "engine"}
+    payload = json.dumps({"spec": old_spec, "completed": []}).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(search._CKPT_MAGIC + struct.pack("<II", 1, len(payload))
+                 + payload)
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        search_min(spec)
 
 
 def test_alpha_small_values():

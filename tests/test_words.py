@@ -10,12 +10,14 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lcslab.words import (
     LETTERS,
     Word,
     cancellation_bytes,
+    common_prefix_bytes,
+    common_suffix_bytes,
     commutator,
     concat,
     conjugate,
@@ -24,6 +26,7 @@ from lcslab.words import (
     inverse_bytes,
     is_cyclically_reduced,
     is_reduced,
+    product_bytes,
     random_word,
     reduce_bytes,
 )
@@ -42,6 +45,15 @@ def slow_reduce(raw: bytes) -> bytes:
                 changed = True
                 break
     return bytes(s)
+
+
+def letter_cancellation(u: bytes, v: bytes) -> int:
+    """Oracle: the junction of u and v compared one letter at a time."""
+    inv = dict(zip(b"aAbB", b"AaBb"))
+    k = 0
+    while k < min(len(u), len(v)) and u[len(u) - 1 - k] == inv[v[k]]:
+        k += 1
+    return k
 
 
 letter_strings = st.lists(st.sampled_from(list(LETTERS)), max_size=64).map(bytes)
@@ -183,3 +195,54 @@ def test_inverse_bytes_matches_word_inverse():
     for _ in range(50):
         w = random_word(rng, rng.randrange(0, 40))
         assert inverse_bytes(w.data) == (~w).data
+
+
+# Long junctions: u = x z and v = z^-1 y share a cancelling run of about
+# |z| letters, long enough for the block compares to double and halve.
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 5000),
+       st.integers(0, 40), st.integers(0, 40))
+def test_long_junction_matches_letter_loop(seed, nz, nx, ny):
+    rng = random.Random(seed)
+    x, z, y = (random_word(rng, n).data for n in (nx, nz, ny))
+    u = reduce_bytes(x + z)
+    v = reduce_bytes(inverse_bytes(z) + y)
+    k = cancellation_bytes(u, v)
+    assert k == letter_cancellation(u, v)
+    assert common_prefix_bytes(u, v) == letter_cancellation(inverse_bytes(u), v)
+    assert common_suffix_bytes(u, v) == letter_cancellation(u, inverse_bytes(v))
+    w, kc = concat(Word.from_reduced(u), Word.from_reduced(v))
+    assert kc == k and w.data == reduce_bytes(u + v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(0, 3000),
+       st.lists(st.integers(0, 4), max_size=6))
+def test_product_matches_stack_reduction(seed, nz, picks):
+    rng = random.Random(seed)
+    z = random_word(rng, nz).data
+    u = reduce_bytes(random_word(rng, rng.randrange(30)).data + z)
+    v = reduce_bytes(inverse_bytes(z) + random_word(rng, rng.randrange(30)).data)
+    menu = (u, v, inverse_bytes(u), inverse_bytes(v), random_word(rng, 7).data)
+    pieces = [menu[i] for i in picks]
+    assert product_bytes(*pieces) == reduce_bytes(b"".join(pieces))
+
+
+def test_product_whole_word_and_swallowed_middle():
+    rng = random.Random(3)
+    u = random_word(rng, 4000).data
+    ui = inverse_bytes(u)
+    assert cancellation_bytes(u, ui) == letter_cancellation(u, ui) == 4000
+    assert product_bytes(u, ui) == b""
+    assert product_bytes(u, ui, u) == u
+    # x z . z^-1 . x^-1 y: the middle piece cancels entirely, and the
+    # cancellation goes on through the whole left piece
+    x, z, y = (random_word(rng, n).data for n in (50, 3000, 50))
+    z = z if cancellation_bytes(x, z) == 0 else inverse_bytes(z)
+    y = y if cancellation_bytes(inverse_bytes(x), y) == 0 else inverse_bytes(y)
+    pieces = (x + z, inverse_bytes(z), inverse_bytes(x) + y)
+    assert all(is_reduced(p) for p in pieces)
+    assert cancellation_bytes(pieces[0], pieces[1]) == len(z)
+    assert product_bytes(*pieces) == y == reduce_bytes(b"".join(pieces))
+    assert product_bytes() == b""
+    assert commutator(Word.from_reduced(u), Word.from_reduced(ui)) == Word.identity()
