@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .construction import build
+from .construction import BudgetExceeded, build
 from .quotients import PermutationQuotient, permutation_from_cycles
 from .search import (
     NotFoundBelow,
@@ -68,10 +68,6 @@ ICOSAHEDRAL_GAP = 1.0 / GOLDEN
 
 class NumericFailure(RuntimeError):
     """Unitarity could not be restored within tolerance."""
-
-
-class BudgetExceeded(RuntimeError):
-    """The requested certification is larger than the evaluation budget."""
 
 
 class SeedRejected(ValueError):
@@ -110,16 +106,32 @@ def unitary(m: np.ndarray) -> UnitaryMatrix:
     return UnitaryMatrix(matrix=fixed, defect=defect)
 
 
-def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Haar-distributed SU(2) batch via normalized 4-vectors of Gaussians."""
-    q = rng.normal(size=(size, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
-    out = np.empty((size, 2, 2), dtype=complex)
+def _quaternions_su2(q: np.ndarray) -> np.ndarray:
+    """Unit quaternions (rows of q) as a batch of SU(2) matrices."""
+    out = np.empty((len(q), 2, 2), dtype=complex)
     out[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
     out[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
     out[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
     out[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
     return out
+
+
+def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Haar-distributed SU(2) batch via normalized 4-vectors of Gaussians."""
+    q = rng.normal(size=(size, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    return _quaternions_su2(q)
+
+
+_CHUNK = 256  # fixed draw granularity so larger budgets extend smaller ones
+
+
+def _haar_pairs(seed: int, samples: int):
+    """`samples` Haar argument pairs as (us, vs) batches of at most _CHUNK."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, _CHUNK):
+        m = min(_CHUNK, samples - done)
+        yield haar_su2(rng, _CHUNK)[:m], haar_su2(rng, _CHUNK)[:m]
 
 
 _LETTER_SLOT = {LETTER_A: (0, False), LETTER_AI: (0, True),
@@ -212,9 +224,6 @@ def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
     return u, v, best
 
 
-_CHUNK = 256  # fixed draw granularity so larger budgets extend smaller ones
-
-
 def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
                seed: int = 0) -> LEstimate:
     """Best sampled distance from the identity, then a local polish.
@@ -224,20 +233,14 @@ def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
     best = -1.0
     best_pair = None
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        us = haar_su2(rng, _CHUNK)[:m]
-        vs = haar_su2(rng, _CHUNK)[:m]
+    for us, vs in _haar_pairs(seed, samples):
         ds = _batch_distance(batch_evaluate(w, us, vs))
         i = int(np.argmax(ds))
         if ds[i] > best:
             best = float(ds[i])
             best_pair = (us[i], vs[i])
-        done += m
     u, v, best = _polish_pair(w, *best_pair, polish_steps)
     witness = (unitary(u), unitary(v))
     best = distance_to_identity(evaluate(w, *witness))
@@ -268,20 +271,25 @@ class CertifiedBound:
     provenance: Provenance
 
 
-def su2_net(eps: float) -> np.ndarray:
-    """A finite subset of SU(2) within operator distance eps of every point.
+def _net_shape(eps: float) -> Tuple[int, int, int]:
+    """Grid points per hypersphere angle (psi, theta, phi) of the eps-net.
 
-    Quaternion coordinates are 1-Lipschitz in each hypersphere angle, so a
-    grid with step h leaves gaps of at most 3h/2 in Euclidean norm, and
+    Quaternion coordinates are 1-Lipschitz in each angle, so a grid with
+    step h leaves gaps of at most 3h/2 in Euclidean norm, and
     ||U(p) - U(q)|| <= ||.||_F = sqrt(2) |p - q|.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     r = eps / math.sqrt(2.0)     # Euclidean covering radius needed on S^3
     h = 2.0 * r / 3.0
-    n_psi = max(1, math.ceil(math.pi / h))
-    n_theta = max(1, math.ceil(math.pi / h))
-    n_phi = max(1, math.ceil(2.0 * math.pi / h))
+    n_half = max(1, math.ceil(math.pi / h))
+    return n_half, n_half, max(1, math.ceil(2.0 * math.pi / h))
+
+
+def su2_net(eps: float) -> np.ndarray:
+    """A finite subset of SU(2) within operator distance eps of every point
+    (see _net_shape)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    n_psi, n_theta, n_phi = _net_shape(eps)
     psi = (np.arange(n_psi) + 0.5) * (math.pi / n_psi)
     theta = (np.arange(n_theta) + 0.5) * (math.pi / n_theta)
     phi = (np.arange(n_phi) + 0.5) * (2.0 * math.pi / n_phi)
@@ -291,28 +299,21 @@ def su2_net(eps: float) -> np.ndarray:
                   np.sin(ps) * np.sin(ts) * np.cos(fs),
                   np.sin(ps) * np.sin(ts) * np.sin(fs),
                   np.sin(ps) * np.cos(ts)], axis=1)
-    out = np.empty((len(q), 2, 2), dtype=complex)
-    out[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
-    out[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
-    out[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
-    out[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
-    return out
+    return _quaternions_su2(q)
+
+
+# the most argument pairs certify_seed evaluates before it refuses
+CERTIFY_BUDGET_POINTS = 4_000_000
 
 
 def net_points_required(w: Word, eps: float) -> int:
     """Number of argument pairs a grid certificate at this eps must evaluate."""
     if not w:
         return 1
-    r = eps / math.sqrt(2.0)
-    h = 2.0 * r / 3.0
-    per_factor = (max(1, math.ceil(math.pi / h))
-                  * max(1, math.ceil(math.pi / h))
-                  * max(1, math.ceil(2.0 * math.pi / h)))
-    return per_factor * per_factor
+    return math.prod(_net_shape(eps)) ** 2
 
 
-def certify_seed(w: Word, eps: float,
-                 budget_points: int = 4_000_000) -> CertifiedBound:
+def certify_seed(w: Word, eps: float) -> CertifiedBound:
     """Grid certificate: max over an eps-net plus the Lipschitz slack.
 
     Each letter is 1-Lipschitz in each argument, so the word map moves by at
@@ -326,10 +327,10 @@ def certify_seed(w: Word, eps: float,
         return CertifiedBound(n=0, upper=0.0,
                               provenance=GridProvenance(eps, 0.0))
     needed = net_points_required(w, eps)
-    if needed > budget_points:
+    if needed > CERTIFY_BUDGET_POINTS:
         raise BudgetExceeded(
             f"eps={eps:g} needs {needed:.3e} pair evaluations "
-            f"(budget {budget_points:.3e})")
+            f"(budget {CERTIFY_BUDGET_POINTS:.3e})")
     net = su2_net(eps)
     m = len(net)
     worst = 0.0
@@ -404,11 +405,10 @@ _A5_PAIRS = (
 )
 
 
-def _a5_block_quotient(pairs=None) -> PermutationQuotient:
-    pairs = pairs if pairs is not None else _A5_PAIRS
+def _a5_block_quotient() -> PermutationQuotient:
     blocks_a, blocks_b = [], []
     offset = 0
-    for ca, cb in pairs:
+    for ca, cb in _A5_PAIRS:
         pa = permutation_from_cycles(ca, degree=5)
         pb = permutation_from_cycles(cb, degree=5)
         blocks_a.extend(p + offset for p in pa)
@@ -534,13 +534,8 @@ def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
                     rng_seed: int) -> List[float]:
     """Max sampled distance per level via the value recursion (one pass of
     matrix commutators per level instead of re-reading the long words)."""
-    rng = np.random.default_rng(rng_seed)
     lows = [0.0] * (n_max + 1)
-    done = 0
-    while done < samples:
-        m = min(_CHUNK, samples - done)
-        us = haar_su2(rng, _CHUNK)[:m]
-        vs = haar_su2(rng, _CHUNK)[:m]
+    for us, vs in _haar_pairs(rng_seed, samples):
         a_val = batch_evaluate(seeds[0], us, vs)
         b_val = batch_evaluate(seeds[1], us, vs)
         lows[0] = max(lows[0], float(np.max(_batch_distance(a_val))))
@@ -552,7 +547,6 @@ def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
             a_val = reorthonormalize(a_next)
             b_val = reorthonormalize(b_next)
             lows[n] = max(lows[n], float(np.max(_batch_distance(a_val))))
-        done += m
     return lows
 
 

@@ -8,13 +8,22 @@ for machine reading, CSV for tables, both UTF-8 with LF line endings and
 `.` as the decimal separator (sources that print comma decimals are
 normalized).
 
-Exit codes: 0 success, 1 check failure, 2 inconclusive (a bounded search
-or budget ended before an answer), 3 usage error.
+Only `--out` is global.  Every other flag sits on the subcommands that
+read it: `--workers` on girth, beta, report, verify and almostlaw, `--seed`
+on almostlaw, `--budget-letters` on gen and verify, `--budget-seconds` on
+verify.  gen, depth and alpha run in one process and echo `"workers": 1`.
+
+`main` is the one runner: it starts the timer, wraps each result in the
+envelope, and maps outcomes to exit codes: 0 success, 1 check failure (an
+independent re-check refuted a search), 2 inconclusive (a bounded search
+or budget ended before an answer), 3 usage error (a bad flag, or input the
+library rejects).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -35,7 +44,7 @@ from .battery import (
     report_constants,
     run_battery,
 )
-from .construction import DEFAULT_LETTER_BUDGET, build
+from .construction import DEFAULT_LETTER_BUDGET, BudgetExceeded, build
 from .girth import beta_bracket, girth
 from .magnus import depth_terms
 from .search import (
@@ -64,10 +73,11 @@ def _versions() -> dict:
             "numpy": np.__version__}
 
 
-def _envelope(config: dict, result, t0: float, workers: int) -> dict:
-    return {"config": config,
+def _envelope(args, t0: float, result) -> dict:
+    return {"config": {k: v for k, v in sorted(vars(args).items())
+                       if k != "func"},
             "versions": _versions(),
-            "workers": workers,
+            "workers": getattr(args, "workers", 1),
             "elapsed_seconds": round(time.monotonic() - t0, 3),
             "result": result}
 
@@ -80,154 +90,95 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(config: dict, result, t0: float, workers: int,
-               out: Optional[str]) -> None:
-    doc = _envelope(config, result, t0, workers)
-    _emit(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-          out)
-
-
 def _parse_word(text: str, what: str) -> Word:
     try:
         return Word.parse(text)
     except ValueError as ex:
-        raise _UsageError(f"bad {what}: {ex}")
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(f"bad {what}: {ex}")
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, result), with None for the result
+# when it writes its own output
 
-def _cmd_gen(args) -> int:
-    seeds = None
+def _cmd_gen(args, t0):
     if (args.seed_a is None) != (args.seed_b is None):
-        raise _UsageError("--seed-a and --seed-b go together")
+        raise ValueError("--seed-a and --seed-b go together")
+    seeds = None
     if args.seed_a is not None:
         seeds = (_parse_word(args.seed_a, "--seed-a"),
                  _parse_word(args.seed_b, "--seed-b"))
-    t0 = time.monotonic()
-    try:
-        seq = build(args.n, seeds=seeds,
-                    budget_letters=args.budget_letters or DEFAULT_LETTER_BUDGET)
-    except ValueError as ex:
-        print(f"gen: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    result = {"n": args.n,
-              "a_word": str(seq.a(args.n)),
-              "b_word": str(seq.b(args.n)),
-              "len": {"a": len(seq.a(args.n)), "b": len(seq.b(args.n))},
-              "derivation": seq.derivation(args.n)}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK
+    seq = build(args.n, seeds=seeds,
+                budget_letters=args.budget_letters or DEFAULT_LETTER_BUDGET)
+    a, b = seq.a(args.n), seq.b(args.n)
+    return EXIT_OK, {"n": args.n, "a_word": str(a), "b_word": str(b),
+                     "len": {"a": len(a), "b": len(b)},
+                     "derivation": seq.derivation(args.n)}
 
 
-def _cmd_depth(args) -> int:
+def _cmd_depth(args, t0):
     w = _parse_word(args.word, "--word")
-    t0 = time.monotonic()
-    try:
-        depth, terms = depth_terms(w, args.max_degree)
-    except ValueError as ex:
-        raise _UsageError(str(ex))
-    result = {"word": str(w),
-              "depth": {"kind": depth.kind, "value": depth.value},
-              "nonzero_terms_at_depth": [{"monomial": m, "coeff": c}
-                                         for m, c in terms]}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK
+    depth, terms = depth_terms(w, args.max_degree)
+    return EXIT_OK, {"word": str(w),
+                     "depth": {"kind": depth.kind, "value": depth.value},
+                     "nonzero_terms_at_depth": [{"monomial": m, "coeff": c}
+                                                for m, c in terms]}
 
 
-def _cmd_girth(args) -> int:
-    t0 = time.monotonic()
-    try:
-        outcome = girth(args.quotient, args.max_len, workers=args.workers,
-                        checkpoint=args.checkpoint, no_prune=args.no_prune)
-    except ValueError as ex:
-        raise _UsageError(str(ex))
-    except AssertionError as ex:  # the independent re-check refuted the search
-        print(f"girth: {ex}", file=sys.stderr)
-        return EXIT_FAIL
+def _cmd_girth(args, t0):
+    outcome = girth(args.quotient, args.max_len, workers=args.workers,
+                    checkpoint=args.checkpoint, no_prune=args.no_prune)
     if isinstance(outcome, NotFoundBelow):
-        result = {"girth": None, "witness": None, "exact": False,
-                  "searched_to": outcome.bound}
-        _emit_json(_config_of(args), result, t0, args.workers, args.out)
-        return EXIT_INCONCLUSIVE
-    result = {"girth": outcome.value, "witness": str(outcome.witness),
-              "exact": True}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK
+        return EXIT_INCONCLUSIVE, {"girth": None, "witness": None,
+                                   "exact": False, "searched_to": outcome.bound}
+    return EXIT_OK, {"girth": outcome.value, "witness": str(outcome.witness),
+                     "exact": True}
 
 
-def _cmd_alpha(args) -> int:
-    t0 = time.monotonic()
-    try:
-        entry = alpha(args.n, args.max_len, args.n)
-    except NotFoundBelowError as ex:
-        print(f"alpha: {ex}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    except ValueError as ex:
-        raise _UsageError(str(ex))
-    except AssertionError as ex:  # the independent re-check refuted the search
-        print(f"alpha: {ex}", file=sys.stderr)
-        return EXIT_FAIL
-    result = {"n": entry.n, "alpha": entry.value,
-              "witness": str(entry.witness), "exact": True,
-              "quotient_log2": (math.log2(entry.value) / math.log2(entry.n)
-                                if entry.n > 1 else None)}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK
+def _cmd_alpha(args, t0):
+    entry = alpha(args.n, args.max_len, args.n)
+    return EXIT_OK, {"n": entry.n, "alpha": entry.value,
+                     "witness": str(entry.witness), "exact": True,
+                     "quotient_log2": (math.log2(entry.value)
+                                       / math.log2(entry.n)
+                                       if entry.n > 1 else None)}
 
 
-def _cmd_beta(args) -> int:
-    t0 = time.monotonic()
-    try:
-        bracket = beta_bracket(args.n, max_len=args.max_len,
-                               workers=args.workers,
-                               checkpoint=args.checkpoint)
-    except ValueError as ex:
-        raise _UsageError(str(ex))
+def _cmd_beta(args, t0):
+    bracket = beta_bracket(args.n, max_len=args.max_len, workers=args.workers,
+                           checkpoint=args.checkpoint)
     result = {"n": bracket.n, "lower": bracket.lower, "upper": bracket.upper,
               "beta": bracket.exact,
               "witness": str(bracket.witness) if bracket.witness else None}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK if bracket.exact is not None else EXIT_INCONCLUSIVE
+    return (EXIT_OK if bracket.exact is not None else EXIT_INCONCLUSIVE,
+            result)
 
 
-def _cmd_report(args) -> int:
-    t0 = time.monotonic()
+def _cmd_report(args, t0):
     consts = report_constants()
     checks = [{"name": name, "printed": p,
                "matches": matches_printed(consts[name], p)}
               for name, p in PRINTED_DIGITS]
     entries = []
     if args.alpha_n_max >= 1:
-        try:
-            entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
-        except NotFoundBelowError as ex:
-            print(f"report: {ex}", file=sys.stderr)
-            return EXIT_INCONCLUSIVE
+        entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
     betas = {}
-    if args.beta_n_max >= 1:
-        for n in range(1, args.beta_n_max + 1):
-            b = beta_bracket(n, max_len=args.max_len, workers=args.workers)
-            if b.exact is not None:
-                betas[n] = b.exact
-    result = {"constants": {k: round(v, 12) for k, v in sorted(consts.items())},
-              "printed_digit_checks": checks,
-              "tables": quotient_tables(entries, betas)}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_OK
+    for n in range(1, args.beta_n_max + 1):
+        b = beta_bracket(n, max_len=args.max_len, workers=args.workers)
+        if b.exact is not None:
+            betas[n] = b.exact
+    return EXIT_OK, {
+        "constants": {k: round(v, 12) for k, v in sorted(consts.items())},
+        "printed_digit_checks": checks,
+        "tables": quotient_tables(entries, betas)}
 
 
-def _cmd_almostlaw(args) -> int:
-    t0 = time.monotonic()
+def _cmd_almostlaw(args, t0):
     if args.hypothetical_u0 is not None:
         if not (0.0 < args.hypothetical_u0 <= almostlaw.SEED_THRESHOLD):
-            raise _UsageError("--hypothetical-u0 must be in (0, 1/3]")
+            raise ValueError("--hypothetical-u0 must be in (0, 1/3]")
         if args.n_max < 2:
-            raise _UsageError("--n-max must be at least 2")
+            raise ValueError("--n-max must be at least 2")
         # clearly-labeled arithmetic demonstration: the start bound is an
         # assumption, not a certificate, so no sampled column is attached
         b0 = almostlaw.CertifiedBound(
@@ -236,27 +187,26 @@ def _cmd_almostlaw(args) -> int:
         seeds = (Word.parse("a"), Word.parse("b"))
         table = almostlaw.run_decay(seeds, (b0, b0), n_max=args.n_max,
                                     samples=0, rng_seed=args.seed)
+        env = _envelope(args, t0, None)
         head = [
             "# HYPOTHETICAL: the level-0 bound below is an assumption "
             "(no certificate exists; see the almostlaw refusal report)",
-            f"# config: {json.dumps(_config_of(args), sort_keys=True)}",
-            f"# versions: {json.dumps(_versions(), sort_keys=True)}",
-            f"# workers: {args.workers}",
-            f"# elapsed_seconds: {round(time.monotonic() - t0, 3)}",
+            *(f"# {k}: {json.dumps(env[k], sort_keys=True)}"
+              for k in ("config", "versions", "workers", "elapsed_seconds")),
             f"# d_hat: {table.d_hat:.12g}",
             f"# exponent_hat: {table.exponent_hat:.12g}",
         ]
         _emit("\n".join(head) + "\n" + almostlaw.decay_csv(table), args.out)
-        return EXIT_OK
+        return EXIT_OK, None
     # honest mode: try to obtain a certified seed and report why none exists
     shortest = min(len(w) for w in almostlaw.seed_candidate_pool())
     if args.pool_max_len < shortest:
-        raise _UsageError(f"--pool-max-len must be at least {shortest}: the "
-                          f"shortest pool word has length {shortest}")
+        raise ValueError(f"--pool-max-len must be at least {shortest}: the "
+                         f"shortest pool word has length {shortest}")
     if args.samples < 1:
-        raise _UsageError("--samples must be at least 1")
+        raise ValueError("--samples must be at least 1")
     if args.certify_eps is not None and not args.certify_eps > 0:
-        raise _UsageError("--certify-eps must be positive")
+        raise ValueError("--certify-eps must be positive")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
                                    samples=args.samples, seed=args.seed,
                                    workers=args.workers)
@@ -286,11 +236,10 @@ def _cmd_almostlaw(args) -> int:
             cb = almostlaw.certify_seed(best_word, args.certify_eps)
             result["certify_best"] = {"eps": args.certify_eps,
                                       "upper": cb.upper}
-        except almostlaw.BudgetExceeded as ex:
+        except BudgetExceeded as ex:
             result["certify_best"] = {"eps": args.certify_eps,
                                       "error": str(ex)}
-    _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    return EXIT_INCONCLUSIVE
+    return EXIT_INCONCLUSIVE, result
 
 
 # ----------------------------------------------------------------------
@@ -304,51 +253,63 @@ def _battery_exit(rows: List[CheckRow]) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.monotonic()
+def _cmd_verify(args, t0):
     with tempfile.TemporaryDirectory() as tmp:
         rows = run_battery(workers=args.workers,
                            budget_seconds=args.budget_seconds,
                            budget_letters=args.budget_letters,
                            tmpdir=tmp)
+    code = _battery_exit(rows)
     if args.format == "json":
-        result = [{"name": r.name, "status": r.status, "detail": r.detail,
-                   "seconds": r.seconds} for r in rows]
-        _emit_json(_config_of(args), result, t0, args.workers, args.out)
-    else:
-        width = max(len(r.name) for r in rows)
-        lines = [f"{r.name:<{width}}  {r.status:<12} {r.detail}"
-                 for r in rows]
-        counts = {}
-        for r in rows:
-            counts[r.status] = counts.get(r.status, 0) + 1
-        summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
-        lines.append(f"-- {summary}; {round(time.monotonic() - t0, 1)}s")
-        _emit("\n".join(lines) + "\n", args.out)
-    return _battery_exit(rows)
+        return code, [dataclasses.asdict(r) for r in rows]
+    width = max(len(r.name) for r in rows)
+    lines = [f"{r.name:<{width}}  {r.status:<12} {r.detail}" for r in rows]
+    counts = {}
+    for r in rows:
+        counts[r.status] = counts.get(r.status, 0) + 1
+    summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
+    lines.append(f"-- {summary}; {round(time.monotonic() - t0, 1)}s")
+    _emit("\n".join(lines) + "\n", args.out)
+    return code, None
 
 
 # ----------------------------------------------------------------------
 # parser plumbing
 
-def _config_of(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _at_least(low, kind=int):
+    """argparse type: a number of the given kind that is at least low."""
+    def parse(text):
+        value = kind(text)
+        if not value >= low:  # also refuses a float nan
+            raise argparse.ArgumentTypeError(f"must be at least {low}, "
+                                             f"got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+def _flag(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="lcs-lab", description=__doc__.split("\n")[0])
-    p.add_argument("--workers", type=int, default=1,
-                   help="process count for sharded searches")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.add_argument("--out", help="write output to this file instead of stdout")
-    p.add_argument("--budget-letters", type=int, default=None,
-                   help="cap on total letters / search length")
-    p.add_argument("--budget-seconds", type=float, default=None,
-                   help="wall-clock budget; exceeded checks are skipped")
     sub = p.add_subparsers(dest="command", required=True)
+    workers = _flag("--workers", type=_at_least(1), default=1,
+                    help="process count for sharded searches")
+    seed = _flag("--seed", type=int, default=0, help="random seed")
+    letters = _flag("--budget-letters", type=_at_least(1), default=None,
+                    help="cap on total letters / search length")
+    seconds = _flag("--budget-seconds", type=_at_least(0, float),
+                    default=None,
+                    help="wall-clock budget; exceeded checks are skipped")
 
-    g = sub.add_parser("gen", help="construct the word family at a level")
+    g = sub.add_parser("gen", parents=[letters],
+                       help="construct the word family at a level")
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--seed-a", help="replacement for the level-0 first word")
     g.add_argument("--seed-b", help="replacement for the level-0 second word")
@@ -359,8 +320,9 @@ def build_parser() -> _Parser:
     d.add_argument("--max-degree", type=int, default=8)
     d.set_defaults(func=_cmd_depth)
 
-    gi = sub.add_parser("girth", help="shortest nontrivial member of a "
-                                      "kernel or filtration subgroup")
+    gi = sub.add_parser("girth", parents=[workers],
+                        help="shortest nontrivial member of a kernel or "
+                             "filtration subgroup")
     gi.add_argument("--quotient", required=True,
                     help="z2 | perm:a=(..);b=(..) | lcs:<n> | derived2 | "
                          "derived-perm:... | zerosum-perm:...")
@@ -374,17 +336,20 @@ def build_parser() -> _Parser:
     a.add_argument("--max-len", type=int, required=True)
     a.set_defaults(func=_cmd_alpha)
 
-    b = sub.add_parser("beta", help="minimal length in a derived subgroup")
+    b = sub.add_parser("beta", parents=[workers],
+                       help="minimal length in a derived subgroup")
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--max-len", type=int, default=14)
     b.add_argument("--checkpoint")
     b.set_defaults(func=_cmd_beta)
 
-    v = sub.add_parser("verify", help="run the full verification battery")
+    v = sub.add_parser("verify", parents=[workers, letters, seconds],
+                       help="run the full verification battery")
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.set_defaults(func=_cmd_verify)
 
-    al = sub.add_parser("almostlaw", help="word-map decay experiment")
+    al = sub.add_parser("almostlaw", parents=[workers, seed],
+                        help="word-map decay experiment")
     al.add_argument("--n-max", type=int, default=8)
     al.add_argument("--samples", type=int, default=10_000)
     al.add_argument("--certify-eps", type=float, default=None)
@@ -394,7 +359,8 @@ def build_parser() -> _Parser:
                          "(uncertified, clearly labeled) start bound")
     al.set_defaults(func=_cmd_almostlaw)
 
-    r = sub.add_parser("report", help="constants and finite-scale tables")
+    r = sub.add_parser("report", parents=[workers],
+                       help="constants and finite-scale tables")
     r.add_argument("--alpha-n-max", type=int, default=2)
     r.add_argument("--beta-n-max", type=int, default=0)
     r.add_argument("--max-len", type=int, default=14)
@@ -404,15 +370,25 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args)
-    except _UsageError as ex:
+        code, result = args.func(args, t0)
+    except (NotFoundBelowError, BudgetExceeded) as ex:
+        print(f"{args.command}: {ex}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except AssertionError as ex:  # an independent re-check refuted a search
+        print(f"{args.command}: {ex}", file=sys.stderr)
+        return EXIT_FAIL
+    except ValueError as ex:  # a bad flag value, or input the library rejects
         print(f"lcs-lab: error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         return EXIT_USAGE
+    if result is not None:
+        _emit(json.dumps(_envelope(args, t0, result), indent=2,
+                         sort_keys=True, ensure_ascii=False) + "\n", args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,11 @@ MU = (3.0 + math.sqrt(17.0)) / 2.0
 DEFAULT_LETTER_BUDGET = 10 ** 8
 
 
+class BudgetExceeded(ValueError):
+    """A requested computation is larger than its budget; refused before
+    any of it runs."""
+
+
 class PairSequence:
     """Words a_0..a_n, b_0..b_n for one choice of seeds."""
 
@@ -82,7 +87,7 @@ def build(n_max: int,
         # the next level is at most 2(len a + len b) letters per word;
         # refuse before allocating anything that size
         if 2 * (len(an) + len(bn)) > budget_letters:
-            raise ValueError(
+            raise BudgetExceeded(
                 f"n_max={n_max} would exceed the letter budget {budget_letters} "
                 f"at level {n + 1} (lengths grow like {MU:.3f}^n)")
         # [b^-1, a] = b^-1 a b a^-1 and [a, b] = a b a^-1 b^-1, each
@@ -148,12 +153,10 @@ class LengthTable:
                    and (r.recurrence_ok is not False) for r in self.rows)
 
 
-def check_lengths(seq: PairSequence, n_max: Optional[int] = None) -> LengthTable:
-    if n_max is None:
-        n_max = seq.n_max
+def check_lengths(seq: PairSequence) -> LengthTable:
     table = LengthTable()
-    lb = [len(seq.b(n)) for n in range(n_max + 1)]
-    for n in range(n_max + 1):
+    lb = [len(w) for w in seq.b_words]
+    for n in range(seq.n_max + 1):
         la = len(seq.a(n))
         rec_ok = rec_eq = None
         if n >= 2:

@@ -29,7 +29,6 @@ from .words import Word
 class GirthResult:
     value: int
     witness: Word
-    search_bound: int
     stats: Optional[SearchStats] = field(default=None, compare=False,
                                          repr=False)
 
@@ -64,14 +63,12 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
         raise AssertionError(
             f"pruned search and independent scan disagree for {oracle_id} "
             f"at length {length}")
-    return GirthResult(value=length, witness=witness,
-                       search_bound=max_len, stats=stats)
+    return GirthResult(value=length, witness=witness, stats=stats)
 
 
 @dataclass(frozen=True)
 class ThreeXReport:
     """girth of the derived subgroup against three times the kernel's."""
-    quotient: str
     kernel_girth: GirthResult
     derived_girth: Union[GirthResult, NotFoundBelow]
     derived_lower: int           # certified: girth([kernel, kernel]) >= this
@@ -96,8 +93,8 @@ def verify_three_x(q: QuotientGroup, max_len: int, workers: int = 1
     else:
         lower = g2.value
         ok = lower >= 3 * g1.value
-    return ThreeXReport(quotient=spec_string, kernel_girth=g1,
-                        derived_girth=g2, derived_lower=lower, factor_ok=ok)
+    return ThreeXReport(kernel_girth=g1, derived_girth=g2,
+                        derived_lower=lower, factor_ok=ok)
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,6 @@ class QuotientGroup:
     are exactly the normal subgroups this package ever needs.
     """
 
-    kind: str = "abstract"
-
     def identity(self) -> Hashable:
         raise NotImplementedError
 
@@ -48,10 +46,6 @@ class QuotientGroup:
 
     # letter -> image, including inverse letters; filled by subclasses
     letter_images: Dict[int, Hashable]
-
-    # whether the a<->b swap and generator inversions fix the kernel setwise;
-    # search pruning by those automorphisms is enabled only when true
-    symmetric_presentation: bool = False
 
     def image(self, w: Word) -> Hashable:
         g = self.identity()
@@ -82,9 +76,6 @@ class QuotientGroup:
 
 class FreeAbelianQuotient(QuotientGroup):
     """F2 -> Z^2 by exponent sums; the kernel is the commutator subgroup."""
-
-    kind = "FreeAbelianRank2"
-    symmetric_presentation = True
 
     def __init__(self):
         self.letter_images = {
@@ -157,10 +148,7 @@ def cycles_string(perm: Tuple[int, ...]) -> str:
 class PermutationQuotient(QuotientGroup):
     """F2 -> a finite permutation group on {1..n} (0-based internally)."""
 
-    kind = "FinitePermutation"
-
-    def __init__(self, image_a: Tuple[int, ...], image_b: Tuple[int, ...],
-                 symmetric_presentation: bool = False):
+    def __init__(self, image_a: Tuple[int, ...], image_b: Tuple[int, ...]):
         n = max(len(image_a), len(image_b))
         image_a = tuple(image_a) + tuple(range(len(image_a), n))
         image_b = tuple(image_b) + tuple(range(len(image_b), n))
@@ -174,7 +162,6 @@ class PermutationQuotient(QuotientGroup):
             LETTER_A: image_a, LETTER_AI: inv_a,
             LETTER_B: image_b, LETTER_BI: inv_b,
         }
-        self.symmetric_presentation = symmetric_presentation
 
     def identity(self):
         return tuple(range(self.degree))
@@ -205,8 +192,7 @@ def s3_transpositions() -> PermutationQuotient:
     involutions, so the kernel is fixed by the letter automorphisms."""
     return PermutationQuotient(
         permutation_from_cycles("(1 2)", 3),
-        permutation_from_cycles("(2 3)", 3),
-        symmetric_presentation=True)
+        permutation_from_cycles("(2 3)", 3))
 
 
 def klein_four() -> PermutationQuotient:
@@ -214,8 +200,7 @@ def klein_four() -> PermutationQuotient:
     descends to an automorphism of the target, so the kernel is fixed."""
     return PermutationQuotient(
         permutation_from_cycles("(1 2)(3 4)", 4),
-        permutation_from_cycles("(1 3)(2 4)", 4),
-        symmetric_presentation=True)
+        permutation_from_cycles("(1 3)(2 4)", 4))
 
 
 def parse_quotient_spec(spec: str) -> QuotientGroup:

@@ -200,7 +200,8 @@ class KernelOracle(Oracle):
         self.q = parse_quotient_spec(quotient_spec)
         self.conjugation_invariant = True  # kernels are normal
         self.inversion_invariant = True    # subgroups are inverse-closed
-        self.automorphism_invariant = self.q.symmetric_presentation
+        # z2's kernel is declared fixed by the letter automorphisms; no
+        # permutation kernel is, even where that holds (S3, Klein)
         if quotient_spec == "z2":
             self.requires_zero_exponent_sums = True
             self.automorphism_invariant = True
@@ -238,8 +239,7 @@ class DerivedKernelOracle(Oracle):
         self.q = parse_quotient_spec(quotient_spec)
         self.conjugation_invariant = True
         self.inversion_invariant = True
-        self.automorphism_invariant = (self.q.symmetric_presentation
-                                       or quotient_spec == "z2")
+        self.automorphism_invariant = quotient_spec == "z2"
         # derived subgroups consist of products of commutators
         self.requires_zero_exponent_sums = True
 

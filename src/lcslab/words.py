@@ -234,23 +234,8 @@ class Word:
     def __invert__(self) -> "Word":
         return Word.from_reduced(inverse_bytes(self.data))
 
-    def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return _IDENTITY
-        base = self if n > 0 else ~self
-        acc = base
-        for _ in range(abs(n) - 1):
-            acc = acc * base
-        return acc
-
 
 _IDENTITY = Word(b"", _checked=True)
-
-# the four generator words, handy everywhere
-A = Word.from_reduced(b"a")
-A_INV = Word.from_reduced(b"A")
-B = Word.from_reduced(b"b")
-B_INV = Word.from_reduced(b"B")
 
 
 def concat(u: Word, v: Word) -> Tuple[Word, int]:

@@ -1,7 +1,9 @@
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,7 +51,7 @@ def test_gen_seed_flags_must_pair():
 
 
 def test_gen_budget_refusal_is_inconclusive():
-    run_cli("--budget-letters", "10", "gen", "--n", "5", expect=2)
+    run_cli("gen", "--budget-letters", "10", "--n", "5", expect=2)
 
 
 def test_depth_output():
@@ -58,6 +60,7 @@ def test_depth_output():
     terms = {t["monomial"]: t["coeff"]
              for t in doc["result"]["nonzero_terms_at_depth"]}
     assert terms == {"ab": 1, "ba": -1}
+    assert doc["workers"] == 1
     doc = run_json("depth", "--word", "", "--max-degree", "4")
     assert doc["result"]["depth"] == {"kind": "infinite", "value": None}
 
@@ -129,6 +132,7 @@ def test_alpha_values_and_inconclusive():
     doc = run_json("alpha", "--n", "2", "--max-len", "6")
     assert doc["result"]["alpha"] == 4
     assert doc["result"]["exact"] is True
+    assert doc["workers"] == 1
     run_cli("alpha", "--n", "4", "--max-len", "6", expect=2)
 
 
@@ -209,9 +213,20 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("almostlaw", "--pool-max-len", "4", "--samples", "10",
       "--certify-eps", "0"), 3),
     (("almostlaw", "--pool-max-len", "4", "--samples", "10", "--k", "2"), 3),
+    (("gen", "--n", "-1"), 3),
+    (("gen", "--n", "1", "--seed-a", "aA", "--seed-b", "b"), 3),
+    (("verify", "--budget-letters", "0"), 3),
+    (("verify", "--budget-letters", "-5"), 3),
+    (("verify", "--budget-seconds", "-1"), 3),
+    (("girth", "--workers", "0", "--quotient", "z2", "--max-len", "4"), 3),
+    (("--workers", "4", "alpha", "--n", "2", "--max-len", "6"), 3),
+    (("--seed", "1", "gen", "--n", "1"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
-        "almostlaw-k"])
+        "almostlaw-k", "gen-n-negative", "gen-trivial-seed",
+        "verify-letters-0", "verify-letters-negative",
+        "verify-seconds-negative", "girth-workers-0", "workers-before-alpha",
+        "seed-before-gen"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)
@@ -231,11 +246,11 @@ def test_almostlaw_pool_cap_below_shortest_word_is_usage_error(cap):
 
 
 def test_verify_time_budget_skips_everything():
-    proc = run_cli("--budget-seconds", "0", "verify", expect=2)
+    proc = run_cli("verify", "--budget-seconds", "0", expect=2)
     lines = proc.stdout.strip().split("\n")
     assert all("skipped" in l for l in lines[:-1])
     assert "11 skipped" in lines[-1]
-    doc = run_json("--budget-seconds", "0", "verify", "--format", "json",
+    doc = run_json("verify", "--budget-seconds", "0", "--format", "json",
                    expect=2)
     assert [r["status"] for r in doc["result"]] == ["skipped"] * 11
 
@@ -245,6 +260,21 @@ def test_unknown_command_is_usage_error():
     # --format belongs to verify alone, and csv is no choice
     run_cli("--format", "csv", "gen", "--n", "1", expect=3)
     run_cli("verify", "--format", "csv", expect=3)
+
+
+def test_readme_command_lines_parse():
+    # a flag moved between subcommands must not leave the docs behind
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    lines = re.findall(r"^lcs-lab (.*?)(?:\s+#.*)?$", text, re.M)
+    lines += re.findall(r"`lcs-lab ([^`]*)`", text)
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line))
+        except SystemExit:
+            pytest.fail(f"README command line does not parse: lcs-lab {line}")
 
 
 def test_battery_exit_mapping():
@@ -294,7 +324,7 @@ def test_battery_budgets_give_inconclusive():
     assert row.status == "inconclusive", row.detail
     assert "z2" in row.detail
     # a search cut short by the budget never turns into a failure
-    for cap in (3, 8, 10, 12, 13):
+    for cap in (1, 2, 3, 8, 10, 12, 13):
         for name in ("alpha-table", "girth-theorem", "beta2-bracket"):
             row = battery.run_check(name, _ctx(cap))
             assert row.status != "fail", (cap, row)

@@ -43,7 +43,7 @@ def test_cycles_roundtrip():
 def test_parse_quotient_spec_roundtrip():
     for q in QUOTIENTS:
         q2 = parse_quotient_spec(q.spec_string())
-        assert q2.kind == q.kind
+        assert type(q2) is type(q)
         assert q2.letter_images == q.letter_images
     with pytest.raises(ValueError):
         parse_quotient_spec("perm:a=(1 2)")
