@@ -15,9 +15,9 @@ verify.  gen, depth and alpha run in one process and echo `"workers": 1`.
 
 `main` is the one runner: it starts the timer, wraps each result in the
 envelope, and maps outcomes to exit codes: 0 success, 1 check failure (an
-independent re-check refuted a search), 2 inconclusive (a bounded search
-or budget ended before an answer), 3 usage error (a bad flag, or input the
-library rejects).
+independent re-check refuted a search), 2 inconclusive (a bounded search,
+a budget or a Ctrl-C ended the run before an answer), 3 usage error (a bad
+flag, or input the library rejects).
 """
 
 from __future__ import annotations
@@ -65,6 +65,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _Misplaced(argparse.Action):
+    """A subcommand's flag given before the subcommand: a usage error that
+    names the flag, where argparse would name the flag's value."""
+
+    def __init__(self, option_strings, dest, takers):
+        super().__init__(option_strings, dest, nargs="?",
+                         default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        self.takers = takers
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string} goes after a subcommand that takes "
+                     f"it ({', '.join(self.takers)})")
 
 
 def _versions() -> dict:
@@ -366,6 +380,14 @@ def build_parser() -> _Parser:
     r.add_argument("--max-len", type=int, default=14)
     r.set_defaults(func=_cmd_report)
 
+    takers = {}
+    for name, subparser in sub.choices.items():
+        for action in subparser._actions:
+            for flag in action.option_strings:
+                if flag not in ("-h", "--help"):
+                    takers.setdefault(flag, []).append(name)
+    for flag, names in takers.items():
+        p.add_argument(flag, action=_Misplaced, takers=names)
     return p
 
 
@@ -384,7 +406,8 @@ def main(argv=None) -> int:
         print(f"lcs-lab: error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
-        return EXIT_USAGE
+        print(f"{args.command}: interrupted", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     if result is not None:
         _emit(json.dumps(_envelope(args, t0, result), indent=2,
                          sort_keys=True, ensure_ascii=False) + "\n", args.out)

@@ -1,37 +1,53 @@
 """Magnus expansion into truncated noncommutative integer series, and Fox
 derivatives in the integer group ring of F2.
 
-A series truncated at degree D is stored as one dense coefficient list per
-degree: the degree-d monomial X_{g1}...X_{gd} is the integer whose bits,
-most significant first, are 0 for X_a and 1 for X_b, so rows[d] has 2^d
-slots.  Appending a letter maps slot m to (m << 1) | bit, which is why
-multiplying by a single letter series is a strided slice update rather
-than a generic product: right-multiplying by (1 + X_g) adds rows[d-1]
-into rows[d][bit::2], and dividing by (1 + X_g) (the inverse letter) is
-the same update run in the other direction with subtraction.  Coefficients
-are Python ints; they grow combinatorially and must never wrap.
+A series truncated at degree D is one flat coefficient array of 2^(D+1)-1
+slots in heap order: the degree-d monomial X_{g1}...X_{gd} is the integer m
+whose bits, most significant first, are 0 for X_a and 1 for X_b, and it
+sits at slot 2^d - 1 + m.  Appending a letter with bit beta sends slot i to
+slot 2i+1+beta, so right-multiplying by (1 + X_g) is the single statement
+f[1+beta::2] += f[:2^D-1]; numpy evaluates an in-place ufunc whose input
+overlaps its output as if the input were copied first, so every slot adds
+its old value.  Dividing by (1 + X_g) (the inverse letter) solves
+T + T*X_g = S one degree at a time, ascending, so row d-1 is already T when
+row d subtracts it: D row slices.
+
+Coefficients grow combinatorially and must never wrap.  expand runs on
+int64 under a bound M >= max |coefficient|: a positive letter at most
+doubles M and an inverse letter multiplies it by at most D+1, since
+|T_d| <= |S_d| + |T_(d-1)|.  Before a letter that could push M past 2^62,
+M is measured again as the true max; if that letter could still push it
+past, the array turns into Python ints (object dtype) and the expansion
+finishes exactly.
 
 Depth: w lies in the n-th lower central subgroup iff its expansion has no
 nonzero term of positive degree < n (Magnus; treated as imported
 mathematics and cross-checked against the structural certificates of the
-recursive families).
+recursive families).  The degree-1 terms are the exponent sums, so a word
+with a nonzero exponent sum has depth 1 without an expansion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .words import (
     LETTER_A,
     LETTER_AI,
     LETTER_B,
     LETTER_BI,
+    LETTERS,
     Word,
     concat_bytes,
+    exponent_sums,
 )
 
 MAX_TRUNCATION = 22  # 2^23 coefficient slots, the desk-scale memory ceiling
+_INT64_LIMIT = 1 << 62  # int64 holds any sum of two values below this
 
 _BIT = {LETTER_A: 0, LETTER_AI: 0, LETTER_B: 1, LETTER_BI: 1}
 _POSITIVE = {LETTER_A: True, LETTER_B: True, LETTER_AI: False, LETTER_BI: False}
@@ -46,25 +62,35 @@ def _check_degree(D: int) -> None:
             f"(term count bound 2^(D+1), cap D={MAX_TRUNCATION})")
 
 
-def _one_rows(D: int) -> List[List[int]]:
-    rows = [[0] * (1 << d) for d in range(D + 1)]
-    rows[0][0] = 1
-    return rows
+def _row(d: int) -> slice:
+    """The heap slots of the degree-d monomials."""
+    return slice((1 << d) - 1, (1 << (d + 1)) - 1)
 
 
-def _mul_letter_inplace(rows: List[List[int]], letter: int, D: int) -> None:
-    """rows *= letter_series(letter), in place."""
-    beta = _BIT[letter]
-    if _POSITIVE[letter]:
-        # R = S + S*X_g, descending so rows[d-1] is still the old S
-        for d in range(D, 0, -1):
-            row, prev = rows[d], rows[d - 1]
-            row[beta::2] = [x + y for x, y in zip(row[beta::2], prev)]
-    else:
-        # T solves T + T*X_g = S, ascending so rows[d-1] is already T
-        for d in range(1, D + 1):
-            row, prev = rows[d], rows[d - 1]
-            row[beta::2] = [x - y for x, y in zip(row[beta::2], prev)]
+@lru_cache(maxsize=None)  # one entry per truncation degree
+def _letter_updates(D: int) -> Dict[int, Tuple[bool, tuple]]:
+    """letter -> (positive, the (target, source) slot slices of its update).
+
+    A positive letter is the one pair target += source, every source slot
+    read before any target slot is written; an inverse letter is one pair
+    per degree, ascending, each target -= source."""
+    out = {}
+    for c in LETTERS:
+        beta = _BIT[c]
+        if _POSITIVE[c]:
+            out[c] = True, ((slice(1 + beta, None, 2),
+                             slice(0, (1 << D) - 1)),)
+        else:
+            out[c] = False, tuple(
+                (slice((1 << d) - 1 + beta, (1 << (d + 1)) - 1, 2),
+                 _row(d - 1)) for d in range(1, D + 1))
+    return out
+
+
+def _one(D: int) -> np.ndarray:
+    f = np.zeros((2 << D) - 1, dtype=np.int64)
+    f[0] = 1
+    return f
 
 
 def monomial_name(degree: int, packed: int) -> str:
@@ -74,61 +100,63 @@ def monomial_name(degree: int, packed: int) -> str:
 
 
 class NcSeries:
-    """Degree-truncated series in two noncommuting indeterminates."""
+    """Degree-truncated series in two noncommuting indeterminates, held as
+    one heap-ordered coefficient array (int64, or object for Python ints)."""
 
-    __slots__ = ("D", "rows")
+    __slots__ = ("D", "coeffs")
 
-    def __init__(self, D: int, rows: List[List[int]]):
+    def __init__(self, D: int, coeffs: np.ndarray):
         self.D = D
-        self.rows = rows
+        self.coeffs = coeffs
 
     @staticmethod
     def one(D: int) -> "NcSeries":
         _check_degree(D)
-        return NcSeries(D, _one_rows(D))
+        return NcSeries(D, _one(D))
+
+    @property
+    def rows(self) -> List[List[int]]:
+        """The coefficients of each degree as Python ints, rows[d][m]."""
+        return [self.coeffs[_row(d)].tolist() for d in range(self.D + 1)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, NcSeries) and self.D == other.D
-                and self.rows == other.rows)
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self):
         raise TypeError("NcSeries is not hashable")
 
     def terms(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (degree, packed_monomial, coeff) for every nonzero term."""
-        for d, row in enumerate(self.rows):
-            for m, c in enumerate(row):
-                if c:
-                    yield d, m, c
+        for i in np.flatnonzero(self.coeffs).tolist():
+            d = (i + 1).bit_length() - 1
+            yield d, i + 1 - (1 << d), int(self.coeffs[i])
 
     def coefficient(self, degree: int, packed: int) -> int:
-        return self.rows[degree][packed]
+        return int(self.coeffs[(1 << degree) - 1 + packed])
 
     def min_positive_degree(self) -> Optional[int]:
-        for d in range(1, self.D + 1):
-            if any(self.rows[d]):
-                return d
-        return None
+        nonzero = np.flatnonzero(self.coeffs[1:])
+        if not len(nonzero):
+            return None
+        return int(nonzero[0] + 2).bit_length() - 1
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
-        """Generic truncated product; the expand fast path never calls this,
-        it exists for the homomorphism property and as a cross-check."""
+        """Generic truncated product in exact Python ints; the expand fast
+        path never calls this, it exists for the homomorphism property and
+        as a cross-check.  The product of monomials m1 (degree d1) and m2
+        (degree d2) is m1 * 2^d2 + m2, the flat index of outer(row1, row2)."""
         if self.D != other.D:
             raise ValueError("truncation degrees differ")
         D = self.D
-        out = [[0] * (1 << d) for d in range(D + 1)]
-        for d1, row1 in enumerate(self.rows):
-            for m1, c1 in enumerate(row1):
-                if not c1:
-                    continue
-                for d2 in range(D - d1 + 1):
-                    row2 = other.rows[d2]
-                    if not any(row2):
-                        continue
-                    dest = out[d1 + d2]
-                    off = m1 << d2
-                    dest[off:off + len(row2)] = [
-                        x + c1 * y for x, y in zip(dest[off:off + len(row2)], row2)]
+        f, g = self.coeffs.astype(object), other.coeffs.astype(object)
+        out = np.zeros_like(f)
+        for d1 in range(D + 1):
+            row1 = f[_row(d1)]
+            if not row1.any():
+                continue
+            for d2 in range(D - d1 + 1):
+                out[_row(d1 + d2)] += np.outer(row1, g[_row(d2)]).ravel()
         return NcSeries(D, out)
 
     def __repr__(self):
@@ -145,25 +173,42 @@ class NcSeries:
 def letter_series(letter: int, D: int) -> NcSeries:
     """Magnus image of one letter: g -> 1 + X_g, g^-1 -> sum (-1)^i X_g^i."""
     _check_degree(D)
-    rows = _one_rows(D)
+    f = _one(D)
     beta = _BIT[letter]
     if _POSITIVE[letter]:
-        rows[1][beta] = 1
+        f[1 + beta] = 1
     else:
+        i = 0
         for d in range(1, D + 1):
-            # X_g^d is the all-beta monomial
-            packed = 0 if beta == 0 else (1 << d) - 1
-            rows[d][packed] = -1 if d % 2 else 1
-    return NcSeries(D, rows)
+            i = 2 * i + 1 + beta  # X_g^d, the all-beta monomial
+            f[i] = -1 if d % 2 else 1
+    return NcSeries(D, f)
 
 
 def expand(w: Word, D: int) -> NcSeries:
-    """Magnus expansion of a word, one letter series at a time."""
+    """Magnus expansion of a word: one slice update per letter (D for an
+    inverse letter), on int64 while the overflow guard allows it."""
     _check_degree(D)
-    rows = _one_rows(D)
+    f = _one(D)
+    updates = _letter_updates(D)
+    exact = False  # True once f holds Python ints
+    bound = 1  # >= max |f| while f is int64
     for c in w.data:
-        _mul_letter_inplace(rows, c, D)
-    return NcSeries(D, rows)
+        positive, pairs = updates[c]
+        if not exact:
+            grow = 2 if positive else D + 1
+            bound *= grow
+            if bound > _INT64_LIMIT:  # measure the true max before this letter
+                bound = int(np.abs(f).max()) * grow
+                exact = bound > _INT64_LIMIT
+                if exact:
+                    f = f.astype(object)
+        for target, source in pairs:
+            if positive:
+                f[target] += f[source]
+            else:
+                f[target] -= f[source]
+    return NcSeries(D, f)
 
 
 # ----------------------------------------------------------------------
@@ -206,6 +251,9 @@ def lcs_depth(w: Word, D: int) -> Depth:
     """Lower-central-series depth of w, decided up to degree D."""
     if not w:
         return Depth.infinite()
+    _check_degree(D)
+    if exponent_sums(w) != (0, 0):  # the degree-1 terms
+        return Depth.exact(1)
     series = expand(w, D)
     d = series.min_positive_degree()
     if d is None:

@@ -36,12 +36,12 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from multiprocessing import Pool
+from operator import add, sub
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from .magnus import _check_degree, _mul_letter_inplace, _one_rows
+from .magnus import _check_degree, _letter_updates
 from .quotients import parse_quotient_spec
 from .words import (LETTER_A, LETTER_AI, LETTER_B, Word, inverse_bytes,
                     inverse_letter)
@@ -296,10 +296,6 @@ class ZeroSumKernelOracle(KernelOracle):
         return GroupWalker(*self.group()[:2])
 
 
-def _rows_key(rows):
-    return tuple(chain.from_iterable(rows))
-
-
 class DepthOracle(Oracle):
     """Members: nontrivial words lying at lower-central depth >= n.
 
@@ -320,16 +316,20 @@ class DepthOracle(Oracle):
 
     def group(self):
         # state: the Magnus expansion truncated at degree n-1 (none at all
-        # for n = 1), which is 1 exactly when depth >= n; rows of one
-        # degree have a fixed width, so the flattened rows are a key
+        # for n = 1), which is 1 exactly when depth >= n: magnus's heap
+        # layout and slot slices, on a list of exact Python ints
         D = self.n - 1
+        updates = _letter_updates(D)
 
-        def step(rows, c):
-            rows = [row[:] for row in rows]
-            _mul_letter_inplace(rows, c, D)
-            return rows
+        def step(state, c):
+            positive, pairs = updates[c]
+            op = add if positive else sub
+            out = state[:]
+            for target, source in pairs:  # both slices copy before the write
+                out[target] = map(op, out[target], out[source])
+            return out
 
-        return _one_rows(D), step, _rows_key
+        return [1] + [0] * ((2 << D) - 2), step, tuple
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])

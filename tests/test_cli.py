@@ -232,6 +232,9 @@ def test_bad_input_exits_without_traceback(argv, expect):
     # line; neither may leak a traceback (exit 1 means a check failed)
     proc = run_cli(*argv, expect=expect)
     assert "Traceback" not in proc.stderr
+    if argv[0].startswith("--"):  # a subcommand's flag before the subcommand
+        assert (f"error: {argv[0]} goes after a subcommand that takes it"
+                in proc.stderr)
     if expect == 3:
         assert "error:" in proc.stderr
     else:
@@ -253,6 +256,17 @@ def test_verify_time_budget_skips_everything():
     doc = run_json("verify", "--budget-seconds", "0", "--format", "json",
                    expect=2)
     assert [r["status"] for r in doc["result"]] == ["skipped"] * 11
+
+
+def test_interrupt_is_inconclusive(monkeypatch, capsys):
+    # Ctrl-C ends a search before an answer: exit 2 with one line
+    def interrupted(args, t0):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_alpha", interrupted)
+    assert cli.main(["alpha", "--n", "2", "--max-len", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "alpha: interrupted\n")
 
 
 def test_unknown_command_is_usage_error():

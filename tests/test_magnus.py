@@ -1,3 +1,6 @@
+from math import comb
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +41,28 @@ def naive_expand(w, D):
     for c in w.data:
         out = out * letter_series(c, D)
     return out
+
+
+def rows_expand(w, D):
+    """Reference route in Python ints, one list per degree: rows[d][m] is
+    the coefficient of the degree-d monomial m (bits most significant
+    first, 1 for X_b), and a letter with bit beta updates rows[d][beta::2]
+    from rows[d-1]."""
+    rows = [[0] * (1 << d) for d in range(D + 1)]
+    rows[0][0] = 1
+    for c in w.data:
+        beta = c in b"bB"
+        if c in b"ab":
+            # R = S + S*X_g, descending so rows[d-1] is still the old S
+            for d in range(D, 0, -1):
+                row, prev = rows[d], rows[d - 1]
+                row[beta::2] = [x + y for x, y in zip(row[beta::2], prev)]
+        else:
+            # T solves T + T*X_g = S, ascending so rows[d-1] is already T
+            for d in range(1, D + 1):
+                row, prev = rows[d], rows[d - 1]
+                row[beta::2] = [x - y for x, y in zip(row[beta::2], prev)]
+    return rows
 
 
 def test_letter_series_generator():
@@ -96,6 +121,34 @@ def test_identity_expands_to_one():
 def test_expand_matches_generic_product_route(w):
     D = 4
     assert expand(w, D) == naive_expand(w, D)
+
+
+@pytest.mark.parametrize("word, D, dtype, corner", [
+    # true max |coef| stays small: the guard re-measures and keeps int64
+    (build(4).b(4), 16, np.int64, 0),
+    # the coefficient of X_a^12 is C(300, 12) > 2^62: Python ints
+    (Word.parse("a" * 300 + "b" * 300), 12, object, comb(300, 12)),
+    # (1 + X_a)^-300 has X_a^12 coefficient C(311, 12)
+    (Word.parse("A" * 300 + "B" * 300), 12, object, comb(311, 12)),
+], ids=["b4-D16", "a300b300-D12", "A300B300-D12"])
+def test_expand_matches_row_reference(word, D, dtype, corner):
+    # long words, where int64 could overflow: the generic product route
+    # costs seconds per word here, so the reference is the list-of-rows
+    # update in Python ints
+    series = expand(word, D)
+    assert series.coeffs.dtype == dtype
+    assert series.rows == rows_expand(word, D)
+    assert series.coefficient(D, 0) == corner
+
+
+@settings(max_examples=60, deadline=None)
+@given(words, st.integers(1, 6))
+def test_lcs_depth_matches_full_expansion(w, D):
+    # lcs_depth reads depth 1 off the exponent sums without expanding
+    d = expand(w, D).min_positive_degree()
+    expected = (Depth.infinite() if not w else
+                Depth.at_least(D + 1) if d is None else Depth.exact(d))
+    assert lcs_depth(w, D) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -205,7 +258,7 @@ def test_walker_tracks_expand():
     for c in w.data:
         for walker in walkers.values():
             walker.push(c)
-    assert NcSeries(6, walkers[7].stack[-1]) == expand(w, 6)
+    assert walkers[7].stack[-1] == expand(w, 6).coeffs.tolist()
     assert walkers[5].is_member() and not walkers[6].is_member()
 
 
@@ -218,7 +271,8 @@ def test_walker_push_pop_roundtrip(letters, cut):
     for c in reversed(letters[cut:]):
         walker.pop(c)
     assert len(walker.stack) == len(letters[:cut]) + 1
-    assert NcSeries(4, walker.stack[-1]) == naive_expand(Word(letters[:cut]), 4)
+    assert (walker.stack[-1]
+            == naive_expand(Word(letters[:cut]), 4).coeffs.tolist())
 
 
 # ----------------------------------------------------------------------

@@ -321,7 +321,7 @@ BRUTE_FORCE = {
 def _fresh_state(oracle, w: Word):
     """The walker state of w, computed from scratch."""
     if isinstance(oracle, DepthOracle):
-        return expand(w, oracle.n - 1).rows
+        return expand(w, oracle.n - 1).coeffs.tolist()
     q = oracle.q
     if isinstance(oracle, DerivedKernelOracle):
         return (q.image(w), project_fox(w, q, "a").coeffs,
