@@ -8,15 +8,23 @@ evaluation; membership in [kernel, kernel] projects both Fox derivatives
 into the integer group ring of the quotient and requires them to vanish,
 which decides it exactly.
 
+A permutation on n <= 256 points is stored as n bytes, the image of
+point i at index i, so a product is one bytes.translate call and elements
+hash and compare as bytes.  permutation_from_cycles and cycles_string
+speak tuples and cycle notation; PermutationQuotient converts.  Exponent
+sums stay tuples.
+
 in_lambda and in_derived_lambda evaluate one word from scratch.  The
 search oracles (search.KernelOracle, search.DerivedKernelOracle) carry
 the same image and projected derivatives letter by letter, as the states
-of a search.GroupWalker; the tests check one against the other.
+of a search.GroupWalker through letter_step, the same product with the
+letters' tables made once; the tests check one against the other.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple)
 
 from .words import (
     LETTER_A,
@@ -46,6 +54,11 @@ class QuotientGroup:
 
     # letter -> image, including inverse letters; filled by subclasses
     letter_images: Dict[int, Hashable]
+
+    def letter_step(self) -> Callable[[Hashable, int], Hashable]:
+        """(x, letter) -> x times the letter's image."""
+        multiply, images = self.multiply, self.letter_images
+        return lambda x, c: multiply(x, images[c])
 
     def image(self, w: Word) -> Hashable:
         g = self.identity()
@@ -111,6 +124,16 @@ def _parse_cycles(text: str) -> List[List[int]]:
     return cycles
 
 
+MAX_DEGREE = 256  # points a permutation element can hold, one byte each
+_PAD = bytes(range(MAX_DEGREE))  # the identity translate table
+
+
+def _check_point_count(n: int) -> None:
+    if n > MAX_DEGREE:
+        raise ValueError(f"permutation quotients act on at most {MAX_DEGREE} "
+                         f"points, not {n}")
+
+
 def permutation_from_cycles(text: str, degree: Optional[int] = None) -> Tuple[int, ...]:
     """One-line cycle notation, 1-based points, e.g. '(1 2)(3 4)'."""
     cycles = _parse_cycles(text)
@@ -119,6 +142,7 @@ def permutation_from_cycles(text: str, degree: Optional[int] = None) -> Tuple[in
         if degree < n:
             raise ValueError("degree smaller than largest moved point")
         n = degree
+    _check_point_count(n)
     perm = list(range(n))
     for cyc in cycles:
         for i, p in enumerate(cyc):
@@ -127,7 +151,7 @@ def permutation_from_cycles(text: str, degree: Optional[int] = None) -> Tuple[in
     return tuple(perm)
 
 
-def cycles_string(perm: Tuple[int, ...]) -> str:
+def cycles_string(perm: Sequence[int]) -> str:
     seen = [False] * len(perm)
     out = []
     for start in range(len(perm)):
@@ -146,35 +170,42 @@ def cycles_string(perm: Tuple[int, ...]) -> str:
 
 
 class PermutationQuotient(QuotientGroup):
-    """F2 -> a finite permutation group on {1..n} (0-based internally)."""
+    """F2 -> a finite permutation group on {1..n}, n <= 256 (0-based
+    internally).  Elements are bytes: x[i] is the image of point i."""
 
-    def __init__(self, image_a: Tuple[int, ...], image_b: Tuple[int, ...]):
+    def __init__(self, image_a: Sequence[int], image_b: Sequence[int]):
         n = max(len(image_a), len(image_b))
+        _check_point_count(n)
         image_a = tuple(image_a) + tuple(range(len(image_a), n))
         image_b = tuple(image_b) + tuple(range(len(image_b), n))
         for p in (image_a, image_b):
             if sorted(p) != list(range(n)):
                 raise ValueError(f"not a permutation of 0..{n-1}: {p}")
         self.degree = n
-        inv_a = tuple(p[1] for p in sorted(zip(image_a, range(n))))
-        inv_b = tuple(p[1] for p in sorted(zip(image_b, range(n))))
+        a, b = bytes(image_a), bytes(image_b)
         self.letter_images = {
-            LETTER_A: image_a, LETTER_AI: inv_a,
-            LETTER_B: image_b, LETTER_BI: inv_b,
+            LETTER_A: a, LETTER_AI: self.invert(a),
+            LETTER_B: b, LETTER_BI: self.invert(b),
         }
 
     def identity(self):
-        return tuple(range(self.degree))
+        return _PAD[:self.degree]
 
     def multiply(self, x, y):
-        # act with x first, then y
-        return tuple(map(y.__getitem__, x))
+        # act with x first, then y: point i goes to y[x[i]]
+        return x.translate(y + _PAD[len(y):])
 
     def invert(self, x):
-        out = [0] * self.degree
+        out = bytearray(len(x))
         for i, j in enumerate(x):
             out[j] = i
-        return tuple(out)
+        return bytes(out)
+
+    def letter_step(self):
+        # the images padded to translate tables once, not at every product
+        tables = {c: g + _PAD[self.degree:]
+                  for c, g in self.letter_images.items()}
+        return lambda x, c: x.translate(tables[c])
 
     def spec_string(self) -> str:
         a = cycles_string(self.letter_images[LETTER_A])
@@ -211,12 +242,9 @@ def parse_quotient_spec(spec: str) -> QuotientGroup:
         parts = dict(kv.split("=", 1) for kv in spec[5:].split(";"))
         if set(parts) != {"a", "b"}:
             raise ValueError(f"permutation spec needs a=...;b=...: {spec!r}")
-        pa = permutation_from_cycles(parts["a"])
-        pb = permutation_from_cycles(parts["b"])
-        deg = max(len(pa), len(pb))
-        return PermutationQuotient(
-            permutation_from_cycles(parts["a"], deg),
-            permutation_from_cycles(parts["b"], deg))
+        # the constructor pads the smaller image with fixed points
+        return PermutationQuotient(permutation_from_cycles(parts["a"]),
+                                   permutation_from_cycles(parts["b"]))
     raise ValueError(f"unknown quotient spec: {spec!r}")
 
 

@@ -16,15 +16,19 @@ Pruning is driven by invariances the oracle itself declares:
 
 Two searches return the same outcome.  search_min, the depth-first
 engine, sweeps lengths in increasing order and walks the radix tree of
-reduced words on a GroupWalker, one stack of prefix states.  Its work is
-sharded by word prefix; shard results merge by (length, bytes) minimum, so
-the outcome is identical for any shard count or scheduling, and long
-searches checkpoint completed (length, prefix) subtrees to a versioned
-binary file and can resume after interruption.  search_mitm, the
-square-root search (Schroeppel-Shamir 1981), meets in the middle: a
-reduced word uv is a member exactly when state(u) = state(v^-1), so it
-buckets the left halves by key and looks each right half up once, at
-3^(L/2) cost per length rather than 3^L.  alpha uses it.
+reduced words on a GroupWalker, one stack of prefix states.  A child is
+pushed and then settled in its parent's loop: the balance prune, and at
+the last letter the leaf test, run there, so only an interior child that
+survives the prune costs a recursive call.  Every child is still pushed
+before it is pruned, so the pushes and leaf tests are those of one call
+per node.  The work is sharded by word prefix; shard results merge by
+(length, bytes) minimum, so the outcome is identical for any shard count
+or scheduling, and long searches checkpoint completed (length, prefix)
+subtrees to a versioned binary file and can resume after interruption.
+search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
+the middle: a reduced word uv is a member exactly when state(u) =
+state(v^-1), so it buckets the left halves by key and looks each right
+half up once, at 3^(L/2) cost per length rather than 3^L.  alpha uses it.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 pruning: an unpruned meet in the middle at every shorter length.
@@ -208,23 +212,10 @@ class KernelOracle(Oracle):
 
     def group(self):
         # state: the image of the prefix in the quotient
-        multiply, images = self.q.multiply, self.q.letter_images
-        return (self.q.identity(), lambda p, c: multiply(p, images[c]),
-                _state_key)
+        return self.q.identity(), self.q.letter_step(), _state_key
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])
-
-
-def _bump(table: Dict, key, delta: int) -> Dict:
-    """A copy of table with delta added at key; zeros are never stored."""
-    out = dict(table)
-    c = out.get(key, 0) + delta
-    if c:
-        out[key] = c
-    else:
-        del out[key]
-    return out
 
 
 def _derived_key(state):
@@ -246,20 +237,27 @@ class DerivedKernelOracle(Oracle):
     def group(self):
         # state: the image p plus both Fox derivatives projected into the
         # group ring of the quotient (see quotients.project_fox), as dicts
-        # copied on write.  A letter adds +p, an inverse letter -(p after it).
-        multiply, images = self.q.multiply, self.q.letter_images
+        # copied on write, with zeros never stored.  A letter adds +p to
+        # its generator's derivative, an inverse letter -(p after it).
+        multiply = self.q.letter_step()
 
         def step(state, c):
             p, da, db = state
-            p2 = multiply(p, images[c])
-            if c == LETTER_A:
-                da = _bump(da, p, 1)
-            elif c == LETTER_AI:
-                da = _bump(da, p2, -1)
-            elif c == LETTER_B:
-                db = _bump(db, p, 1)
+            p2 = multiply(p, c)
+            if c == LETTER_A or c == LETTER_AI:
+                table = da = dict(da)
             else:
-                db = _bump(db, p2, -1)
+                table = db = dict(db)
+            if c == LETTER_A or c == LETTER_B:
+                n = table.get(p, 0) + 1
+                g = p
+            else:
+                n = table.get(p2, 0) - 1
+                g = p2
+            if n:
+                table[g] = n
+            else:
+                del table[g]
             return p2, da, db
 
         return (self.q.identity(), {}, {}), step, _derived_key
@@ -283,12 +281,12 @@ class ZeroSumKernelOracle(KernelOracle):
 
     def group(self):
         # state: both exponent sums and the image, the identity in Z^2 x Q
-        multiply, images = self.q.multiply, self.q.letter_images
+        multiply = self.q.letter_step()
 
         def step(state, c):
             ea, eb, p = state
             da, db = _DELTA[c]
-            return ea + da, eb + db, multiply(p, images[c])
+            return ea + da, eb + db, multiply(p, c)
 
         return (0, 0, self.q.identity()), step, _state_key
 
@@ -393,46 +391,71 @@ class NotFoundBelow:
                                          repr=False)
 
 
+# reduced successors of each letter, in byte order, with exponent-sum deltas
+_CHILDREN: Dict[int, Tuple[Tuple[int, int, int], ...]] = {
+    c: tuple((d,) + _DELTA[d] for d in _ALLOWED[c]) for c in _BYTE_ORDER
+}
+
+
 def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags
                  ) -> Tuple[Optional[bytes], int]:
-    """Best (byte-least) member of length exactly L under this prefix."""
+    """Best (byte-least) member of length exactly L under this nonempty
+    prefix.
+
+    Each child is pushed on the walker and settled in its parent's loop:
+    one the balance prune cuts is popped at once, a leaf is tested there,
+    and only a surviving interior child costs a recursive call."""
     walker = oracle.make_walker()
+    push, pop, is_member = walker.push, walker.pop, walker.is_member
     balance = oracle.requires_zero_exponent_sums and flags.any()
     cyc = flags.cyclic
     ea = eb = 0
     for c in prefix:
-        walker.push(c)
+        push(c)
         da, db = _DELTA[c]
         ea += da
         eb += db
     path = bytearray(prefix)
-    inv_first = inverse_letter(prefix[0]) if prefix else None
+    inv_first = inverse_letter(prefix[0])
     best: Optional[bytes] = None
     tested = 0
 
     def rec(depth: int, ea: int, eb: int) -> None:
+        # path (depth < L letters) survived the balance prune
         nonlocal best, tested
-        rem = L - depth
-        if balance and abs(ea) + abs(eb) > rem:
+        rem = L - depth - 1  # letters left after the child
+        children = _CHILDREN[path[-1]]
+        if rem:
+            for c, da, db in children:
+                push(c)
+                ea2, eb2 = ea + da, eb + db
+                if not balance or abs(ea2) + abs(eb2) <= rem:
+                    path.append(c)
+                    rec(depth + 1, ea2, eb2)
+                    path.pop()
+                pop(c)
             return
-        if rem == 0:
-            tested += 1
-            if walker.is_member():
-                w = bytes(path)
-                if best is None or w < best:
-                    best = w
-            return
-        for c in _ALLOWED[path[-1]] if path else _BYTE_ORDER:
-            if cyc and rem == 1 and c == inv_first:
+        for c, da, db in children:
+            if cyc and c == inv_first:
                 continue
-            da, db = _DELTA[c]
-            path.append(c)
-            walker.push(c)
-            rec(depth + 1, ea + da, eb + db)
-            walker.pop(c)
-            path.pop()
+            push(c)
+            # with no letter left, the balance prune asks for both sums zero
+            if not balance or (ea + da == 0 and eb + db == 0):
+                tested += 1
+                if is_member():
+                    w = bytes(path) + bytes((c,))
+                    if best is None or w < best:
+                        best = w
+            pop(c)
 
-    rec(len(prefix), ea, eb)
+    rem = L - len(prefix)
+    if not balance or abs(ea) + abs(eb) <= rem:
+        if rem:
+            rec(len(prefix), ea, eb)
+        else:
+            tested += 1
+            if is_member():
+                best = bytes(path)
     return best, tested
 
 

@@ -221,12 +221,13 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("girth", "--workers", "0", "--quotient", "z2", "--max-len", "4"), 3),
     (("--workers", "4", "alpha", "--n", "2", "--max-len", "6"), 3),
     (("--seed", "1", "gen", "--n", "1"), 3),
+    (("girth", "--quotient", "perm:a=(1 257);b=(1 2)", "--max-len", "4"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
         "almostlaw-k", "gen-n-negative", "gen-trivial-seed",
         "verify-letters-0", "verify-letters-negative",
         "verify-seconds-negative", "girth-workers-0", "workers-before-alpha",
-        "seed-before-gen"])
+        "seed-before-gen", "girth-perm-degree-257"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)

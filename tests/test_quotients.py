@@ -1,12 +1,15 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lcslab.words import LETTERS, Word, commutator, conjugate
+from lcslab.almostlaw import _a5_block_quotient
+from lcslab.words import LETTER_A, LETTER_B, LETTERS, Word, commutator, conjugate
 from lcslab.construction import build
 from lcslab.magnus import fox_derivative, lcs_depth
 from lcslab.search import DerivedKernelOracle, KernelOracle
 from lcslab.quotients import (
+    MAX_DEGREE,
     GroupRingElement,
+    PermutationQuotient,
     cycles_string,
     free_abelian_rank2,
     in_derived_lambda,
@@ -70,11 +73,43 @@ def test_group_axioms_by_enumeration():
 
 def test_permutation_product_acts_left_factor_first():
     q = s3_transpositions()
-    x = permutation_from_cycles("(1 2)", 3)
-    y = permutation_from_cycles("(2 3)", 3)
+    x = bytes(permutation_from_cycles("(1 2)", 3))
+    y = bytes(permutation_from_cycles("(2 3)", 3))
     # point 1 -> 2 under x, then 2 -> 3 under y
-    assert q.multiply(x, y) == permutation_from_cycles("(1 3 2)", 3)
-    assert q.multiply(y, x) == permutation_from_cycles("(1 2 3)", 3)
+    assert q.multiply(x, y) == bytes(permutation_from_cycles("(1 3 2)", 3))
+    assert q.multiply(y, x) == bytes(permutation_from_cycles("(1 2 3)", 3))
+
+
+_A5_BLOCKS = _a5_block_quotient()  # 35 points, seven blocks of five
+perm_pairs = st.integers(1, MAX_DEGREE).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
+
+
+@settings(max_examples=60, deadline=None)
+@example((tuple(_A5_BLOCKS.letter_images[LETTER_A]),
+          tuple(_A5_BLOCKS.letter_images[LETTER_B])))
+@given(perm_pairs)
+def test_bytes_product_is_tuple_composition(pair):
+    x, y = pair
+    q = PermutationQuotient(x, y)
+    bx, by = bytes(x), bytes(y)
+    assert q.multiply(bx, by) == bytes(tuple(y[i] for i in x))
+    assert q.letter_step()(bx, LETTER_B) == q.multiply(bx, by)
+    e = q.identity()
+    assert e == bytes(range(len(x)))
+    assert q.multiply(bx, q.invert(bx)) == e == q.multiply(q.invert(bx), bx)
+
+
+def test_degree_limit_names_the_limit():
+    # point 256 is the last one a byte can hold
+    q = parse_quotient_spec("perm:a=(1 256);b=(1 2)")
+    assert q.degree == MAX_DEGREE == 256
+    with pytest.raises(ValueError, match="at most 256 points"):
+        parse_quotient_spec("perm:a=(1 257);b=(1 2)")
+    with pytest.raises(ValueError, match="at most 256 points"):
+        permutation_from_cycles("()", 257)
+    with pytest.raises(ValueError, match="at most 256 points"):
+        PermutationQuotient(tuple(range(257)), (1, 0))
 
 
 def test_image_is_homomorphism():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcslab import search
+from lcslab.almostlaw import seed_pool_obstruction
 from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.construction import build
 from lcslab.words import (LETTERS, Word, exponent_sums, inverse_bytes,
@@ -467,6 +468,54 @@ def test_group_keys_are_equal_exactly_when_states_are(oid):
     for s, ks in states:
         for t, kt in states:
             assert (ks == kt) == (s == t)
+
+
+# ----------------------------------------------------------------------
+# the depth-first tree: pushes and leaf tests, pinned
+
+class _CountingWalker:
+    """Counts the pushes and leaf tests the engine makes on a walker."""
+
+    def __init__(self, inner, counts):
+        self.inner, self.counts = inner, counts
+
+    def push(self, letter):
+        self.counts["pushes"] += 1
+        self.inner.push(letter)
+
+    def pop(self, letter):
+        self.inner.pop(letter)
+
+    def is_member(self):
+        self.counts["leaves"] += 1
+        return self.inner.is_member()
+
+
+def _count_walkers(monkeypatch, oracle_class):
+    counts = {"pushes": 0, "leaves": 0}
+    make_walker = oracle_class.make_walker
+    monkeypatch.setattr(oracle_class, "make_walker",
+                        lambda self: _CountingWalker(make_walker(self), counts))
+    return counts
+
+
+def test_dfs_tree_is_pinned_on_derived2(monkeypatch):
+    # every child is pushed before the balance prune may cut it, and every
+    # leaf that survives the prune is tested once
+    counts = _count_walkers(monkeypatch, DerivedKernelOracle)
+    spec = SearchSpec("derived2", 14, engine_flags(build_oracle("derived2")))
+    out, stats = search_min(spec)
+    assert out == (14, Word.parse("AABabaBAAbaBab"))
+    assert stats.tested == counts["leaves"] == 27164
+    assert counts["pushes"] == 375339
+
+
+def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
+    counts = _count_walkers(monkeypatch, ZeroSumKernelOracle)
+    obs = seed_pool_obstruction(12)
+    assert obs.outcome == NotFoundBelow(12)
+    assert obs.stats.tested == counts["leaves"] == 13848
+    assert counts["pushes"] == 193868
 
 
 # ----------------------------------------------------------------------
