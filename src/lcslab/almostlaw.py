@@ -430,8 +430,8 @@ class SeedObstruction:
         return isinstance(self.outcome, NotFoundBelow)
 
 
-def seed_pool_obstruction(max_len: int = 16, workers: int = 1,
-                          checkpoint: Optional[str] = None) -> SeedObstruction:
+def seed_pool_obstruction(max_len: int = 16, workers: int = 1
+                          ) -> SeedObstruction:
     """Exhaustively verify that no nontrivial word up to max_len letters
     vanishes on all the alternating-group pairs while having zero exponent
     sums — the two necessary conditions for a word map to stay within 1/3
@@ -440,8 +440,7 @@ def seed_pool_obstruction(max_len: int = 16, workers: int = 1,
     oracle_id = f"zerosum-{q.spec_string()}"
     spec = SearchSpec(oracle_id=oracle_id, max_len=max_len,
                       flags=SearchFlags(cyclic=True, inverse=True,
-                                        automorphism=False),
-                      checkpoint=checkpoint)
+                                        automorphism=False))
     outcome, stats = search_min(spec, workers=workers)
     return SeedObstruction(max_len=max_len, outcome=outcome, stats=stats)
 

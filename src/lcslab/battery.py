@@ -3,10 +3,10 @@ table of printed constants.
 
 `lcs-lab verify` and tests/test_acceptance.py both run these checks, so
 the two cannot disagree.  Each check takes a shared context dict
-(`workers`, `max_len_cap` from --budget-letters, `tmpdir` for
-checkpoints) and returns (status, detail).  Checks also leave what later
-readers reuse in the same dict: the level-14 construction (`seq14`), the
-alpha entries (`alpha`) and beta(2) (`beta2`).
+(`workers` and `max_len_cap` from --budget-letters) and returns
+(status, detail).  Checks also leave what later readers reuse in the
+same dict: the level-14 construction (`seq14`), the alpha entries
+(`alpha`) and beta(2) (`beta2`).
 
 Without a cap every check asserts exact values.  Under a cap a search cut
 short gives `inconclusive`, never `fail`; a certified bound that already
@@ -20,7 +20,6 @@ reachable from its closed form by neither truncation nor rounding).
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass
@@ -190,17 +189,14 @@ def _check_girth_theorem(ctx) -> Tuple[str, str]:
 
 def _check_beta2(ctx) -> Tuple[str, str]:
     cap = _cap(ctx, BETA2)
-    ckpt = os.path.join(ctx["tmpdir"], "beta2.ckpt") if ctx["tmpdir"] else None
     if cap < BETA2:
         # the structural witness lies beyond the budget; search what we can
-        outcome = girth("derived2", cap, workers=ctx["workers"],
-                        checkpoint=ckpt)
+        outcome = girth("derived2", cap, workers=ctx["workers"])
         if isinstance(outcome, NotFoundBelow):
             return "inconclusive", f"no member below {cap}; need max_len 14"
         return "fail", (f"beta(2) = {outcome.value} < {BETA2}, witness "
                         f"{outcome.witness}")
-    bracket = beta_bracket(2, max_len=BETA2, workers=ctx["workers"],
-                           checkpoint=ckpt)
+    bracket = beta_bracket(2, max_len=BETA2, workers=ctx["workers"])
     ctx["beta2"] = bracket.exact
     detail = (f"beta(2) = {bracket.exact} in [{bracket.lower}, "
               f"{bracket.upper}], witness {bracket.witness}")
@@ -300,12 +296,10 @@ def run_check(name: str, ctx: dict) -> CheckRow:
 
 
 def run_battery(workers: int = 1, budget_seconds: Optional[float] = None,
-                budget_letters: Optional[int] = None,
-                tmpdir: Optional[str] = None) -> List[CheckRow]:
+                budget_letters: Optional[int] = None) -> List[CheckRow]:
     """Run every check in order; a check that would start after the time
     budget is exhausted is marked skipped, never failed."""
-    ctx = {"workers": workers, "max_len_cap": budget_letters,
-           "tmpdir": tmpdir}
+    ctx = {"workers": workers, "max_len_cap": budget_letters}
     rows: List[CheckRow] = []
     t0 = time.monotonic()
     for name in CHECKS:

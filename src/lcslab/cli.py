@@ -28,7 +28,6 @@ import json
 import math
 import platform
 import sys
-import tempfile
 import time
 from typing import List, Optional
 
@@ -141,7 +140,7 @@ def _cmd_depth(args, t0):
 
 def _cmd_girth(args, t0):
     outcome = girth(args.quotient, args.max_len, workers=args.workers,
-                    checkpoint=args.checkpoint, no_prune=args.no_prune)
+                    no_prune=args.no_prune)
     if isinstance(outcome, NotFoundBelow):
         return EXIT_INCONCLUSIVE, {"girth": None, "witness": None,
                                    "exact": False, "searched_to": outcome.bound}
@@ -159,8 +158,7 @@ def _cmd_alpha(args, t0):
 
 
 def _cmd_beta(args, t0):
-    bracket = beta_bracket(args.n, max_len=args.max_len, workers=args.workers,
-                           checkpoint=args.checkpoint)
+    bracket = beta_bracket(args.n, max_len=args.max_len, workers=args.workers)
     result = {"n": bracket.n, "lower": bracket.lower, "upper": bracket.upper,
               "beta": bracket.exact,
               "witness": str(bracket.witness) if bracket.witness else None}
@@ -268,11 +266,9 @@ def _battery_exit(rows: List[CheckRow]) -> int:
 
 
 def _cmd_verify(args, t0):
-    with tempfile.TemporaryDirectory() as tmp:
-        rows = run_battery(workers=args.workers,
-                           budget_seconds=args.budget_seconds,
-                           budget_letters=args.budget_letters,
-                           tmpdir=tmp)
+    rows = run_battery(workers=args.workers,
+                       budget_seconds=args.budget_seconds,
+                       budget_letters=args.budget_letters)
     code = _battery_exit(rows)
     if args.format == "json":
         return code, [dataclasses.asdict(r) for r in rows]
@@ -342,7 +338,6 @@ def build_parser() -> _Parser:
                          "derived-perm:... | zerosum-perm:...")
     gi.add_argument("--max-len", type=int, required=True)
     gi.add_argument("--no-prune", action="store_true")
-    gi.add_argument("--checkpoint")
     gi.set_defaults(func=_cmd_girth)
 
     a = sub.add_parser("alpha", help="minimal length at a filtration depth")
@@ -354,7 +349,6 @@ def build_parser() -> _Parser:
                        help="minimal length in a derived subgroup")
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--max-len", type=int, default=14)
-    b.add_argument("--checkpoint")
     b.set_defaults(func=_cmd_beta)
 
     v = sub.add_parser("verify", parents=[workers, letters, seconds],

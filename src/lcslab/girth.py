@@ -38,8 +38,8 @@ class GirthResult:
 
 
 def girth(oracle_id: str, max_len: int, workers: int = 1,
-          checkpoint: Optional[str] = None, reverify: bool = True,
-          no_prune: bool = False) -> Union[GirthResult, NotFoundBelow]:
+          reverify: bool = True, no_prune: bool = False
+          ) -> Union[GirthResult, NotFoundBelow]:
     """Length of the shortest nontrivial member, by exhaustive search.
 
     Either outcome carries the engine counters as `stats`.  A hit is
@@ -53,8 +53,7 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
         raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
     flags = SearchFlags() if no_prune else engine_flags(oracle)
-    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags,
-                      checkpoint=checkpoint)
+    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags)
     outcome, stats = search_min(spec, workers=workers)
     if isinstance(outcome, NotFoundBelow):
         return dataclasses.replace(outcome, stats=stats)
@@ -106,8 +105,8 @@ class BetaBracket:
     witness: Optional[Word]
 
 
-def beta_bracket(n: int = 2, max_len: int = 14, workers: int = 1,
-                 checkpoint: Optional[str] = None) -> BetaBracket:
+def beta_bracket(n: int = 2, max_len: int = 14, workers: int = 1
+                 ) -> BetaBracket:
     """Bracket for the shortest nontrivial word in the n-th derived subgroup.
 
     The lower bound is 3^n; the upper bound is the recursive family's
@@ -126,8 +125,7 @@ def beta_bracket(n: int = 2, max_len: int = 14, workers: int = 1,
     if oracle_id is None:
         return BetaBracket(n=n, lower=lower, upper=upper, exact=None,
                            witness=None)
-    result = girth(oracle_id, max_len=max(max_len, upper), workers=workers,
-                   checkpoint=checkpoint)
+    result = girth(oracle_id, max_len=max(max_len, upper), workers=workers)
     if isinstance(result, NotFoundBelow):  # cannot happen: upper is a member
         raise AssertionError("search missed the structural witness")
     if not (lower <= result.value <= upper):

@@ -21,14 +21,13 @@ pushed and then settled in its parent's loop: the balance prune, and at
 the last letter the leaf test, run there, so only an interior child that
 survives the prune costs a recursive call.  Every child is still pushed
 before it is pruned, so the pushes and leaf tests are those of one call
-per node.  The work is sharded by word prefix; shard results merge by
-(length, bytes) minimum, so the outcome is identical for any shard count
-or scheduling, and long searches checkpoint completed (length, prefix)
-subtrees to a versioned binary file and can resume after interruption.
-search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
-the middle: a reduced word uv is a member exactly when state(u) =
-state(v^-1), so it buckets the left halves by key and looks each right
-half up once, at 3^(L/2) cost per length rather than 3^L.  alpha uses it.
+per node.  The work is sharded by word prefix, and each length's shard
+results merge in memory by bytes minimum, so the outcome and the counts
+are identical for any shard count or scheduling.  search_mitm, the
+square-root search (Schroeppel-Shamir 1981), meets in the middle: a
+reduced word uv is a member exactly when state(u) = state(v^-1), so it
+buckets the left halves by key and looks each right half up once, at
+3^(L/2) cost per length rather than 3^L.  alpha uses it.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 pruning: an unpruned meet in the middle at every shorter length.
@@ -36,9 +35,6 @@ pruning: an unpruned meet in the middle at every shorter length.
 
 from __future__ import annotations
 
-import json
-import os
-import struct
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from operator import add, sub
@@ -365,20 +361,11 @@ class SearchSpec:
     oracle_id: str
     max_len: int
     flags: SearchFlags
-    checkpoint: Optional[str] = None
-
-    def fingerprint(self) -> dict:
-        return {"engine": "dfs", "oracle": self.oracle_id,
-                "max_len": self.max_len,
-                "cyclic": self.flags.cyclic, "inverse": self.flags.inverse,
-                "automorphism": self.flags.automorphism}
 
 
 @dataclass
 class SearchStats:
     tested: int = 0
-    lengths_completed: List[int] = field(default_factory=list)
-    resumed_tasks: int = 0
 
 
 @dataclass(frozen=True)
@@ -467,8 +454,7 @@ def _pool_task(args):
     oracle = _WORKER_ORACLES.get(oracle_id)
     if oracle is None:
         oracle = _WORKER_ORACLES[oracle_id] = build_oracle(oracle_id)
-    best, tested = _scan_prefix(oracle, prefix, L, flags)
-    return prefix, L, best, tested
+    return _scan_prefix(oracle, prefix, L, flags)
 
 
 def _prefixes(L: int, flags: SearchFlags) -> List[bytes]:
@@ -482,52 +468,6 @@ def _prefixes(L: int, flags: SearchFlags) -> List[bytes]:
     return out
 
 
-_CKPT_MAGIC = b"LCSSRCH"
-_CKPT_VERSION = 2  # 2: the spec names the engine
-
-
-def _load_checkpoint(path: str, fingerprint: dict) -> Dict[Tuple[int, bytes], Optional[bytes]]:
-    if not path or not os.path.exists(path):
-        return {}
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < len(_CKPT_MAGIC) + 8 or raw[:len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"checkpoint corruption: bad magic in {path}")
-    off = len(_CKPT_MAGIC)
-    version, length = struct.unpack_from("<II", raw, off)
-    if version != _CKPT_VERSION:
-        raise ValueError(f"checkpoint corruption: unsupported version {version}")
-    payload = raw[off + 8: off + 8 + length]
-    if len(payload) != length:
-        raise ValueError(f"checkpoint corruption: truncated payload in {path}")
-    doc = json.loads(payload.decode("utf-8"))
-    if doc.get("spec") != fingerprint:
-        raise ValueError("checkpoint does not match this search specification")
-    done = {}
-    for entry in doc["completed"]:
-        best = entry["best"]
-        done[(entry["length"], entry["prefix"].encode("ascii"))] = (
-            best.encode("ascii") if best is not None else None)
-    return done
-
-
-def _save_checkpoint(path: str, fingerprint: dict,
-                     done: Dict[Tuple[int, bytes], Optional[bytes]]) -> None:
-    doc = {"spec": fingerprint,
-           "completed": [
-               {"length": L, "prefix": p.decode("ascii"),
-                "best": b.decode("ascii") if b is not None else None}
-               for (L, p), b in sorted(done.items())]}
-    payload = json.dumps(doc, sort_keys=True).encode("utf-8")
-    blob = _CKPT_MAGIC + struct.pack("<II", _CKPT_VERSION, len(payload)) + payload
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())  # the rename must never expose a torn file
-    os.replace(tmp, path)
-
-
 def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]:
     """Shortest member (as (length, canonical witness Word)) or NotFoundBelow.
 
@@ -539,36 +479,22 @@ def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
     stats = SearchStats()
-    done = _load_checkpoint(spec.checkpoint, spec.fingerprint()) if spec.checkpoint else {}
-    stats.resumed_tasks = len(done)
     pool = Pool(workers) if workers > 1 else None
     try:
         for L in range(1, spec.max_len + 1):
             if oracle.requires_zero_exponent_sums and L % 2 and flags.any():
-                stats.lengths_completed.append(L)
                 continue
-            prefixes = [p for p in _prefixes(L, flags) if len(p) <= L]
-            todo = [(spec.oracle_id, p, L, flags)
-                    for p in prefixes if (L, p) not in done]
+            todo = [(spec.oracle_id, p, L, flags) for p in _prefixes(L, flags)]
             results = pool.imap_unordered(_pool_task, todo) if pool is not None \
                 else map(_pool_task, todo)
-            pending_save = 0
-            for prefix, length, best, tested in results:
-                done[(length, prefix)] = best
+            hits = []
+            for best, tested in results:
                 stats.tested += tested
-                pending_save += 1
-                # checkpoint granularity: completed prefix subtrees, batched
-                if spec.checkpoint and pending_save >= 8:
-                    _save_checkpoint(spec.checkpoint, spec.fingerprint(), done)
-                    pending_save = 0
-            if spec.checkpoint and pending_save:
-                _save_checkpoint(spec.checkpoint, spec.fingerprint(), done)
-            stats.lengths_completed.append(L)
-            hits = [b for (length, _), b in done.items()
-                    if length == L and b is not None]
+                if best is not None:
+                    hits.append(best)
             if hits:
-                witness = min(hits)
-                return (L, Word.from_reduced(canonical_bytes(witness, flags))), stats
+                witness = canonical_bytes(min(hits), flags)
+                return (L, Word.from_reduced(witness)), stats
     finally:
         if pool is not None:
             pool.close()
@@ -637,6 +563,8 @@ def search_mitm(oracle_id: str, max_len: int):
     conjugation-invariant.  The byte-least member of the minimal length
     is returned in canonical form, as search_min does.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
     flags = engine_flags(oracle)
     roots = b"A" if flags.automorphism else _BYTE_ORDER

@@ -222,12 +222,20 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("--workers", "4", "alpha", "--n", "2", "--max-len", "6"), 3),
     (("--seed", "1", "gen", "--n", "1"), 3),
     (("girth", "--quotient", "perm:a=(1 257);b=(1 2)", "--max-len", "4"), 3),
+    (("alpha", "--n", "2", "--max-len", "0"), 3),
+    (("alpha", "--n", "2", "--max-len", "-3"), 3),
+    (("report", "--max-len", "0"), 3),
+    (("girth", "--quotient", "z2", "--max-len", "0"), 3),
+    (("girth", "--quotient", "z2", "--max-len", "4", "--checkpoint", "x"), 3),
+    (("beta", "--checkpoint", "x"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
         "almostlaw-k", "gen-n-negative", "gen-trivial-seed",
         "verify-letters-0", "verify-letters-negative",
         "verify-seconds-negative", "girth-workers-0", "workers-before-alpha",
-        "seed-before-gen", "girth-perm-degree-257"])
+        "seed-before-gen", "girth-perm-degree-257", "alpha-cap-0",
+        "alpha-cap-negative", "report-cap-0", "girth-cap-0",
+        "girth-checkpoint", "beta-checkpoint"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)
@@ -301,7 +309,7 @@ def test_battery_exit_mapping():
 
 
 def _ctx(max_len_cap=None):
-    return {"workers": 1, "max_len_cap": max_len_cap, "tmpdir": None}
+    return {"workers": 1, "max_len_cap": max_len_cap}
 
 
 def test_battery_checks_detect_tampering(monkeypatch):
