@@ -430,8 +430,7 @@ class SeedObstruction:
         return isinstance(self.outcome, NotFoundBelow)
 
 
-def seed_pool_obstruction(max_len: int = 16, workers: int = 1
-                          ) -> SeedObstruction:
+def seed_pool_obstruction(max_len: int = 16) -> SeedObstruction:
     """Exhaustively verify that no nontrivial word up to max_len letters
     vanishes on all the alternating-group pairs while having zero exponent
     sums — the two necessary conditions for a word map to stay within 1/3
@@ -441,7 +440,7 @@ def seed_pool_obstruction(max_len: int = 16, workers: int = 1
     spec = SearchSpec(oracle_id=oracle_id, max_len=max_len,
                       flags=SearchFlags(cyclic=True, inverse=True,
                                         automorphism=False))
-    outcome, stats = search_min(spec, workers=workers)
+    outcome, stats = search_min(spec)
     return SeedObstruction(max_len=max_len, outcome=outcome, stats=stats)
 
 
@@ -457,8 +456,8 @@ class SeedSearchReport:
         return self.sampled[0]
 
 
-def seed_search(max_len: int = 16, samples: int = 2000, seed: int = 7,
-                workers: int = 1) -> SeedSearchReport:
+def seed_search(max_len: int = 16, samples: int = 2000, seed: int = 7
+                ) -> SeedSearchReport:
     """The whole pipeline: pool, sampled ranking, exhaustive obstruction."""
     pool = seed_candidate_pool(max_len)
     sampled = []
@@ -466,7 +465,7 @@ def seed_search(max_len: int = 16, samples: int = 2000, seed: int = 7,
         est = estimate_L(w, samples=samples, polish_steps=60, seed=seed)
         sampled.append((w, est.lower))
     sampled.sort(key=lambda t: (t[1], len(t[0]), t[0].data))
-    obstruction = seed_pool_obstruction(max_len=max_len, workers=workers)
+    obstruction = seed_pool_obstruction(max_len=max_len)
     admissible = tuple(w for w, lo in sampled
                        if lo <= SEED_THRESHOLD and not obstruction.no_admissible_seed)
     return SeedSearchReport(pool=tuple(pool), sampled=tuple(sampled),

@@ -3,10 +3,10 @@ table of printed constants.
 
 `lcs-lab verify` and tests/test_acceptance.py both run these checks, so
 the two cannot disagree.  Each check takes a shared context dict
-(`workers` and `max_len_cap` from --budget-letters) and returns
-(status, detail).  Checks also leave what later readers reuse in the
-same dict: the level-14 construction (`seq14`), the alpha entries
-(`alpha`) and beta(2) (`beta2`).
+(`max_len_cap`, from --budget-letters) and returns (status, detail).
+Checks also leave what later readers reuse in the same dict: the
+level-14 construction (`seq14`), the alpha entries (`alpha`) and beta(2)
+(`beta2`).
 
 Without a cap every check asserts exact values.  Under a cap a search cut
 short gives `inconclusive`, never `fail`; a certified bound that already
@@ -168,8 +168,7 @@ def _check_girth_theorem(ctx) -> Tuple[str, str]:
     lines = []
     for label, spec, (kernel, derived) in THREE_X:
         try:
-            rep = verify_three_x(parse_quotient_spec(spec), max_len=cap,
-                                 workers=ctx["workers"])
+            rep = verify_three_x(parse_quotient_spec(spec), max_len=cap)
         except NotFoundBelowError as ex:
             return "inconclusive", (f"{label}: kernel girth not found below "
                                     f"{ex.bound}")
@@ -191,12 +190,12 @@ def _check_beta2(ctx) -> Tuple[str, str]:
     cap = _cap(ctx, BETA2)
     if cap < BETA2:
         # the structural witness lies beyond the budget; search what we can
-        outcome = girth("derived2", cap, workers=ctx["workers"])
+        outcome = girth("derived2", cap)
         if isinstance(outcome, NotFoundBelow):
             return "inconclusive", f"no member below {cap}; need max_len 14"
         return "fail", (f"beta(2) = {outcome.value} < {BETA2}, witness "
                         f"{outcome.witness}")
-    bracket = beta_bracket(2, max_len=BETA2, workers=ctx["workers"])
+    bracket = beta_bracket(2, max_len=BETA2)
     ctx["beta2"] = bracket.exact
     detail = (f"beta(2) = {bracket.exact} in [{bracket.lower}, "
               f"{bracket.upper}], witness {bracket.witness}")
@@ -232,8 +231,7 @@ def _check_almostlaw(ctx) -> Tuple[str, str]:
     # machinery itself (sampling, grid certification, bound propagation,
     # the decay table) is exercised green in tests/test_almostlaw.py.
     cap = _cap(ctx, 16)
-    report = almostlaw.seed_search(max_len=cap, samples=10_000, seed=7,
-                                   workers=ctx["workers"])
+    report = almostlaw.seed_search(max_len=cap, samples=10_000, seed=7)
     if not report.pool:
         return "fail", (f"no admissible certified seed: every seed "
                         f"candidate is longer than the letter budget {cap}")
@@ -295,11 +293,11 @@ def run_check(name: str, ctx: dict) -> CheckRow:
     return CheckRow(name, status, detail, round(time.monotonic() - t0, 2))
 
 
-def run_battery(workers: int = 1, budget_seconds: Optional[float] = None,
+def run_battery(budget_seconds: Optional[float] = None,
                 budget_letters: Optional[int] = None) -> List[CheckRow]:
     """Run every check in order; a check that would start after the time
     budget is exhausted is marked skipped, never failed."""
-    ctx = {"workers": workers, "max_len_cap": budget_letters}
+    ctx = {"max_len_cap": budget_letters}
     rows: List[CheckRow] = []
     t0 = time.monotonic()
     for name in CHECKS:

@@ -1,17 +1,16 @@
 """Command-line front end: generation, depth, girths, tables, the full
 verification battery, and the word-map decay experiment.
 
-Every output artifact embeds its own configuration, the library versions,
-the worker count, and the wall-clock time; with a fixed config and seed the
-output is byte-identical across runs except for the timing fields.  JSON
-for machine reading, CSV for tables, both UTF-8 with LF line endings and
-`.` as the decimal separator (sources that print comma decimals are
+Every output artifact embeds its own configuration, the library versions
+and the wall-clock time; with a fixed config and seed the output is
+byte-identical across runs except for the timing fields.  JSON for
+machine reading, CSV for tables, both UTF-8 with LF line endings and `.`
+as the decimal separator (sources that print comma decimals are
 normalized).
 
 Only `--out` is global.  Every other flag sits on the subcommands that
-read it: `--workers` on girth, beta, report, verify and almostlaw, `--seed`
-on almostlaw, `--budget-letters` on gen and verify, `--budget-seconds` on
-verify.  gen, depth and alpha run in one process and echo `"workers": 1`.
+read it: `--seed` on almostlaw, `--budget-letters` on gen and verify,
+`--budget-seconds` on verify.
 
 `main` is the one runner: it starts the timer, wraps each result in the
 envelope, and maps outcomes to exit codes: 0 success, 1 check failure (an
@@ -90,7 +89,6 @@ def _envelope(args, t0: float, result) -> dict:
     return {"config": {k: v for k, v in sorted(vars(args).items())
                        if k != "func"},
             "versions": _versions(),
-            "workers": getattr(args, "workers", 1),
             "elapsed_seconds": round(time.monotonic() - t0, 3),
             "result": result}
 
@@ -139,8 +137,7 @@ def _cmd_depth(args, t0):
 
 
 def _cmd_girth(args, t0):
-    outcome = girth(args.quotient, args.max_len, workers=args.workers,
-                    no_prune=args.no_prune)
+    outcome = girth(args.quotient, args.max_len)
     if isinstance(outcome, NotFoundBelow):
         return EXIT_INCONCLUSIVE, {"girth": None, "witness": None,
                                    "exact": False, "searched_to": outcome.bound}
@@ -158,7 +155,7 @@ def _cmd_alpha(args, t0):
 
 
 def _cmd_beta(args, t0):
-    bracket = beta_bracket(args.n, max_len=args.max_len, workers=args.workers)
+    bracket = beta_bracket(args.n, max_len=args.max_len)
     result = {"n": bracket.n, "lower": bracket.lower, "upper": bracket.upper,
               "beta": bracket.exact,
               "witness": str(bracket.witness) if bracket.witness else None}
@@ -176,7 +173,7 @@ def _cmd_report(args, t0):
         entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
     betas = {}
     for n in range(1, args.beta_n_max + 1):
-        b = beta_bracket(n, max_len=args.max_len, workers=args.workers)
+        b = beta_bracket(n, max_len=args.max_len)
         if b.exact is not None:
             betas[n] = b.exact
     return EXIT_OK, {
@@ -204,7 +201,7 @@ def _cmd_almostlaw(args, t0):
             "# HYPOTHETICAL: the level-0 bound below is an assumption "
             "(no certificate exists; see the almostlaw refusal report)",
             *(f"# {k}: {json.dumps(env[k], sort_keys=True)}"
-              for k in ("config", "versions", "workers", "elapsed_seconds")),
+              for k in ("config", "versions", "elapsed_seconds")),
             f"# d_hat: {table.d_hat:.12g}",
             f"# exponent_hat: {table.exponent_hat:.12g}",
         ]
@@ -220,8 +217,7 @@ def _cmd_almostlaw(args, t0):
     if args.certify_eps is not None and not args.certify_eps > 0:
         raise ValueError("--certify-eps must be positive")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
-                                   samples=args.samples, seed=args.seed,
-                                   workers=args.workers)
+                                   samples=args.samples, seed=args.seed)
     best_word, best_lower = report.best
     result = {
         "admissible_seeds": [str(w) for w in report.admissible],
@@ -266,8 +262,7 @@ def _battery_exit(rows: List[CheckRow]) -> int:
 
 
 def _cmd_verify(args, t0):
-    rows = run_battery(workers=args.workers,
-                       budget_seconds=args.budget_seconds,
+    rows = run_battery(budget_seconds=args.budget_seconds,
                        budget_letters=args.budget_letters)
     code = _battery_exit(rows)
     if args.format == "json":
@@ -309,8 +304,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="lcs-lab", description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write output to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
-    workers = _flag("--workers", type=_at_least(1), default=1,
-                    help="process count for sharded searches")
     seed = _flag("--seed", type=int, default=0, help="random seed")
     letters = _flag("--budget-letters", type=_at_least(1), default=None,
                     help="cap on total letters / search length")
@@ -330,14 +323,13 @@ def build_parser() -> _Parser:
     d.add_argument("--max-degree", type=int, default=8)
     d.set_defaults(func=_cmd_depth)
 
-    gi = sub.add_parser("girth", parents=[workers],
+    gi = sub.add_parser("girth",
                         help="shortest nontrivial member of a kernel or "
                              "filtration subgroup")
     gi.add_argument("--quotient", required=True,
                     help="z2 | perm:a=(..);b=(..) | lcs:<n> | derived2 | "
                          "derived-perm:... | zerosum-perm:...")
     gi.add_argument("--max-len", type=int, required=True)
-    gi.add_argument("--no-prune", action="store_true")
     gi.set_defaults(func=_cmd_girth)
 
     a = sub.add_parser("alpha", help="minimal length at a filtration depth")
@@ -345,18 +337,17 @@ def build_parser() -> _Parser:
     a.add_argument("--max-len", type=int, required=True)
     a.set_defaults(func=_cmd_alpha)
 
-    b = sub.add_parser("beta", parents=[workers],
-                       help="minimal length in a derived subgroup")
+    b = sub.add_parser("beta", help="minimal length in a derived subgroup")
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--max-len", type=int, default=14)
     b.set_defaults(func=_cmd_beta)
 
-    v = sub.add_parser("verify", parents=[workers, letters, seconds],
+    v = sub.add_parser("verify", parents=[letters, seconds],
                        help="run the full verification battery")
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.set_defaults(func=_cmd_verify)
 
-    al = sub.add_parser("almostlaw", parents=[workers, seed],
+    al = sub.add_parser("almostlaw", parents=[seed],
                         help="word-map decay experiment")
     al.add_argument("--n-max", type=int, default=8)
     al.add_argument("--samples", type=int, default=10_000)
@@ -367,8 +358,7 @@ def build_parser() -> _Parser:
                          "(uncertified, clearly labeled) start bound")
     al.set_defaults(func=_cmd_almostlaw)
 
-    r = sub.add_parser("report", parents=[workers],
-                       help="constants and finite-scale tables")
+    r = sub.add_parser("report", help="constants and finite-scale tables")
     r.add_argument("--alpha-n-max", type=int, default=2)
     r.add_argument("--beta-n-max", type=int, default=0)
     r.add_argument("--max-len", type=int, default=14)

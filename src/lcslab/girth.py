@@ -14,7 +14,6 @@ from .quotients import QuotientGroup
 from .search import (
     NotFoundBelow,
     NotFoundBelowError,
-    SearchFlags,
     SearchSpec,
     SearchStats,
     build_oracle,
@@ -37,8 +36,7 @@ class GirthResult:
             raise ValueError("witness length disagrees with girth value")
 
 
-def girth(oracle_id: str, max_len: int, workers: int = 1,
-          reverify: bool = True, no_prune: bool = False
+def girth(oracle_id: str, max_len: int, reverify: bool = True
           ) -> Union[GirthResult, NotFoundBelow]:
     """Length of the shortest nontrivial member, by exhaustive search.
 
@@ -46,15 +44,13 @@ def girth(oracle_id: str, max_len: int, workers: int = 1,
     re-verified by verify_minimum, an unpruned meet in the middle over
     every shorter reduced word, unless reverify is off; a disagreement
     raises AssertionError.  NotFoundBelow is an explicit outcome, never an
-    absence claim beyond the bound.  no_prune turns off every prune of
-    the search itself (symmetry classes, balance, odd-length skip).
+    absence claim beyond the bound.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    oracle = build_oracle(oracle_id)
-    flags = SearchFlags() if no_prune else engine_flags(oracle)
-    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len, flags=flags)
-    outcome, stats = search_min(spec, workers=workers)
+    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len,
+                      flags=engine_flags(build_oracle(oracle_id)))
+    outcome, stats = search_min(spec)
     if isinstance(outcome, NotFoundBelow):
         return dataclasses.replace(outcome, stats=stats)
     length, witness = outcome
@@ -74,18 +70,17 @@ class ThreeXReport:
     factor_ok: Optional[bool]    # None = inconclusive
 
 
-def verify_three_x(q: QuotientGroup, max_len: int, workers: int = 1
-                   ) -> ThreeXReport:
+def verify_three_x(q: QuotientGroup, max_len: int) -> ThreeXReport:
     """Check girth([kernel, kernel]) >= 3 * girth(kernel) for the quotient.
 
     Raises NotFoundBelowError when the kernel girth lies beyond max_len."""
     spec_string = q.spec_string()
     kernel_id = "z2" if spec_string == "z2" else spec_string
     derived_id = "derived2" if spec_string == "z2" else f"derived-{spec_string}"
-    g1 = girth(kernel_id, max_len, workers=workers)
+    g1 = girth(kernel_id, max_len)
     if isinstance(g1, NotFoundBelow):
         raise NotFoundBelowError(g1.bound)
-    g2 = girth(derived_id, max_len, workers=workers)
+    g2 = girth(derived_id, max_len)
     if isinstance(g2, NotFoundBelow):
         lower = g2.bound + 1
         ok = True if lower >= 3 * g1.value else None
@@ -105,8 +100,7 @@ class BetaBracket:
     witness: Optional[Word]
 
 
-def beta_bracket(n: int = 2, max_len: int = 14, workers: int = 1
-                 ) -> BetaBracket:
+def beta_bracket(n: int = 2, max_len: int = 14) -> BetaBracket:
     """Bracket for the shortest nontrivial word in the n-th derived subgroup.
 
     The lower bound is 3^n; the upper bound is the recursive family's
@@ -125,7 +119,7 @@ def beta_bracket(n: int = 2, max_len: int = 14, workers: int = 1
     if oracle_id is None:
         return BetaBracket(n=n, lower=lower, upper=upper, exact=None,
                            witness=None)
-    result = girth(oracle_id, max_len=max(max_len, upper), workers=workers)
+    result = girth(oracle_id, max_len=max(max_len, upper))
     if isinstance(result, NotFoundBelow):  # cannot happen: upper is a member
         raise AssertionError("search missed the structural witness")
     if not (lower <= result.value <= upper):

@@ -249,9 +249,9 @@ class Depth:
 
 def lcs_depth(w: Word, D: int) -> Depth:
     """Lower-central-series depth of w, decided up to degree D."""
+    _check_degree(D)
     if not w:
         return Depth.infinite()
-    _check_degree(D)
     if exponent_sums(w) != (0, 0):  # the degree-1 terms
         return Depth.exact(1)
     series = expand(w, D)
@@ -263,6 +263,7 @@ def lcs_depth(w: Word, D: int) -> Depth:
 
 def depth_terms(w: Word, D: int) -> Tuple[Depth, List[Tuple[str, int]]]:
     """Depth plus the nonzero terms at the depth degree (for reporting)."""
+    _check_degree(D)
     if not w:
         return Depth.infinite(), []
     series = expand(w, D)

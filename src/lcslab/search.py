@@ -21,13 +21,13 @@ pushed and then settled in its parent's loop: the balance prune, and at
 the last letter the leaf test, run there, so only an interior child that
 survives the prune costs a recursive call.  Every child is still pushed
 before it is pruned, so the pushes and leaf tests are those of one call
-per node.  The work is sharded by word prefix, and each length's shard
-results merge in memory by bytes minimum, so the outcome and the counts
-are identical for any shard count or scheduling.  search_mitm, the
-square-root search (Schroeppel-Shamir 1981), meets in the middle: a
-reduced word uv is a member exactly when state(u) = state(v^-1), so it
-buckets the left halves by key and looks each right half up once, at
-3^(L/2) cost per length rather than 3^L.  alpha uses it.
+per node.  Each length is walked from its one- or two-letter prefixes in
+turn, on a fresh walker each, and their hits merge by bytes minimum.
+search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
+the middle: a reduced word uv is a member exactly when state(u) =
+state(v^-1), so it buckets the left halves by key and looks each right
+half up once, at 3^(L/2) cost per length rather than 3^L.  alpha uses
+it.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 pruning: an unpruned meet in the middle at every shorter length.
@@ -36,7 +36,6 @@ pruning: an unpruned meet in the middle at every shorter length.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from operator import add, sub
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -354,7 +353,7 @@ def engine_flags(oracle: Oracle) -> SearchFlags:
 
 
 # ----------------------------------------------------------------------
-# sharded minimum search
+# depth-first minimum search
 
 @dataclass(frozen=True)
 class SearchSpec:
@@ -446,17 +445,6 @@ def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags
     return best, tested
 
 
-_WORKER_ORACLES: Dict[str, Oracle] = {}
-
-
-def _pool_task(args):
-    oracle_id, prefix, L, flags = args
-    oracle = _WORKER_ORACLES.get(oracle_id)
-    if oracle is None:
-        oracle = _WORKER_ORACLES[oracle_id] = build_oracle(oracle_id)
-    return _scan_prefix(oracle, prefix, L, flags)
-
-
 def _prefixes(L: int, flags: SearchFlags) -> List[bytes]:
     roots = b"A" if flags.automorphism else _BYTE_ORDER
     if L <= 2:
@@ -468,37 +456,29 @@ def _prefixes(L: int, flags: SearchFlags) -> List[bytes]:
     return out
 
 
-def search_min(spec: SearchSpec, workers: int = 1) -> Tuple[object, SearchStats]:
+def search_min(spec: SearchSpec) -> Tuple[object, SearchStats]:
     """Shortest member (as (length, canonical witness Word)) or NotFoundBelow.
 
-    Sweeps lengths in increasing order; within a length, all prefix tasks
-    complete and merge by byte-least witness, so results do not depend on
-    worker scheduling or shard count.  With no symmetry flag set the search
-    is unpruned: no balance prune and no odd-length skip either.
+    Sweeps lengths in increasing order; within a length, every prefix of
+    _prefixes is scanned on its own walker and the hits merge by byte-least
+    witness.  With no symmetry flag set the search is unpruned: no balance
+    prune and no odd-length skip either.
     """
     oracle = build_oracle(spec.oracle_id)
     flags = spec.flags
     stats = SearchStats()
-    pool = Pool(workers) if workers > 1 else None
-    try:
-        for L in range(1, spec.max_len + 1):
-            if oracle.requires_zero_exponent_sums and L % 2 and flags.any():
-                continue
-            todo = [(spec.oracle_id, p, L, flags) for p in _prefixes(L, flags)]
-            results = pool.imap_unordered(_pool_task, todo) if pool is not None \
-                else map(_pool_task, todo)
-            hits = []
-            for best, tested in results:
-                stats.tested += tested
-                if best is not None:
-                    hits.append(best)
-            if hits:
-                witness = canonical_bytes(min(hits), flags)
-                return (L, Word.from_reduced(witness)), stats
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+    for L in range(1, spec.max_len + 1):
+        if oracle.requires_zero_exponent_sums and L % 2 and flags.any():
+            continue
+        hits = []
+        for prefix in _prefixes(L, flags):
+            best, tested = _scan_prefix(oracle, prefix, L, flags)
+            stats.tested += tested
+            if best is not None:
+                hits.append(best)
+        if hits:
+            witness = canonical_bytes(min(hits), flags)
+            return (L, Word.from_reduced(witness)), stats
     return NotFoundBelow(spec.max_len), stats
 
 

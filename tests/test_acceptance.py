@@ -30,19 +30,19 @@ import pytest
 from lcslab import battery
 from lcslab.girth import beta_bracket
 
-# battery check -> (test name, runtime budget in seconds, workers)
+# battery check -> (test name, runtime budget in seconds)
 CRITERIA = {
-    "construction-lengths": ("lengths", 10, 1),
-    "no-cancellation": ("no_cancellation", 10, 1),
-    "word-identities": ("identities", 30, 1),
-    "magnus-depths": ("depths", 300, 1),
-    "depth-laws": ("depth_laws", 120, 1),
-    "alpha-table": ("alpha_table", 600, 1),
-    "girth-theorem": ("girth_factor_three", 600, 1),
-    "beta2-bracket": ("beta2_bracket", 1800, 2),
-    "nielsen-reduction": ("nielsen", 120, 1),
-    "almost-law": ("almost_law_decay", 600, 1),
-    "constants-report": ("constants", 1, 1),
+    "construction-lengths": ("lengths", 10),
+    "no-cancellation": ("no_cancellation", 10),
+    "word-identities": ("identities", 30),
+    "magnus-depths": ("depths", 300),
+    "depth-laws": ("depth_laws", 120),
+    "alpha-table": ("alpha_table", 600),
+    "girth-theorem": ("girth_factor_three", 600),
+    "beta2-bracket": ("beta2_bracket", 1800),
+    "nielsen-reduction": ("nielsen", 120),
+    "almost-law": ("almost_law_decay", 600),
+    "constants-report": ("constants", 1),
 }
 assert list(CRITERIA) == list(battery.CHECKS)
 
@@ -50,7 +50,7 @@ assert list(CRITERIA) == list(battery.CHECKS)
 @pytest.fixture(scope="module")
 def ctx():
     # shared across the module: the construction, alpha entries and beta(2)
-    return {"workers": 1, "max_len_cap": None}
+    return {"max_len_cap": None}
 
 
 def _report(tag, ok, seconds, detail, budget):
@@ -61,9 +61,8 @@ def _report(tag, ok, seconds, detail, budget):
     assert seconds < budget, f"[{tag}] over budget: {seconds:.1f}s >= {budget}s"
 
 
-def _criterion_test(number, name, budget, workers):
+def _criterion_test(number, name, budget):
     def test(ctx):
-        ctx["workers"] = workers
         row = battery.run_check(name, ctx)
         _report(f"criterion-{number:02d} {name}", row.status == "pass",
                 row.seconds, row.detail, budget)
@@ -72,10 +71,9 @@ def _criterion_test(number, name, budget, workers):
     return test
 
 
-for _number, (_name, (_stem, _budget, _workers)) in enumerate(
-        CRITERIA.items(), 1):
+for _number, (_name, (_stem, _budget)) in enumerate(CRITERIA.items(), 1):
     globals()[f"test_criterion_{_number:02d}_{_stem}"] = _criterion_test(
-        _number, _name, _budget, _workers)
+        _number, _name, _budget)
 
 
 def test_quotient_tables_consistency(ctx):

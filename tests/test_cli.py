@@ -36,7 +36,7 @@ def test_gen_envelope_and_determinism():
     assert r["derivation"]["n"] == 2
     assert one["config"]["command"] == "gen"
     assert "numpy" in one["versions"]
-    assert one["workers"] == 1
+    assert "workers" not in one
 
 
 def test_gen_custom_seeds():
@@ -60,7 +60,7 @@ def test_depth_output():
     terms = {t["monomial"]: t["coeff"]
              for t in doc["result"]["nonzero_terms_at_depth"]}
     assert terms == {"ab": 1, "ba": -1}
-    assert doc["workers"] == 1
+    assert "workers" not in doc
     doc = run_json("depth", "--word", "", "--max-degree", "4")
     assert doc["result"]["depth"] == {"kind": "infinite", "value": None}
 
@@ -117,13 +117,6 @@ def test_girth_reverifies_every_minimum(monkeypatch, capsys):
     assert "disagree" in capsys.readouterr().err
 
 
-def test_girth_no_prune_agrees():
-    pruned = run_json("girth", "--quotient", "z2", "--max-len", "4")
-    plain = run_json("girth", "--quotient", "z2", "--max-len", "4",
-                     "--no-prune")
-    assert pruned["result"]["girth"] == plain["result"]["girth"] == 4
-
-
 def test_girth_bad_oracle_is_usage_error():
     run_cli("girth", "--quotient", "bogus", "--max-len", "4", expect=3)
 
@@ -132,7 +125,7 @@ def test_alpha_values_and_inconclusive():
     doc = run_json("alpha", "--n", "2", "--max-len", "6")
     assert doc["result"]["alpha"] == 4
     assert doc["result"]["exact"] is True
-    assert doc["workers"] == 1
+    assert "workers" not in doc
     run_cli("alpha", "--n", "4", "--max-len", "6", expect=2)
 
 
@@ -207,6 +200,8 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
 @pytest.mark.parametrize("argv, expect", [
     (("depth", "--word", "abAB", "--max-degree", "0"), 3),
     (("depth", "--word", "abAB", "--max-degree", "30"), 3),
+    (("depth", "--word", "1", "--max-degree", "0"), 3),
+    (("depth", "--word", "1", "--max-degree", "30"), 3),
     (("report", "--alpha-n-max", "3", "--max-len", "6"), 2),
     (("almostlaw", "--pool-max-len", "4", "--samples", "0"), 3),
     (("almostlaw", "--hypothetical-u0", "0.3", "--n-max", "1"), 3),
@@ -219,7 +214,7 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("verify", "--budget-letters", "-5"), 3),
     (("verify", "--budget-seconds", "-1"), 3),
     (("girth", "--workers", "0", "--quotient", "z2", "--max-len", "4"), 3),
-    (("--workers", "4", "alpha", "--n", "2", "--max-len", "6"), 3),
+    (("--budget-letters", "10", "gen", "--n", "1"), 3),
     (("--seed", "1", "gen", "--n", "1"), 3),
     (("girth", "--quotient", "perm:a=(1 257);b=(1 2)", "--max-len", "4"), 3),
     (("alpha", "--n", "2", "--max-len", "0"), 3),
@@ -228,14 +223,19 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("girth", "--quotient", "z2", "--max-len", "0"), 3),
     (("girth", "--quotient", "z2", "--max-len", "4", "--checkpoint", "x"), 3),
     (("beta", "--checkpoint", "x"), 3),
-], ids=["depth-degree-0", "depth-degree-30", "report-alpha-cap",
+    (("girth", "--workers", "2", "--quotient", "z2", "--max-len", "4"), 3),
+    (("beta", "--workers", "2"), 3),
+    (("girth", "--quotient", "z2", "--max-len", "4", "--no-prune"), 3),
+], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
+        "depth-identity-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
         "almostlaw-k", "gen-n-negative", "gen-trivial-seed",
         "verify-letters-0", "verify-letters-negative",
-        "verify-seconds-negative", "girth-workers-0", "workers-before-alpha",
+        "verify-seconds-negative", "girth-workers-0", "letters-before-gen",
         "seed-before-gen", "girth-perm-degree-257", "alpha-cap-0",
         "alpha-cap-negative", "report-cap-0", "girth-cap-0",
-        "girth-checkpoint", "beta-checkpoint"])
+        "girth-checkpoint", "beta-checkpoint", "girth-workers-2",
+        "beta-workers-2", "girth-no-prune"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)
@@ -309,7 +309,7 @@ def test_battery_exit_mapping():
 
 
 def _ctx(max_len_cap=None):
-    return {"workers": 1, "max_len_cap": max_len_cap}
+    return {"max_len_cap": max_len_cap}
 
 
 def test_battery_checks_detect_tampering(monkeypatch):

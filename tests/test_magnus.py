@@ -164,6 +164,12 @@ def test_truncation_guard():
         expand(Word.parse("a"), 0)
     with pytest.raises(ValueError):
         lcs_depth(Word.parse("a"), 23)
+    # the identity's depth is known without expanding, but the degree
+    # is still checked
+    with pytest.raises(ValueError):
+        lcs_depth(Word.identity(), 0)
+    with pytest.raises(ValueError):
+        depth_terms(Word.identity(), 23)
 
 
 # ----------------------------------------------------------------------

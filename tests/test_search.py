@@ -123,25 +123,24 @@ def test_pruned_and_unpruned_minima_agree():
     for oid, bound in (("z2", 8), ("lcs:2", 8), ("lcs:3", 8),
                        ("derived-perm:a=(1 2);b=(2 3)", 8)):
         pruned = girth(oid, bound, reverify=False)
-        plain = girth(oid, bound, reverify=False, no_prune=True)
-        assert type(pruned) == type(plain)
+        plain, _ = search_min(SearchSpec(oid, bound, SearchFlags()))
+        assert (isinstance(pruned, NotFoundBelow)
+                == isinstance(plain, NotFoundBelow))
         if isinstance(pruned, GirthResult):
-            assert pruned.value == plain.value
+            length, witness = plain
+            assert pruned.value == length
             flags = engine_flags(build_oracle(oid))
-            assert (canonical_bytes(plain.witness.data, flags)
-                    == pruned.witness.data)
+            assert canonical_bytes(witness.data, flags) == pruned.witness.data
 
 
-def test_search_deterministic_across_workers():
-    # the outcome and the count of words tested do not depend on workers
-    for oid, max_len, tested in (
-            ("derived-perm:a=(1 2);b=(2 3)", 8, 248),
-            ("zerosum-perm:a=(1 2 3);b=(1 2)(3 4)", 10, 32)):
+def test_search_outcome_and_count_are_pinned():
+    for oid, max_len, outcome, tested in (
+            ("derived-perm:a=(1 2);b=(2 3)", 8, (8, "AABBaabb"), 248),
+            ("zerosum-perm:a=(1 2 3);b=(1 2)(3 4)", 10, (6, "ABBabb"), 32)):
         spec = SearchSpec(oid, max_len, engine_flags(build_oracle(oid)))
-        seq, seq_stats = search_min(spec, workers=1)
-        par, par_stats = search_min(spec, workers=2)
-        assert seq == par
-        assert seq_stats.tested == par_stats.tested == tested
+        out, stats = search_min(spec)
+        assert (out[0], str(out[1])) == outcome
+        assert stats.tested == tested
 
 
 def test_alpha_small_values():
@@ -477,11 +476,11 @@ def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
 
 def test_unpruned_search_tests_every_word():
     pruned = girth("z2", 6, reverify=False)
-    plain = girth("z2", 6, reverify=False, no_prune=True)
-    assert pruned.value == plain.value == 4
+    plain, stats = search_min(SearchSpec("z2", 6, SearchFlags()))
+    assert pruned.value == plain[0] == 4
     # every reduced word of length 1..4, odd lengths included
-    assert plain.stats.tested == 2 * (3 ** 4 - 1)
-    assert pruned.stats.tested < plain.stats.tested
+    assert stats.tested == 2 * (3 ** 4 - 1)
+    assert pruned.stats.tested < stats.tested
 
 
 def test_flagless_search_is_unpruned_and_not_resumed_pruned():
