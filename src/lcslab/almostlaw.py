@@ -14,6 +14,14 @@ in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
     underestimates,
   * a decay table with the fitted constants of the contraction.
 
+Evaluation.  Every element of SU(2) is [[alpha, beta], [-conj(beta),
+conj(alpha)]], so a word's value on a batch of argument pairs is carried as
+two complex arrays (alpha, beta), and each letter is four elementwise
+products on them (`_word_pair`); no batched 2x2 matrix product is formed.
+The grid certificate evaluates its pairs in blocks of about 50,000, so the
+arrays alive during one block stay under 20 MB and barely add to the peak
+memory of a caller that already holds long words.
+
 Seed admissibility.  The propagation needs start words whose true maximum
 is at most 1/3.  That is a very strong property: the 120-element
 icosahedral subgroup of SU(2) has its nearest nontrivial element at
@@ -106,14 +114,19 @@ def unitary(m: np.ndarray) -> UnitaryMatrix:
     return UnitaryMatrix(matrix=fixed, defect=defect)
 
 
+def _su2_matrices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The batch of matrices [[alpha, beta], [-conj(beta), conj(alpha)]]."""
+    out = np.empty((len(alpha), 2, 2), dtype=complex)
+    out[:, 0, 0] = alpha
+    out[:, 0, 1] = beta
+    out[:, 1, 0] = -beta.conj()
+    out[:, 1, 1] = alpha.conj()
+    return out
+
+
 def _quaternions_su2(q: np.ndarray) -> np.ndarray:
     """Unit quaternions (rows of q) as a batch of SU(2) matrices."""
-    out = np.empty((len(q), 2, 2), dtype=complex)
-    out[:, 0, 0] = q[:, 0] + 1j * q[:, 1]
-    out[:, 0, 1] = q[:, 2] + 1j * q[:, 3]
-    out[:, 1, 0] = -q[:, 2] + 1j * q[:, 3]
-    out[:, 1, 1] = q[:, 0] - 1j * q[:, 1]
-    return out
+    return _su2_matrices(q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3])
 
 
 def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -138,16 +151,36 @@ _LETTER_SLOT = {LETTER_A: (0, False), LETTER_AI: (0, True),
                 LETTER_B: (1, False), LETTER_BI: (1, True)}
 
 
-def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Evaluate the word map on a batch of argument pairs; no correction."""
-    n, k = us.shape[0], us.shape[-1]
-    acc = np.broadcast_to(np.eye(k, dtype=complex), (n, k, k)).copy()
-    mats = (us, vs)
+def _word_pair(w: Word, us: np.ndarray, vs: np.ndarray):
+    """The word map on a batch as (alpha, beta), read from row 0 of each
+    argument.  A letter (x, y) sends (alpha, beta) to
+    (alpha x - beta conj(y), alpha y + beta conj(x)), and its inverse is
+    (conj(x), -y); each argument's row and its conjugate are formed once
+    per call, however often its letters occur."""
+    if not w:
+        n = us.shape[0]
+        return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
+    rows = {}
+    alpha = beta = None
     for c in w.data:
         slot, inv = _LETTER_SLOT[c]
-        m = mats[slot]
-        acc = acc @ (m.conj().swapaxes(-1, -2) if inv else m)
-    return acc
+        if slot not in rows:
+            x, y = (us, vs)[slot][:, 0].T
+            rows[slot] = (x, y, x.conj(), y.conj())
+        x, y, x_bar, y_bar = rows[slot]
+        if alpha is None:
+            alpha, beta = (x_bar, -y) if inv else (x, y)
+        elif inv:
+            alpha, beta = alpha * x_bar + beta * y_bar, beta * x - alpha * y
+        else:
+            alpha, beta = alpha * x - beta * y_bar, alpha * y + beta * x_bar
+    return alpha, beta
+
+
+def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Evaluate the word map on a batch of SU(2) argument pairs; no
+    correction.  Only row 0 of each argument is read."""
+    return _su2_matrices(*_word_pair(w, us, vs))
 
 
 def evaluate(w: Word, u, v) -> UnitaryMatrix:
@@ -157,6 +190,10 @@ def evaluate(w: Word, u, v) -> UnitaryMatrix:
     for name, m in (("u", mu), ("v", mv)):
         if unitarity_defect(m) > 1e-8:
             raise NumericFailure(f"argument {name} is not unitary")
+        # batch_evaluate reads row 0 only, which fixes the matrix in SU(2)
+        # but not in U(2): a determinant other than 1 would go unseen
+        if abs(np.linalg.det(m) - 1.0) > 1e-8:
+            raise NumericFailure(f"argument {name} is not in SU(2)")
     out = batch_evaluate(w, mu[None], mv[None])[0]
     return unitary(out)
 
@@ -334,7 +371,12 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
     net = su2_net(eps)
     m = len(net)
     worst = 0.0
-    block = max(1, 200_000 // max(1, m))
+    # about 50,000 pairs per block: the arrays alive during one block (the
+    # arguments, their first rows, the (alpha, beta) temporaries and the
+    # values) then take under 20 MB, which a run already holding the
+    # level-14 family absorbs with its peak memory almost unchanged; blocks
+    # four times larger raised that peak by 10-19 MB
+    block = max(1, 50_000 // max(1, m))
     for i in range(0, m, block):
         us = np.repeat(net[i:i + block], m, axis=0)
         vs = np.tile(net, (len(net[i:i + block]), 1, 1))
@@ -528,23 +570,45 @@ def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
     return words
 
 
+def _su2_chain(*factors):
+    """(alpha, beta) of the product of (alpha, beta) batches, left to right."""
+    a, b = factors[0]
+    for x, y in factors[1:]:
+        a, b = a * x - b * y.conj(), a * y + b * x.conj()
+    return a, b
+
+
+def _su2_inverse(p):
+    a, b = p
+    return a.conj(), -b
+
+
+def _su2_normalized(p):
+    """Polar factor of [[a, b], [-conj(b), conj(a)]], which is that matrix
+    divided by sqrt(|a|^2 + |b|^2)."""
+    a, b = p
+    r = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return a / r, b / r
+
+
 def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
                     rng_seed: int) -> List[float]:
     """Max sampled distance per level via the value recursion (one pass of
-    matrix commutators per level instead of re-reading the long words)."""
+    commutators per level on (alpha, beta) arrays instead of re-reading the
+    long words)."""
+    def distance(p):
+        return float(np.max(np.sqrt(np.clip(2.0 - 2.0 * p[0].real, 0.0, 4.0))))
+
     lows = [0.0] * (n_max + 1)
     for us, vs in _haar_pairs(rng_seed, samples):
-        a_val = batch_evaluate(seeds[0], us, vs)
-        b_val = batch_evaluate(seeds[1], us, vs)
-        lows[0] = max(lows[0], float(np.max(_batch_distance(a_val))))
+        a = _word_pair(seeds[0], us, vs)
+        b = _word_pair(seeds[1], us, vs)
+        lows[0] = max(lows[0], distance(a))
         for n in range(1, n_max + 1):
-            ah = a_val.conj().swapaxes(-1, -2)
-            bh = b_val.conj().swapaxes(-1, -2)
-            a_next = bh @ a_val @ b_val @ ah
-            b_next = a_val @ b_val @ ah @ bh
-            a_val = reorthonormalize(a_next)
-            b_val = reorthonormalize(b_next)
-            lows[n] = max(lows[n], float(np.max(_batch_distance(a_val))))
+            ai, bi = _su2_inverse(a), _su2_inverse(b)
+            a, b = (_su2_normalized(_su2_chain(bi, a, b, ai)),
+                    _su2_normalized(_su2_chain(a, b, ai, bi)))
+            lows[n] = max(lows[n], distance(a))
     return lows
 
 

@@ -67,6 +67,41 @@ def test_evaluate_rejects_nonunitary_argument():
         al.evaluate(Word.parse("a"), np.eye(2) * 2.0, np.eye(2))
 
 
+def test_evaluate_rejects_unitary_argument_outside_su2():
+    # unitary, determinant i: row 0 alone would read it as the identity
+    phase = np.diag([1.0, 1j])
+    with pytest.raises(al.NumericFailure, match="not in SU"):
+        al.evaluate(Word.parse("ab"), phase, np.eye(2))
+    with pytest.raises(al.NumericFailure, match="not in SU"):
+        al.evaluate(Word.parse("ab"), np.eye(2), phase)
+
+
+def _matmul_chain(w, us, vs):
+    """Reference word map: one plain 2x2 product per letter and pair."""
+    out = []
+    for u, v in zip(us, vs):
+        mats = {"a": u, "A": u.conj().T, "b": v, "B": v.conj().T}
+        acc = np.eye(2, dtype=complex)
+        for c in w.data.decode("ascii"):
+            acc = acc @ mats[c]
+        out.append(acc)
+    return np.array(out)
+
+
+def test_batch_evaluate_matches_matmul_chain():
+    rng = np.random.default_rng(21)
+    us, vs = al.haar_su2(rng, 64), al.haar_su2(rng, 64)
+    for text in ("", "a", "B", "aaa", "AAbb", "abAB", "aBBAbab",
+                 "ababABBA", "AABabaBAAbaBab"):
+        w = Word.parse(text)
+        got = al.batch_evaluate(w, us, vs)
+        assert got.shape == (64, 2, 2)
+        assert np.abs(got - _matmul_chain(w, us, vs)).max() < 1e-12
+        # every value has the form [[alpha, beta], [-conj(beta), conj(alpha)]]
+        assert np.array_equal(got[:, 1, 0], -got[:, 0, 1].conj())
+        assert np.array_equal(got[:, 1, 1], got[:, 0, 0].conj())
+
+
 def test_distance_closed_form_values():
     assert al.distance_to_identity(np.eye(2, dtype=complex)) == 0.0
     assert al.distance_to_identity(-np.eye(2, dtype=complex)) == pytest.approx(2.0)
@@ -200,6 +235,20 @@ def test_run_decay_synthetic_table():
     assert len(lines) == 10
     assert lines[1].startswith("0,1,")
     assert ",," in lines[1]  # empty lower column
+
+
+def test_sampled_lowers_match_composed_words():
+    # the value recursion must give the maxima of the composed words
+    # themselves, evaluated letter by letter on the same samples
+    seeds = (Word.parse("ab"), Word.parse("aB"))
+    words = al.compose_family(seeds, 3)
+    lows = al._sampled_lowers(seeds, 3, samples=300, rng_seed=5)
+    direct = [0.0] * 4
+    for us, vs in al._haar_pairs(5, 300):
+        for n, w in enumerate(words):
+            ds = al._batch_distance(al.batch_evaluate(w, us, vs))
+            direct[n] = max(direct[n], float(ds.max()))
+    assert lows == pytest.approx(direct, abs=1e-10)
 
 
 def test_run_decay_guard_catches_false_bounds():
