@@ -239,12 +239,18 @@ def parse_quotient_spec(spec: str) -> QuotientGroup:
     if spec == "z2":
         return free_abelian_rank2()
     if spec.startswith("perm:"):
-        parts = dict(kv.split("=", 1) for kv in spec[5:].split(";"))
-        if set(parts) != {"a", "b"}:
-            raise ValueError(f"permutation spec needs a=...;b=...: {spec!r}")
-        # the constructor pads the smaller image with fixed points
-        return PermutationQuotient(permutation_from_cycles(parts["a"]),
-                                   permutation_from_cycles(parts["b"]))
+        pairs = [kv.split("=", 1) for kv in spec[5:].split(";")]
+        if (any(len(kv) != 2 for kv in pairs)
+                or {kv[0] for kv in pairs} != {"a", "b"}):
+            raise ValueError(f"bad quotient spec {spec!r}: a permutation "
+                             f"spec needs a=<cycles>;b=<cycles>")
+        parts = dict(pairs)
+        try:
+            # the constructor pads the smaller image with fixed points
+            return PermutationQuotient(permutation_from_cycles(parts["a"]),
+                                       permutation_from_cycles(parts["b"]))
+        except ValueError as err:
+            raise ValueError(f"bad quotient spec {spec!r}: {err}") from None
     raise ValueError(f"unknown quotient spec: {spec!r}")
 
 

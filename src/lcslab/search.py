@@ -21,8 +21,10 @@ pushed and then settled in its parent's loop: the balance prune, and at
 the last letter the leaf test, run there, so only an interior child that
 survives the prune costs a recursive call.  Every child is still pushed
 before it is pruned, so the pushes and leaf tests are those of one call
-per node.  Each length is walked from its one- or two-letter prefixes in
-turn, on a fresh walker each, and their hits merge by bytes minimum.
+per node; but the walker computes a state only when it is extended or
+tested, so a child the prune cuts costs no step.  Each length is walked
+from its one- or two-letter prefixes in turn, on a fresh walker each,
+and their hits merge by bytes minimum.
 search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
 the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
@@ -146,23 +148,44 @@ class GroupWalker:
     when its state is the identity.  step(state, letter) returns the state
     of the longer prefix and never changes its argument, so pop only drops
     the top state and no undo arithmetic exists.
+
+    A state is computed only when it is extended or tested.  push records
+    its letter as pending, after settling the previous pending letter with
+    one step; pop of a pending letter just clears it; is_member and
+    state() settle it.  A child pushed and popped unread, as the balance
+    prune does, costs no step.
     """
 
-    __slots__ = ("identity", "step", "stack")
+    __slots__ = ("identity", "step", "stack", "pending")
 
     def __init__(self, identity, step):
         self.identity = identity
         self.step = step
         self.stack = [identity]
+        self.pending = 0  # the top letter, not yet stepped; 0 for none
 
     def push(self, letter: int) -> None:
-        self.stack.append(self.step(self.stack[-1], letter))
+        pending = self.pending
+        if pending:
+            self.stack.append(self.step(self.stack[-1], pending))
+        self.pending = letter
 
     def pop(self, letter: int) -> None:
-        self.stack.pop()
+        if self.pending:
+            self.pending = 0
+        else:
+            self.stack.pop()
+
+    def state(self):
+        """The state of the whole path, its pending letter stepped."""
+        if self.pending:
+            self.stack.append(self.step(self.stack[-1], self.pending))
+            self.pending = 0
+        return self.stack[-1]
 
     def is_member(self) -> bool:
-        return len(self.stack) > 1 and self.stack[-1] == self.identity
+        state = self.state()
+        return len(self.stack) > 1 and state == self.identity
 
 
 class Oracle:
@@ -174,7 +197,8 @@ class Oracle:
     changes its argument), and key(state) -> a hashable value, equal for
     two states exactly when the states are equal.  Word to state is a
     homomorphism into a group, so w is a member exactly when its state is
-    the identity.  make_walker wraps the first two in a GroupWalker."""
+    the identity.  make_walker wraps the first two in a GroupWalker, which
+    calls step only for a state that is extended or tested."""
 
     oracle_id: str = "abstract"
     conjugation_invariant = False
@@ -335,14 +359,19 @@ def build_oracle(oracle_id: str) -> Oracle:
         return KernelOracle("z2")
     if oracle_id == "derived2":
         return DerivedKernelOracle("z2")
-    if oracle_id.startswith("lcs:"):
-        return DepthOracle(int(oracle_id[4:]))
     if oracle_id.startswith("perm:"):
-        return KernelOracle(oracle_id)
-    if oracle_id.startswith("derived-perm:"):
-        return DerivedKernelOracle(oracle_id[len("derived-"):])
-    if oracle_id.startswith("zerosum-perm:"):
-        return ZeroSumKernelOracle(oracle_id[len("zerosum-"):])
+        return KernelOracle(oracle_id)  # parse_quotient_spec names a bad spec
+    try:
+        if oracle_id.startswith("lcs:"):
+            if not oracle_id[4:].isdigit():
+                raise ValueError("lcs:<n> takes a positive integer n")
+            return DepthOracle(int(oracle_id[4:]))
+        if oracle_id.startswith("derived-perm:"):
+            return DerivedKernelOracle(oracle_id[len("derived-"):])
+        if oracle_id.startswith("zerosum-perm:"):
+            return ZeroSumKernelOracle(oracle_id[len("zerosum-"):])
+    except ValueError as err:
+        raise ValueError(f"bad oracle {oracle_id!r}: {err}") from None
     raise ValueError(f"unknown oracle id: {oracle_id!r}")
 
 

@@ -226,6 +226,9 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("girth", "--workers", "2", "--quotient", "z2", "--max-len", "4"), 3),
     (("beta", "--workers", "2"), 3),
     (("girth", "--quotient", "z2", "--max-len", "4", "--no-prune"), 3),
+    (("girth", "--quotient", "lcs:x", "--max-len", "4"), 3),
+    (("girth", "--quotient", "derived-perm:", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 2);b", "--max-len", "4"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
         "depth-identity-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
@@ -235,7 +238,8 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
         "seed-before-gen", "girth-perm-degree-257", "alpha-cap-0",
         "alpha-cap-negative", "report-cap-0", "girth-cap-0",
         "girth-checkpoint", "beta-checkpoint", "girth-workers-2",
-        "beta-workers-2", "girth-no-prune"])
+        "beta-workers-2", "girth-no-prune", "girth-lcs-not-integer",
+        "girth-derived-perm-empty", "girth-perm-b-without-cycles"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)
@@ -248,6 +252,11 @@ def test_bad_input_exits_without_traceback(argv, expect):
         assert "error:" in proc.stderr
     else:
         assert len(proc.stderr.strip().split("\n")) == 1
+    # every row that passes a quotient other than z2 has a bad spec, and
+    # the message names it
+    spec = argv[argv.index("--quotient") + 1] if "--quotient" in argv else "z2"
+    if spec != "z2":
+        assert repr(spec) in proc.stderr
 
 
 @pytest.mark.parametrize("cap", ["3", "0"])

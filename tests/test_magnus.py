@@ -264,7 +264,7 @@ def test_walker_tracks_expand():
     for c in w.data:
         for walker in walkers.values():
             walker.push(c)
-    assert walkers[7].stack[-1] == expand(w, 6).coeffs.tolist()
+    assert walkers[7].state() == expand(w, 6).coeffs.tolist()
     assert walkers[5].is_member() and not walkers[6].is_member()
 
 
@@ -276,9 +276,9 @@ def test_walker_push_pop_roundtrip(letters, cut):
         walker.push(c)
     for c in reversed(letters[cut:]):
         walker.pop(c)
+    state = walker.state()
     assert len(walker.stack) == len(letters[:cut]) + 1
-    assert (walker.stack[-1]
-            == naive_expand(Word(letters[:cut]), 4).coeffs.tolist())
+    assert state == naive_expand(Word(letters[:cut]), 4).coeffs.tolist()
 
 
 # ----------------------------------------------------------------------

@@ -210,9 +210,10 @@ def test_walker_push_pop_consistency(letters, cut):
         dw.push(c)
     for c in reversed(letters[cut:]):
         dw.pop(c)
+    state = dw.state()
     assert len(dw.stack) == len(letters[:cut]) + 1
-    assert dw.stack[-1] == (q.image(prefix), project_fox(prefix, q, "a").coeffs,
-                            project_fox(prefix, q, "b").coeffs)
+    assert state == (q.image(prefix), project_fox(prefix, q, "a").coeffs,
+                     project_fox(prefix, q, "b").coeffs)
 
 
 def test_commutators_of_kernel_words_are_derived_members():

@@ -307,9 +307,59 @@ def test_walker_tracks_every_prefix(ops):
                 path.append(LETTERS[op])
                 walker.push(LETTERS[op])
             w = Word.from_reduced(bytes(path))
-            assert walker.stack[-1] == _fresh_state(oracle, w), (oid, w)
+            assert walker.state() == _fresh_state(oracle, w), (oid, w)
             assert walker.is_member() == (len(w) > 0
                                           and BRUTE_FORCE[oid](w)), (oid, w)
+
+
+def _counted(step, counts):
+    """step, counting its calls in counts["steps"]."""
+    def counting_step(state, letter):
+        counts["steps"] += 1
+        return step(state, letter)
+    return counting_step
+
+
+# ops: -1 pops, -2 tests membership, -3 reads the state, 0..3 push
+# LETTERS[op] unless it would cancel
+@settings(max_examples=40, deadline=None)
+@example([0, 2, -2, -1, -3])     # is_member on a pending leaf, then pop
+@example([0, 2, -1, 3, -1, -3])  # pops of letters never read
+@example([0, 2, -2, 0, -2, -3])  # a push right after is_member
+@given(st.lists(st.integers(-3, 3), max_size=30))
+def test_deferred_walker_matches_fresh_evaluation(ops):
+    # every op in any order answers as fresh evaluation does, and each
+    # pushed letter is stepped at most once: when a push, is_member or
+    # state() first reads its state, never when it is popped unread
+    for oid in sorted(BRUTE_FORCE):
+        oracle = build_oracle(oid)
+        walker = oracle.make_walker()
+        counts = {"steps": 0}
+        walker.step = _counted(walker.step, counts)
+        path = bytearray()
+        steps = 0
+        unread = False  # the top letter's state has not been read yet
+        for op in ops:
+            w = Word.from_reduced(bytes(path))
+            if op == -1:
+                if path:
+                    walker.pop(path.pop())
+                    unread = False
+            elif op == -2:
+                member = len(w) > 0 and BRUTE_FORCE[oid](w)
+                assert walker.is_member() == member, (oid, w)
+                steps += unread
+                unread = False
+            elif op == -3:
+                assert walker.state() == _fresh_state(oracle, w), (oid, w)
+                steps += unread
+                unread = False
+            elif not path or LETTERS[op] != inverse_letter(path[-1]):
+                path.append(LETTERS[op])
+                walker.push(LETTERS[op])
+                steps += unread
+                unread = True
+            assert counts["steps"] == steps, (oid, ops)
 
 
 @pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
@@ -445,10 +495,15 @@ class _CountingWalker:
 
 
 def _count_walkers(monkeypatch, oracle_class):
-    counts = {"pushes": 0, "leaves": 0}
+    counts = {"pushes": 0, "leaves": 0, "steps": 0}
     make_walker = oracle_class.make_walker
-    monkeypatch.setattr(oracle_class, "make_walker",
-                        lambda self: _CountingWalker(make_walker(self), counts))
+
+    def counting_walker(self):
+        inner = make_walker(self)
+        inner.step = _counted(inner.step, counts)
+        return _CountingWalker(inner, counts)
+
+    monkeypatch.setattr(oracle_class, "make_walker", counting_walker)
     return counts
 
 
@@ -461,6 +516,9 @@ def test_dfs_tree_is_pinned_on_derived2(monkeypatch):
     assert out == (14, Word.parse("AABabaBAAbaBab"))
     assert stats.tested == counts["leaves"] == 27164
     assert counts["pushes"] == 375339
+    # a state is stepped only when it is extended or tested, so a child
+    # the balance prune cuts costs none
+    assert counts["steps"] == 166504
 
 
 def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
@@ -469,6 +527,7 @@ def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
     assert obs.outcome == NotFoundBelow(12)
     assert obs.stats.tested == counts["leaves"] == 13848
     assert counts["pushes"] == 193868
+    assert counts["steps"] == 85932
 
 
 # ----------------------------------------------------------------------
