@@ -4,6 +4,20 @@
     a_{n+1} = [b_n^-1, a_n]
     b_{n+1} = [a_n, b_n]
 
+Both inverses are products of the same four level-n words,
+
+    a_{n+1}^-1 = a_n b_n^-1 a_n^-1 b_n
+    b_{n+1}^-1 = b_n a_n b_n^-1 a_n^-1
+
+so `build` carries each level as (a, a^-1, b, b^-1) and gets all four
+words of the next level as reduced products; only the seeds are reversed.
+In a free group the reduced form is unique, so a carried inverse equals the
+reversed word byte for byte.  The identity checks reverse only stored
+words, never a commutator: the inverse of [u, v] is [v, u], made from the
+same four pieces.
+`PairSequence.check_derivation` recomputes each level through `commutator`
+and `~`, a route independent of the carried inverses.
+
 Lengths grow like MU^n with MU = (3+sqrt(17))/2, so n around 14 is the
 practical ceiling under the default letter budget.  Every check returns a
 report object with the raw numbers; nothing is asserted here.
@@ -16,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .words import (Word, cancellation_bytes, common_prefix_bytes,
-                    common_suffix_bytes, commutator, conjugate, inverse_bytes,
-                    product_bytes)
+                    common_suffix_bytes, commutator, inverse_bytes, product_bytes)
 
 MU = (3.0 + math.sqrt(17.0)) / 2.0
 
@@ -70,6 +83,19 @@ class PairSequence:
         return True
 
 
+def _commutator_pair(u: bytes, ui: bytes, v: bytes, vi: bytes) -> Tuple[bytes, bytes]:
+    """[u, v] = u v u^-1 v^-1 and its inverse [v, u] = v u v^-1 u^-1, both
+    reduced, from u, v and their inverses; no word is reversed."""
+    return product_bytes(u, v, ui, vi), product_bytes(v, u, vi, ui)
+
+
+def _next_level(ad: bytes, ai: bytes, bd: bytes, bi: bytes
+                ) -> Tuple[bytes, bytes, bytes, bytes]:
+    """(a, a^-1, b, b^-1) of level n+1 from those of level n:
+    a' = [b^-1, a] and b' = [a, b]."""
+    return _commutator_pair(bi, bd, ad, ai) + _commutator_pair(ad, ai, bd, bi)
+
+
 def build(n_max: int,
           seeds: Optional[Tuple[Word, Word]] = None,
           budget_letters: int = DEFAULT_LETTER_BUDGET) -> PairSequence:
@@ -82,20 +108,24 @@ def build(n_max: int,
         raise ValueError("seeds must be nontrivial")
     a_words = [wa]
     b_words = [wb]
+    # each level is carried as (a, a^-1, b, b^-1): the next level's four
+    # words are reduced products of these, so only the seeds are reversed
+    ad, bd = wa.data, wb.data
+    ai, bi = inverse_bytes(ad), inverse_bytes(bd)
     for n in range(n_max):
-        an, bn = a_words[-1], b_words[-1]
         # the next level is at most 2(len a + len b) letters per word;
         # refuse before allocating anything that size
-        if 2 * (len(an) + len(bn)) > budget_letters:
+        if 2 * (len(ad) + len(bd)) > budget_letters:
             raise BudgetExceeded(
                 f"n_max={n_max} would exceed the letter budget {budget_letters} "
                 f"at level {n + 1} (lengths grow like {MU:.3f}^n)")
-        # [b^-1, a] = b^-1 a b a^-1 and [a, b] = a b a^-1 b^-1, each
-        # level's two inverses shared by both commutators
-        ad, bd = an.data, bn.data
-        ai, bi = inverse_bytes(ad), inverse_bytes(bd)
-        a_words.append(Word.from_reduced(product_bytes(bi, ad, bd, ai)))
-        b_words.append(Word.from_reduced(product_bytes(ad, bd, ai, bi)))
+        if n + 1 < n_max:
+            ad, ai, bd, bi = _next_level(ad, ai, bd, bi)
+        else:
+            # the last level's inverses would go unused: [b^-1, a], [a, b]
+            ad, bd = product_bytes(bi, ad, bd, ai), product_bytes(ad, bd, ai, bi)
+        a_words.append(Word.from_reduced(ad))
+        b_words.append(Word.from_reduced(bd))
     return PairSequence(a_words, b_words, seeds)
 
 
@@ -173,18 +203,20 @@ def check_lengths(seq: PairSequence) -> LengthTable:
     return table
 
 
-def _eqrel_pair(x: Word, y: Word) -> Tuple[bool, bool]:
+def _eqrel_pair(x: bytes, xi: bytes, y: bytes, yi: bytes) -> Tuple[bool, bool]:
     """The two rewriting identities, instantiated at (x, y):
 
         [[x^-1,y],[x,y]] = [[[x^-1,y],x],[x,y]]
         [[x^-1,y],[y,x]] = [[[x^-1,y],x],[y,x]]
+
+    Every inner commutator comes with its inverse, and [y, x] is the
+    inverse of [x, y], so x^-1 and y^-1 are the only inverses passed in.
     """
-    c = commutator(~x, y)
-    cx = commutator(c, x)
-    xy = commutator(x, y)
-    yx = commutator(y, x)
-    left = commutator(c, xy) == commutator(cx, xy)
-    right = commutator(c, yx) == commutator(cx, yx)
+    c, ci = _commutator_pair(xi, x, y, yi)
+    cx, cxi = _commutator_pair(c, ci, x, xi)
+    xy, yx = _commutator_pair(x, xi, y, yi)
+    left = product_bytes(c, xy, ci, yx) == product_bytes(cx, xy, cxi, yx)
+    right = product_bytes(c, yx, ci, xy) == product_bytes(cx, yx, cxi, xy)
     return left, right
 
 
@@ -209,17 +241,20 @@ def check_identities(seq: PairSequence, n: int) -> IdentityReport:
         b_{n-2} a_{n-1} b_{n-2}^-1 = b_{n-1}
 
     plus both rewriting identities at (a, b) and at (a_{n-2}, b_{n-2}).
+    A stored word's inverse is its reversal, never the recurrence's
+    product, so a sequence that breaks the recurrence fails a check.
     """
     if n < 2:
         raise ValueError("check_identities needs n >= 2")
-    a_gen, b_gen = Word.parse("a"), Word.parse("b")
-    bn = seq.b(n)
-    am1, bm1 = seq.a(n - 1), seq.b(n - 1)
-    bm2 = seq.b(n - 2)
+    bn = seq.b(n).data
+    am1, bm1 = seq.a(n - 1).data, seq.b(n - 1).data
+    am2, bm2 = seq.a(n - 2).data, seq.b(n - 2).data
+    am2i, bm2i = inverse_bytes(am2), inverse_bytes(bm2)
+    k, ki = _commutator_pair(am1, inverse_bytes(am1), bm2, bm2i)
     return IdentityReport(
         n=n,
-        eqrel_base=_eqrel_pair(a_gen, b_gen),
-        eqrel_level=_eqrel_pair(seq.a(n - 2), bm2),
-        bracket_identity=bn == commutator(commutator(am1, bm2), bm1),
-        conjugation_identity=conjugate(am1, bm2) == bm1,
+        eqrel_base=_eqrel_pair(b"a", b"A", b"b", b"B"),
+        eqrel_level=_eqrel_pair(am2, am2i, bm2, bm2i),
+        bracket_identity=bn == product_bytes(k, bm1, ki, inverse_bytes(bm1)),
+        conjugation_identity=product_bytes(bm2, am1, bm2i) == bm1,
     )

@@ -10,10 +10,16 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lcslab import construction
-from lcslab.construction import MU, build, check_identities, check_lengths, check_no_cancellation
-from lcslab.words import Word, concat, random_word
+from lcslab.construction import (MU, BudgetExceeded, PairSequence, build, check_identities,
+                                 check_lengths, check_no_cancellation)
+from lcslab.words import (LETTERS, Word, commutator, concat, conjugate, inverse_bytes,
+                          random_word)
+
+seed_words = st.lists(st.sampled_from(list(LETTERS)), min_size=1, max_size=6).map(
+    lambda letters: Word(bytes(letters))).filter(bool)
 
 
 def test_level_zero_is_seeds():
@@ -101,6 +107,74 @@ def test_build_passes_derivation_check(seed):
     assert seq.check_derivation()
 
 
+@settings(max_examples=60, deadline=None)
+@example(Word.parse("ab"), Word.parse("aB"))
+@example(Word.parse("a"), Word.parse("A"))   # level 1 is the identity
+@example(Word.parse("ab"), Word.parse("ab"))
+@given(seed_words, seed_words)
+def test_carried_inverses_equal_reversed_words(wa, wb):
+    """Each level's carried inverse is the reversed word byte for byte,
+    also for seeds whose products cancel, and build's words pass the
+    independent commutator route of check_derivation."""
+    seq = build(5, seeds=(wa, wb))
+    assert seq.check_derivation()
+    ad, bd = wa.data, wb.data
+    ai, bi = inverse_bytes(ad), inverse_bytes(bd)
+    for n in range(1, 6):
+        ad, ai, bd, bi = construction._next_level(ad, ai, bd, bi)
+        assert (ad, bd) == (seq.a(n).data, seq.b(n).data)
+        assert (ai, bi) == (inverse_bytes(ad), inverse_bytes(bd))
+
+
+def test_commutator_pair_matches_commutator():
+    rng = random.Random(4)
+    for _ in range(200):
+        u, v = (random_word(rng, rng.randrange(0, 7)) for _ in range(2))
+        pair = construction._commutator_pair(u.data, (~u).data, v.data, (~v).data)
+        assert pair == (commutator(u, v).data, commutator(v, u).data)
+
+
+def _plain_eqrel(x, y):
+    c = commutator(~x, y)
+    cx = commutator(c, x)
+    xy, yx = commutator(x, y), commutator(y, x)
+    return (commutator(c, xy) == commutator(cx, xy),
+            commutator(c, yx) == commutator(cx, yx))
+
+
+def test_identities_agree_with_plain_commutators_on_random_words():
+    """The pair-based checks answer as the commutator and conjugate
+    formulation does.  On unrelated random words the bracket identity
+    fails, so about 30% of the sequences have b_2 set to make it hold."""
+    rng = random.Random(6)
+    bracket_held = 0
+    for _ in range(150):
+        a_words = [random_word(rng, rng.randrange(1, 6)) for _ in range(3)]
+        b_words = [random_word(rng, rng.randrange(1, 6)) for _ in range(3)]
+        if rng.random() < 0.3:
+            b_words[2] = commutator(commutator(a_words[1], b_words[0]), b_words[1])
+        seq = PairSequence(a_words, b_words, (a_words[0], b_words[0]))
+        rep = check_identities(seq, 2)
+        assert rep.eqrel_base == _plain_eqrel(Word.parse("a"), Word.parse("b"))
+        assert rep.eqrel_level == _plain_eqrel(a_words[0], b_words[0])
+        assert rep.bracket_identity == (
+            b_words[2] == commutator(commutator(a_words[1], b_words[0]), b_words[1]))
+        assert rep.conjugation_identity == (
+            conjugate(a_words[1], b_words[0]) == b_words[1])
+        bracket_held += rep.bracket_identity
+    assert 0 < bracket_held < 150
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_identities_fail_when_b_n_is_swapped_for_a_n(n):
+    seq = build(6)
+    seq.b_words[n] = seq.a_words[n]
+    assert not seq.check_derivation()
+    rep = check_identities(seq, n)
+    assert not rep.ok
+    assert not rep.bracket_identity
+
+
 def test_a1_b1_product_does_cancel():
     # a_n b_n is deliberately absent from the lemma's eight products:
     # it cancels.
@@ -136,6 +210,10 @@ def test_budget_guard():
         build(60)
     with pytest.raises(ValueError):
         build(10, budget_letters=100)
+    # level 3 needs 2 * (len a_2 + len b_2) = 2 * (14 + 14) letters
+    assert len(build(3, budget_letters=56).b(3)) == 50
+    with pytest.raises(BudgetExceeded, match="at level 3"):
+        build(3, budget_letters=55)
 
 
 def test_identities_need_n_at_least_two():
