@@ -151,7 +151,8 @@ def _cmd_alpha(args, t0):
                      "witness": str(entry.witness), "exact": True,
                      "quotient_log2": (math.log2(entry.value)
                                        / math.log2(entry.n)
-                                       if entry.n > 1 else None)}
+                                       if entry.n > 1 else None),
+                     "key_collisions": entry.key_collisions}
 
 
 def _cmd_beta(args, t0):

@@ -32,7 +32,15 @@ half up once, at 3^(L/2) cost per length rather than 3^L.  alpha uses
 it.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
-pruning: an unpruned meet in the middle at every shorter length.
+search's pruning (no symmetry, balance or cyclic prune, no odd-length
+skip): a meet in the middle over every reduced word of every shorter
+length, on the same join as search_mitm.
+
+For lcs:n both join on utkey's row-0 keys in UT(n, F_p), built level by
+level on arrays, not on the truncated Magnus expansion: equal expansions
+give equal keys, so a length with no key match has no member, and every
+key match is confirmed on the exact DepthOracle state before it counts.
+Every other oracle joins on the exact key of its group() state.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ from operator import add, sub
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
+from . import utkey
 from .magnus import _check_degree, _letter_updates
 from .quotients import parse_quotient_spec
 from .words import (LETTER_A, LETTER_AI, LETTER_B, Word, inverse_bytes,
@@ -394,6 +403,7 @@ class SearchSpec:
 @dataclass
 class SearchStats:
     tested: int = 0
+    key_collisions: int = 0  # key matches the exact state refuted
 
 
 @dataclass(frozen=True)
@@ -560,7 +570,30 @@ def _members(oracle: Oracle, length: int, split: int, roots: bytes,
             yield u + inverse_bytes(v1)
 
 
-def search_mitm(oracle_id: str, max_len: int):
+def _confirmed(oracle: Oracle, words: List[bytes], stats: SearchStats
+               ) -> Iterator[bytes]:
+    """The words whose exact group() state is the identity, in the given
+    order; each other one is a key collision, counted in stats."""
+    identity, step, key = oracle.group()
+    target = key(identity)
+    for w in words:
+        state = identity
+        for c in w:
+            state = step(state, c)
+        if key(state) == target:
+            yield w
+        else:
+            stats.key_collisions += 1
+
+
+def _key_levels(oracle: Oracle) -> Optional[utkey.Levels]:
+    """The UT(n, F_p) key levels for an lcs:n oracle; None for the others,
+    which join on their exact group() keys."""
+    return utkey.Levels(oracle.n) if isinstance(oracle, DepthOracle) else None
+
+
+def search_mitm(oracle_id: str, max_len: int,
+                stats: Optional[SearchStats] = None):
     """Shortest member as (length, canonical witness Word), or
     NotFoundBelow(max_len): the outcome of search_min under engine_flags,
     found by meeting in the middle at 3^(L/2) cost per length instead of
@@ -571,26 +604,36 @@ def search_mitm(oracle_id: str, max_len: int):
     zero exponent sums, and joins are cyclically reduced when it is
     conjugation-invariant.  The byte-least member of the minimal length
     is returned in canonical form, as search_min does.
+
+    An lcs:n oracle joins on utkey's row-0 keys, each match confirmed on
+    the exact state; the refuted ones are counted in stats.key_collisions.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
     flags = engine_flags(oracle)
     roots = b"A" if flags.automorphism else _BYTE_ORDER
+    levels = _key_levels(oracle)
+    stats = SearchStats() if stats is None else stats
     for L in range(1, max_len + 1):
         if oracle.requires_zero_exponent_sums and L % 2:
             continue
         # the left halves are the smaller side: 3^(split-1) words against
         # 4*3^(L-split-1) when they start with 'A', 4*3^(split-1) otherwise
         split = (L + 1) // 2 if flags.automorphism else L // 2
-        best = min(_members(oracle, L, split, roots, flags.cyclic),
-                   default=None)
+        if levels is None:
+            best = min(_members(oracle, L, split, roots, flags.cyclic),
+                       default=None)
+        else:  # the joins come in byte order: the first confirmed is least
+            joins = levels.joins(L, split, roots, flags.cyclic)
+            best = next(_confirmed(oracle, joins, stats), None)
         if best is not None:
             return L, Word.from_reduced(canonical_bytes(best, flags))
     return NotFoundBelow(max_len)
 
 
-def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
+def verify_minimum(oracle_id: str, found_length: int, witness: Word,
+                   stats: Optional[SearchStats] = None) -> bool:
     """Independent re-check: the witness has the claimed length and is a
     member, and no reduced word shorter than it is.
 
@@ -599,8 +642,9 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
     the length: all four first letters, no symmetry flags, no balance or
     cyclic prune.  Each shorter word is tested once, as one pair of
     halves, and the pairs are found by key lookup, so the cost is about
-    3^(found_length/2) rather than 3^(found_length-1).  Returns False at
-    the first shorter member.
+    3^(found_length/2) rather than 3^(found_length-1).  An lcs:n oracle
+    joins on utkey's row-0 keys and confirms each match exactly, as
+    search_mitm does.  Returns False at the first shorter member.
     """
     oracle = build_oracle(oracle_id)
     identity, step, key = oracle.group()
@@ -610,9 +654,17 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word) -> bool:
     if (len(witness) != found_length or not witness
             or key(state) != key(identity)):
         return False
+    levels = _key_levels(oracle)
+    stats = SearchStats() if stats is None else stats
     for length in range(1, found_length):
-        for _ in _members(oracle, length, length // 2, _BYTE_ORDER,
-                          cyclic=False):
+        split = length // 2
+        if levels is None:
+            members = _members(oracle, length, split, _BYTE_ORDER,
+                               cyclic=False)
+        else:
+            members = _confirmed(
+                oracle, levels.joins(length, split, _BYTE_ORDER, False), stats)
+        for _ in members:
             return False
     return True
 
@@ -633,28 +685,32 @@ class AlphaEntry:
     witness: Word
     max_len: int
     degree: int
+    # key matches the exact check refuted, over the search and the re-check
+    key_collisions: int = field(default=0, compare=False)
 
 
 def alpha(n: int, max_len: int, D: int) -> AlphaEntry:
     """Shortest word at lower-central depth >= n, exact below max_len.
 
     Found by search_mitm and re-checked by verify_minimum; a refuted
-    minimum raises AssertionError."""
+    minimum raises AssertionError.  The entry counts the key collisions
+    both of them refuted."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if D < n:
         raise ValueError("truncation degree must be >= n")
     oracle_id = f"lcs:{n}"
-    outcome = search_mitm(oracle_id, max_len)
+    stats = SearchStats()
+    outcome = search_mitm(oracle_id, max_len, stats)
     if isinstance(outcome, NotFoundBelow):
         raise NotFoundBelowError(outcome.bound)
     length, witness = outcome
-    if not verify_minimum(oracle_id, length, witness):
+    if not verify_minimum(oracle_id, length, witness, stats):
         raise AssertionError(
             f"square-root search and independent scan disagree for "
             f"{oracle_id} at length {length}")
     return AlphaEntry(n=n, value=length, witness=witness, max_len=max_len,
-                      degree=D)
+                      degree=D, key_collisions=stats.key_collisions)
 
 
 def alpha_table(n_max: int, max_len: int) -> List[AlphaEntry]:

@@ -125,6 +125,7 @@ def test_alpha_values_and_inconclusive():
     doc = run_json("alpha", "--n", "2", "--max-len", "6")
     assert doc["result"]["alpha"] == 4
     assert doc["result"]["exact"] is True
+    assert doc["result"]["key_collisions"] == 0
     assert "workers" not in doc
     run_cli("alpha", "--n", "4", "--max-len", "6", expect=2)
 
@@ -133,7 +134,7 @@ def test_alpha_reverifies_every_minimum(monkeypatch, capsys):
     from lcslab import search
     calls = []
 
-    def refuting(oracle_id, length, witness):
+    def refuting(oracle_id, length, witness, stats=None):
         calls.append((oracle_id, length, str(witness)))
         return False
 

@@ -152,6 +152,13 @@ def test_alpha_small_values():
     assert verify_minimum("lcs:3", 8, e3.witness)
 
 
+def test_alpha_6_is_pinned():
+    # the square-root search on UT(6, F_p) keys, re-checked inside alpha
+    e6 = alpha(6, 22, 6)
+    assert (e6.value, str(e6.witness)) == (22, "AAABaabABAbaaaBAAbaBab")
+    assert e6.key_collisions == 0
+
+
 def test_alpha_requires_degree_at_least_n():
     with pytest.raises(ValueError):
         alpha(3, 8, 2)
