@@ -14,11 +14,9 @@ from .quotients import QuotientGroup
 from .search import (
     NotFoundBelow,
     NotFoundBelowError,
-    SearchSpec,
     SearchStats,
-    build_oracle,
-    engine_flags,
-    search_min,
+    search_min,  # noqa: F401  perfbench's self-test reads girth.search_min
+    search_mitm,
     verify_minimum,
 )
 from .words import Word
@@ -40,21 +38,23 @@ def girth(oracle_id: str, max_len: int, reverify: bool = True
           ) -> Union[GirthResult, NotFoundBelow]:
     """Length of the shortest nontrivial member, by exhaustive search.
 
-    Either outcome carries the engine counters as `stats`.  A hit is
-    re-verified by verify_minimum, an unpruned meet in the middle over
-    every shorter reduced word, unless reverify is off; a disagreement
-    raises AssertionError.  NotFoundBelow is an explicit outcome, never an
+    Found by search_mitm, the square-root search, which prunes only on
+    the oracle's declared invariances; the witness is the byte-least
+    member of the minimal length in canonical form.  Either outcome
+    carries the counters as `stats`.  A hit is re-verified by
+    verify_minimum, an unpruned meet in the middle over every shorter
+    reduced word, unless reverify is off; a disagreement raises
+    AssertionError.  NotFoundBelow is an explicit outcome, never an
     absence claim beyond the bound.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    spec = SearchSpec(oracle_id=oracle_id, max_len=max_len,
-                      flags=engine_flags(build_oracle(oracle_id)))
-    outcome, stats = search_min(spec)
+    stats = SearchStats()
+    outcome = search_mitm(oracle_id, max_len, stats)
     if isinstance(outcome, NotFoundBelow):
         return dataclasses.replace(outcome, stats=stats)
     length, witness = outcome
-    if reverify and not verify_minimum(oracle_id, length, witness):
+    if reverify and not verify_minimum(oracle_id, length, witness, stats):
         raise AssertionError(
             f"pruned search and independent scan disagree for {oracle_id} "
             f"at length {length}")

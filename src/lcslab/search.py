@@ -28,8 +28,11 @@ and their hits merge by bytes minimum.
 search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
 the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
-half up once, at 3^(L/2) cost per length rather than 3^L.  alpha uses
-it.
+half up once, at 3^(L/2) cost per length rather than 3^L.  alpha and
+girth use it.  search_min's remaining callers are
+almostlaw.seed_pool_obstruction, whose tested count the benchmark pins,
+and the battery's alpha-table check, which runs it pruned and unpruned
+on lcs:2 and lcs:3 as a cross-check of the prunes.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 search's pruning (no symmetry, balance or cyclic prune, no odd-length
@@ -402,8 +405,19 @@ class SearchSpec:
 
 @dataclass
 class SearchStats:
+    """Counters of one search, filled by the engine that ran it.
+
+    tested: on search_min, the leaves tested, one per word of the target
+    length that survives the prune and whose state is compared with the
+    identity.  On search_mitm, the right halves looked up among the left
+    ones: every reduced word of the right half's length, at each length
+    searched.  verify_minimum adds none.
+
+    key_collisions: key matches the exact state refuted, over the search
+    and the re-check (lcs:n only; exact keys never collide).
+    """
     tested: int = 0
-    key_collisions: int = 0  # key matches the exact state refuted
+    key_collisions: int = 0
 
 
 @dataclass(frozen=True)
@@ -607,6 +621,7 @@ def search_mitm(oracle_id: str, max_len: int,
 
     An lcs:n oracle joins on utkey's row-0 keys, each match confirmed on
     the exact state; the refuted ones are counted in stats.key_collisions.
+    stats.tested counts the right halves looked up (see SearchStats).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -621,6 +636,8 @@ def search_mitm(oracle_id: str, max_len: int,
         # the left halves are the smaller side: 3^(split-1) words against
         # 4*3^(L-split-1) when they start with 'A', 4*3^(split-1) otherwise
         split = (L + 1) // 2 if flags.automorphism else L // 2
+        k = L - split  # every reduced right half is looked up on both routes
+        stats.tested += 4 * 3 ** (k - 1) if k else 1
         if levels is None:
             best = min(_members(oracle, L, split, roots, flags.cyclic),
                        default=None)

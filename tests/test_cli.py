@@ -107,7 +107,7 @@ def test_girth_reverifies_every_minimum(monkeypatch, capsys):
     from lcslab import girth as girth_module
     calls = []
 
-    def refuting(oracle_id, length, witness):
+    def refuting(oracle_id, length, witness, stats=None):
         calls.append((oracle_id, length, str(witness)))
         return False
 

@@ -466,6 +466,16 @@ for _oid in sorted(BRUTE_FORCE):
         test_square_root_search_agrees_with_dfs)
 
 
+@pytest.mark.parametrize("oid", [
+    "derived-perm:a=(1 2);b=(1 2 3)",
+    "derived-perm:a=(1 2);b=(3 4 5)",
+    "derived-perm:a=(1 2 3);b=(1 2)",
+])
+def test_girth_agrees_with_dfs_at_length_14(oid):
+    dfs, _ = search_min(SearchSpec(oid, 14, engine_flags(build_oracle(oid))))
+    assert girth(oid, 14) == GirthResult(*dfs)
+
+
 @pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
 def test_group_keys_are_equal_exactly_when_states_are(oid):
     identity, step, key = build_oracle(oid).group()
@@ -526,6 +536,11 @@ def test_dfs_tree_is_pinned_on_derived2(monkeypatch):
     # a state is stepped only when it is extended or tested, so a child
     # the balance prune cuts costs none
     assert counts["steps"] == 166504
+    # girth meets in the middle on the same query: the DFS outcome, and
+    # not one walker push
+    before = dict(counts)
+    assert girth("derived2", 14) == GirthResult(*out)
+    assert counts == before
 
 
 def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
@@ -546,7 +561,9 @@ def test_unpruned_search_tests_every_word():
     assert pruned.value == plain[0] == 4
     # every reduced word of length 1..4, odd lengths included
     assert stats.tested == 2 * (3 ** 4 - 1)
-    assert pruned.stats.tested < stats.tested
+    # the square-root search looks up the right halves of the even
+    # lengths only, split after ceil(L/2) letters: 4 at length 2, 12 at 4
+    assert pruned.stats.tested == 4 + 12
 
 
 def test_flagless_search_is_unpruned_and_not_resumed_pruned():
@@ -558,11 +575,15 @@ def test_flagless_search_is_unpruned_and_not_resumed_pruned():
 
 
 def test_girth_outcomes_carry_stats():
+    # tested counts the right halves looked up: z2 and derived2 skip odd
+    # lengths and split L after ceil(L/2) letters, so length L looks up
+    # every reduced word of length L/2, 4 * 3^(L/2 - 1) of them; the
+    # re-check adds none
     found = girth("z2", 6)
-    # pruned: balanced, cyclically reduced words that start with 'A'
-    assert found.value == 4 and found.stats.tested == 2
+    assert found.value == 4 and found.stats.tested == 4 + 12
+    assert found.stats.key_collisions == 0
     missed = girth("derived2", 6)
-    assert missed == NotFoundBelow(6) and missed.stats.tested == 8
+    assert missed == NotFoundBelow(6) and missed.stats.tested == 4 + 12 + 36
     # search_min hands its counters back beside the outcome only
     out, stats = search_min(SearchSpec(oracle_id="derived2", max_len=6,
                                        flags=SearchFlags(cyclic=True)))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from lcslab import search, utkey
 from lcslab.construction import build
+from lcslab.girth import girth
 from lcslab.search import (SearchStats, build_oracle, enumerate_words,
                            search_mitm, verify_minimum)
 from lcslab.words import Word, inverse_letter, random_word
@@ -105,13 +106,29 @@ def _cyclic_a_words(length):
             and w.data[:1] == b"A" and w.data[0] != inverse_letter(w.data[-1])]
 
 
+def _refuted_before_lcs3_witness():
+    """The words search_mitm("lcs:3", ...) joins before its witness when
+    every key matches: each is refuted exactly."""
+    refuted = sum(len(_cyclic_a_words(L)) for L in (2, 4, 6))
+    return refuted + sum(1 for w in _cyclic_a_words(8) if w < b"AABabbaB")
+
+
 def test_forced_collisions_cost_checks_not_answers(zero_point):
     stats = SearchStats()
     assert search_mitm("lcs:3", 10, stats) == (8, Word.parse("AABabbaB"))
-    # every word the search joined before the witness was refuted exactly
-    refuted = sum(len(_cyclic_a_words(L)) for L in (2, 4, 6))
-    refuted += sum(1 for w in _cyclic_a_words(8) if w < b"AABabbaB")
-    assert stats.key_collisions == refuted
+    assert stats.key_collisions == _refuted_before_lcs3_witness()
+    # one lookup per row of the right level: lengths 1..4 at L = 2..8
+    assert stats.tested == 4 + 12 + 36 + 108
+
+
+def test_girth_counts_the_recheck_collisions(zero_point):
+    found = girth("lcs:3", 10)
+    assert (found.value, str(found.witness)) == (8, "AABabbaB")
+    # the search's refuted joins, then every reduced word shorter than 8,
+    # each joined once by the unpruned re-check and refuted
+    assert found.stats.key_collisions == (_refuted_before_lcs3_witness()
+                                          + 2 * (3 ** 7 - 1))
+    assert found.stats.tested == 4 + 12 + 36 + 108
 
 
 def test_forced_collisions_recheck_tests_every_shorter_word_once(
