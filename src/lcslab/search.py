@@ -28,11 +28,10 @@ and their hits merge by bytes minimum.
 search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
 the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
-half up once, at 3^(L/2) cost per length rather than 3^L.  alpha and
-girth use it.  search_min's remaining callers are
-almostlaw.seed_pool_obstruction, whose tested count the benchmark pins,
-and the battery's alpha-table check, which runs it pruned and unpruned
-on lcs:2 and lcs:3 as a cross-check of the prunes.
+half up once, at 3^(L/2) cost per length rather than 3^L.  alpha,
+girth and almostlaw.seed_pool_obstruction use it.  search_min's
+remaining caller is the battery's alpha-table check, which runs it
+pruned and unpruned on lcs:2 and lcs:3 as a cross-check of the prunes.
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 search's pruning (no symmetry, balance or cyclic prune, no odd-length

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcslab import search
-from lcslab.almostlaw import seed_pool_obstruction
+from lcslab.almostlaw import _a5_block_quotient, seed_pool_obstruction
 from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.construction import build
 from lcslab.words import (LETTERS, Word, exponent_sums, inverse_bytes,
@@ -543,13 +543,38 @@ def test_dfs_tree_is_pinned_on_derived2(monkeypatch):
     assert counts == before
 
 
+def _obstruction_spec(max_len):
+    oid = "zerosum-" + _a5_block_quotient().spec_string()
+    flags = SearchFlags(cyclic=True, inverse=True, automorphism=False)
+    assert flags == engine_flags(build_oracle(oid))
+    return SearchSpec(oid, max_len, flags)
+
+
 def test_dfs_tree_is_pinned_on_the_obstruction(monkeypatch):
     counts = _count_walkers(monkeypatch, ZeroSumKernelOracle)
-    obs = seed_pool_obstruction(12)
-    assert obs.outcome == NotFoundBelow(12)
-    assert obs.stats.tested == counts["leaves"] == 13848
+    out, stats = search_min(_obstruction_spec(12))
+    assert out == NotFoundBelow(12)
+    assert stats.tested == counts["leaves"] == 13848
     assert counts["pushes"] == 193868
     assert counts["steps"] == 85932
+    # the obstruction meets in the middle: the same outcome, a tested
+    # count equal to the depth-first leaves, and not one walker push
+    before = dict(counts)
+    obs = seed_pool_obstruction(12)
+    assert (obs.outcome, obs.stats.tested) == (out, stats.tested)
+    assert counts == before
+
+
+@pytest.mark.parametrize("max_len", range(1, 11))
+def test_obstruction_counts_the_search_min_leaves(max_len):
+    # every cyclically reduced zero-sum word, counted from scratch
+    words = sum(1 for w in enumerate_words(max_len, SearchFlags())
+                if exponent_sums(w) == (0, 0)
+                and w.data[0] != inverse_letter(w.data[-1]))
+    out, stats = search_min(_obstruction_spec(max_len))
+    obs = seed_pool_obstruction(max_len)
+    assert obs.outcome == out == NotFoundBelow(max_len)
+    assert obs.stats.tested == stats.tested == words
 
 
 # ----------------------------------------------------------------------
