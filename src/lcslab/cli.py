@@ -138,11 +138,13 @@ def _cmd_depth(args, t0):
 
 def _cmd_girth(args, t0):
     outcome = girth(args.quotient, args.max_len)
+    collisions = outcome.stats.key_collisions
     if isinstance(outcome, NotFoundBelow):
         return EXIT_INCONCLUSIVE, {"girth": None, "witness": None,
-                                   "exact": False, "searched_to": outcome.bound}
+                                   "exact": False, "searched_to": outcome.bound,
+                                   "key_collisions": collisions}
     return EXIT_OK, {"girth": outcome.value, "witness": str(outcome.witness),
-                     "exact": True}
+                     "exact": True, "key_collisions": collisions}
 
 
 def _cmd_alpha(args, t0):

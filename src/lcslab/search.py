@@ -28,7 +28,9 @@ and their hits merge by bytes minimum.
 search_mitm, the square-root search (Schroeppel-Shamir 1981), meets in
 the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
-half up once, at 3^(L/2) cost per length rather than 3^L.  alpha,
+half up once, at 3^(L/2) cost per length rather than 3^L.  The halves
+come from a store of levels, every reduced word of length k beside its
+key, each level made once from the one before.  alpha,
 girth and almostlaw.seed_pool_obstruction use it.  search_min's
 remaining caller is the battery's alpha-table check, which runs it
 pruned and unpruned on lcs:2 and lcs:3 as a cross-check of the prunes.
@@ -36,32 +38,35 @@ pruned and unpruned on lcs:2 and lcs:3 as a cross-check of the prunes.
 A found minimum is re-checked by verify_minimum, which shares none of the
 search's pruning (no symmetry, balance or cyclic prune, no odd-length
 skip): a meet in the middle over every reduced word of every shorter
-length, on the same join as search_mitm.
+length, on the same join as search_mitm, with a store of its own.
 
-For lcs:n both join on utkey's row-0 keys in UT(n, F_p), built level by
-level on arrays, not on the truncated Magnus expansion: equal expansions
-give equal keys, so a length with no key match has no member, and every
-key match is confirmed on the exact DepthOracle state before it counts.
-Every other oracle joins on the exact key of its group() state.
+Both join on a key that equal states always share, so a length with no
+key match has no member, and both confirm every key match on the exact
+group() state before it counts.  For lcs:n the key is utkey's row 0 in
+UT(n, F_p), built level by level on arrays; for a derived oracle it is
+the image beside one linear hash of the Fox derivatives (key_group);
+every other oracle joins on its exact state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add, sub
+from random import Random
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from . import utkey
 from .magnus import _check_degree, _letter_updates
 from .quotients import parse_quotient_spec
-from .words import (LETTER_A, LETTER_AI, LETTER_B, Word, inverse_bytes,
-                    inverse_letter)
+from .words import (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, Word,
+                    inverse_bytes, inverse_letter)
 
 _BYTE_ORDER = b"ABab"  # enumeration order = byte order, so streams are lexicographic
 _ALLOWED: Dict[int, bytes] = {
     c: bytes(d for d in _BYTE_ORDER if d != inverse_letter(c)) for c in _BYTE_ORDER
 }
+P61 = (1 << 61) - 1  # the derived key's modulus, a Mersenne prime
 _DELTA = {ord("a"): (1, 0), ord("A"): (-1, 0), ord("b"): (0, 1), ord("B"): (0, -1)}
 
 
@@ -209,7 +214,13 @@ class Oracle:
     two states exactly when the states are equal.  Word to state is a
     homomorphism into a group, so w is a member exactly when its state is
     the identity.  make_walker wraps the first two in a GroupWalker, which
-    calls step only for a state that is extended or tested."""
+    calls step only for a state that is extended or tested.
+
+    key_group() returns the (identity, step, key) the meet in the middle
+    joins on.  Its one contract: words with equal group() states get
+    equal keys, so a length with no key match has no member.  Distinct
+    states may share a key; every match is confirmed on the exact group()
+    state.  It defaults to group(), whose keys never collide."""
 
     oracle_id: str = "abstract"
     conjugation_invariant = False
@@ -219,6 +230,9 @@ class Oracle:
 
     def group(self) -> Tuple[object, Callable, Callable]:
         raise NotImplementedError
+
+    def key_group(self) -> Tuple[object, Callable, Callable]:
+        return self.group()
 
     def make_walker(self) -> GroupWalker:
         raise NotImplementedError
@@ -291,6 +305,33 @@ class DerivedKernelOracle(Oracle):
             return p2, da, db
 
         return (self.q.identity(), {}, {}), step, _derived_key
+
+    def key_group(self):
+        # state: the image p and h = sum of coeff * r(g, gen) mod P61 over
+        # both projected Fox derivatives, with one weight r per (g, gen)
+        # drawn on first use from a fixed seed.  h is linear in the
+        # derivatives, so equal derived states get equal keys; two
+        # distinct ones with the same p collide with probability 1/P61.
+        multiply = self.q.letter_step()
+        draw = Random("derived key").randrange
+        wa, wb = {}, {}  # g -> r(g, a), g -> r(g, b)
+        weights = {LETTER_A: wa, LETTER_AI: wa, LETTER_B: wb, LETTER_BI: wb}
+
+        def step(state, c):
+            p, h = state
+            p2 = multiply(p, c)
+            table = weights[c]
+            if c == LETTER_A or c == LETTER_B:
+                r = table.get(p)
+                if r is None:
+                    r = table[p] = draw(P61)
+                return p2, (h + r) % P61
+            r = table.get(p2)
+            if r is None:
+                r = table[p2] = draw(P61)
+            return p2, (h - r) % P61
+
+        return (self.q.identity(), 0), step, _state_key
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])
@@ -413,7 +454,8 @@ class SearchStats:
     searched.  verify_minimum adds none.
 
     key_collisions: key matches the exact state refuted, over the search
-    and the re-check (lcs:n only; exact keys never collide).
+    and the re-check.  The hashed keys of lcs:n and of the derived
+    oracles can collide; exact keys never do.
     """
     tested: int = 0
     key_collisions: int = 0
@@ -537,50 +579,65 @@ def search_min(spec: SearchSpec) -> Tuple[object, SearchStats]:
 # ----------------------------------------------------------------------
 # meet in the middle
 
-_SUCCESSORS: Dict[int, List[Tuple[int, bytes]]] = {
-    c: [(d, bytes([d])) for d in reversed(_ALLOWED[c])] for c in _BYTE_ORDER
+# each letter's reduced successors, in byte order
+_NEXT: Dict[int, List[Tuple[int, bytes]]] = {
+    c: [(d, bytes([d])) for d in _ALLOWED[c]] for c in _BYTE_ORDER
 }
+_FIRST = [(c, bytes([c])) for c in _BYTE_ORDER]
 
 
-def _halves(identity, step, n: int, roots: bytes
-            ) -> Iterator[Tuple[bytes, object]]:
-    """(word, state) for every reduced word of length n whose first letter
-    is in roots, in byte order.  A depth-first walk: it holds the siblings
-    along one path, never a whole level."""
-    if n == 0:
-        yield b"", identity
-        return
-    stack = [(bytes([c]), step(identity, c)) for c in reversed(roots)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        w, state = pop()
-        if len(w) == n:
-            yield w, state
-            continue
-        for c, letter in _SUCCESSORS[w[-1]]:
-            push((w + letter, step(state, c)))
+class _Levels:
+    """Every reduced word of length k in byte order, beside the join key of
+    its state, for an oracle's key_group() (identity, step, key).  Level
+    k+1 is made from level k, three letters per word in byte order.  Every
+    level keeps its words and keys, and only the newest its states: one
+    store serves the later lengths of one search, and no other."""
 
+    def __init__(self, identity, step, key):
+        self.step, self.key = step, key
+        self.words: List[List[bytes]] = [[b""]]
+        self.keys: List[list] = [[key(identity)]]
+        self.states = [identity]
 
-def _members(oracle: Oracle, length: int, split: int, roots: bytes,
-             cyclic: bool) -> Iterator[bytes]:
-    """Every member w = uv of this length with |u| = split and first(u) in
-    roots (cyclically reduced too, with cyclic), in no particular order;
-    roots other than all four letters need split >= 1.
+    def level(self, k: int) -> Tuple[List[bytes], list]:
+        """(words, keys) of the reduced words of length k."""
+        step = self.step
+        while len(self.words) <= k:
+            words, states = [], []
+            add_word, add_state = words.append, states.append
+            for w, state in zip(self.words[-1], self.states):
+                for c, letter in (_NEXT[w[-1]] if w else _FIRST):
+                    add_word(w + letter)
+                    add_state(step(state, c))
+            self.words.append(words)
+            self.keys.append(list(map(self.key, states)))
+            self.states = states
+        return self.words[k], self.keys[k]
 
-    A reduced word uv is a member exactly when state(u) = state(v'), where
-    v' = v^-1, and it is reduced exactly when last(u) != last(v').  The
-    left halves u, the smaller side, go into buckets by key; the right
-    halves v' are walked lazily and each is looked up once.
-    """
-    identity, step, key = oracle.group()
-    buckets: Dict[object, List[bytes]] = {}
-    for u, state in _halves(identity, step, split, roots):
-        buckets.setdefault(key(state), []).append(u)
-    for v1, state in _halves(identity, step, length - split, _BYTE_ORDER):
-        for u in buckets.get(key(state), ()):
-            if u and v1 and (u[-1] == v1[-1] or (cyclic and u[0] == v1[0])):
-                continue
-            yield u + inverse_bytes(v1)
+    def joins(self, length: int, split: int, roots: bytes,
+              cyclic: bool) -> List[bytes]:
+        """Every word uv of this length, with |u| = split and first(u) in
+        roots (cyclically reduced too, with cyclic), whose halves u and
+        v^-1 have equal keys, in byte order; roots other than all four
+        letters need split >= 1.
+
+        A reduced word uv is a member exactly when state(u) = state(v'),
+        where v' = v^-1, and it is reduced exactly when last(u) !=
+        last(v').  The left halves u go into buckets by key, and each
+        right half v' is looked up once."""
+        buckets: Dict[object, List[bytes]] = {}
+        for u, key in zip(*self.level(split)):
+            if not u or u[0] in roots:
+                buckets.setdefault(key, []).append(u)
+        get = buckets.get
+        out = []
+        for v1, key in zip(*self.level(length - split)):
+            for u in get(key, ()):
+                if u and v1 and (u[-1] == v1[-1] or (cyclic and u[0] == v1[0])):
+                    continue
+                out.append(u + inverse_bytes(v1))
+        out.sort()
+        return out
 
 
 def _confirmed(oracle: Oracle, words: List[bytes], stats: SearchStats
@@ -599,10 +656,12 @@ def _confirmed(oracle: Oracle, words: List[bytes], stats: SearchStats
             stats.key_collisions += 1
 
 
-def _key_levels(oracle: Oracle) -> Optional[utkey.Levels]:
-    """The UT(n, F_p) key levels for an lcs:n oracle; None for the others,
-    which join on their exact group() keys."""
-    return utkey.Levels(oracle.n) if isinstance(oracle, DepthOracle) else None
+def _key_levels(oracle: Oracle):
+    """A fresh join store: utkey's UT(n, F_p) key arrays for an lcs:n
+    oracle, the level store on key_group() for every other."""
+    if isinstance(oracle, DepthOracle):
+        return utkey.Levels(oracle.n)
+    return _Levels(*oracle.key_group())
 
 
 def search_mitm(oracle_id: str, max_len: int,
@@ -618,9 +677,9 @@ def search_mitm(oracle_id: str, max_len: int,
     conjugation-invariant.  The byte-least member of the minimal length
     is returned in canonical form, as search_min does.
 
-    An lcs:n oracle joins on utkey's row-0 keys, each match confirmed on
-    the exact state; the refuted ones are counted in stats.key_collisions.
-    stats.tested counts the right halves looked up (see SearchStats).
+    Every key match is confirmed on the exact state; the refuted ones are
+    counted in stats.key_collisions.  stats.tested counts the right halves
+    looked up (see SearchStats).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -637,12 +696,9 @@ def search_mitm(oracle_id: str, max_len: int,
         split = (L + 1) // 2 if flags.automorphism else L // 2
         k = L - split  # every reduced right half is looked up on both routes
         stats.tested += 4 * 3 ** (k - 1) if k else 1
-        if levels is None:
-            best = min(_members(oracle, L, split, roots, flags.cyclic),
-                       default=None)
-        else:  # the joins come in byte order: the first confirmed is least
-            joins = levels.joins(L, split, roots, flags.cyclic)
-            best = next(_confirmed(oracle, joins, stats), None)
+        # the joins come in byte order: the first confirmed is least
+        joins = levels.joins(L, split, roots, flags.cyclic)
+        best = next(_confirmed(oracle, joins, stats), None)
         if best is not None:
             return L, Word.from_reduced(canonical_bytes(best, flags))
     return NotFoundBelow(max_len)
@@ -658,9 +714,9 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word,
     the length: all four first letters, no symmetry flags, no balance or
     cyclic prune.  Each shorter word is tested once, as one pair of
     halves, and the pairs are found by key lookup, so the cost is about
-    3^(found_length/2) rather than 3^(found_length-1).  An lcs:n oracle
-    joins on utkey's row-0 keys and confirms each match exactly, as
-    search_mitm does.  Returns False at the first shorter member.
+    3^(found_length/2) rather than 3^(found_length-1).  It joins on the
+    same keys as search_mitm, in a store of its own, and confirms each
+    match exactly.  Returns False at the first shorter member.
     """
     oracle = build_oracle(oracle_id)
     identity, step, key = oracle.group()
@@ -673,14 +729,8 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word,
     levels = _key_levels(oracle)
     stats = SearchStats() if stats is None else stats
     for length in range(1, found_length):
-        split = length // 2
-        if levels is None:
-            members = _members(oracle, length, split, _BYTE_ORDER,
-                               cyclic=False)
-        else:
-            members = _confirmed(
-                oracle, levels.joins(length, split, _BYTE_ORDER, False), stats)
-        for _ in members:
+        joins = levels.joins(length, length // 2, _BYTE_ORDER, False)
+        for _ in _confirmed(oracle, joins, stats):
             return False
     return True
 

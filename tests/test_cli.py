@@ -70,9 +70,11 @@ def test_girth_found_and_not_found():
     assert doc["result"]["girth"] == 4
     assert doc["result"]["witness"] == "ABab"
     assert doc["result"]["exact"] is True
+    assert doc["result"]["key_collisions"] == 0
     doc = run_json("girth", "--quotient", "lcs:5", "--max-len", "4", expect=2)
     assert doc["result"]["girth"] is None
     assert doc["result"]["searched_to"] == 4
+    assert doc["result"]["key_collisions"] == 0
 
 
 def run_twice_masked(*argv, expect=0):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -14,6 +16,7 @@ from lcslab.search import (
     NotFoundBelow,
     NotFoundBelowError,
     SearchFlags,
+    SearchStats,
     SearchSpec,
     ZeroSumKernelOracle,
     alpha,
@@ -397,12 +400,12 @@ def test_verify_minimum_rejections():
 
 
 def _constant_key(monkeypatch, cls):
-    """Patch cls.group so every state has the same key: every join the
-    meet in the middle makes is then a match, and it yields every word it
-    tests."""
-    group = cls.group
-    monkeypatch.setattr(cls, "group",
-                        lambda self: (*group(self)[:2], lambda state: 0))
+    """Patch cls.key_group so every state has the same key: every join the
+    meet in the middle makes is then a match, confirmed on its exact
+    state."""
+    key_group = cls.key_group
+    monkeypatch.setattr(cls, "key_group",
+                        lambda self: (*key_group(self)[:2], lambda state: 0))
 
 
 @pytest.mark.parametrize("oid,witness", [
@@ -410,29 +413,34 @@ def _constant_key(monkeypatch, cls):
 def test_verify_minimum_tests_every_shorter_word_once(monkeypatch, oid,
                                                       witness):
     _constant_key(monkeypatch, type(build_oracle(oid)))
-    members = search._members
+    joins = search._Levels.joins
     log = []
 
-    def recording(*args, **kwargs):
-        log.extend(members(*args, **kwargs))  # every word the join tests
-        return iter(())                       # and no member among them
+    def recording(self, *args):
+        out = joins(self, *args)
+        log.extend(out)  # every word the join tests
+        return out
 
-    monkeypatch.setattr(search, "_members", recording)
+    monkeypatch.setattr(search._Levels, "joins", recording)
+    stats = SearchStats()
     L = len(witness)
-    assert verify_minimum(oid, L, Word.parse(witness))
+    assert verify_minimum(oid, L, Word.parse(witness), stats)
     assert len(log) == len(set(log)) == 2 * (3 ** (L - 1) - 1)
     assert set(log) == {w.data for w in enumerate_words(L - 1)}
     for d in range(1, L):
         assert sum(1 for w in log if len(w) == d) == 4 * 3 ** (d - 1)
+    # no shorter word is a member, so the exact state refutes each one
+    assert stats.key_collisions == len(log)
 
 
 def test_pruned_join_makes_each_cyclic_a_word_once(monkeypatch):
     # the search's join: words starting with 'A', cyclically reduced
     oracle = build_oracle("lcs:3")
     _constant_key(monkeypatch, DepthOracle)
+    levels = search._Levels(*oracle.key_group())
     for length in range(1, 9):
-        joined = list(search._members(oracle, length, (length + 1) // 2,
-                                      b"A", cyclic=True))
+        joined = levels.joins(length, (length + 1) // 2, b"A", cyclic=True)
+        assert joined == sorted(joined)
         want = {w.data for w in enumerate_words(length)
                 if len(w) == length and w.data[:1] == b"A"
                 and (length == 1 or w.data[0] != inverse_letter(w.data[-1]))}
@@ -488,6 +496,74 @@ def test_group_keys_are_equal_exactly_when_states_are(oid):
     for s, ks in states:
         for t, kt in states:
             assert (ks == kt) == (s == t)
+
+
+@pytest.mark.parametrize("oid", ["z2", "derived2", "zerosum-" + S3_KERNEL])
+def test_store_levels_are_the_reduced_words_in_byte_order(oid):
+    identity, step, key = build_oracle(oid).key_group()
+    levels = search._Levels(identity, step, key)
+    for k in range(7):
+        words, keys = levels.level(k)
+        assert words == ([w.data for w in enumerate_words(6) if len(w) == k]
+                         or [b""])
+        for w, kw in zip(words, keys):
+            state = identity
+            for c in w:
+                state = step(state, c)
+            assert key(state) == kw
+        # only the newest level keeps its states
+        assert len(levels.states) == len(words)
+
+
+@pytest.mark.parametrize("oid", [
+    "derived2", "derived-" + S3_KERNEL, "derived-" + KLEIN_KERNEL])
+def test_hashed_keys_group_words_as_exact_keys_do(oid):
+    oracle = build_oracle(oid)
+    hashed = search._Levels(*oracle.key_group())
+    exact = search._Levels(*oracle.group())
+    pairs = []
+    for k in range(7):
+        words, keys = hashed.level(k)
+        assert exact.level(k)[0] == words
+        pairs += zip(keys, exact.level(k)[1])
+    # one class of equal hashed keys per class of equal exact keys: u and
+    # v share a state when u v^-1 is a member, which the derived S3 and
+    # Klein subgroups have at length 10 and 8, derived2 only at 14
+    classes = len(set(pairs))
+    assert classes == len({h for h, _ in pairs}) == len({e for _, e in pairs})
+    assert (classes < len(pairs)) == (oid != "derived2")
+
+
+@pytest.mark.parametrize("oid,max_len", [
+    ("derived2", 12), ("derived2", 14), ("derived-" + S3_KERNEL, 12),
+    ("derived-" + KLEIN_KERNEL, 10)])
+def test_forced_key_collisions_leave_girth_unchanged(monkeypatch, oid,
+                                                      max_len):
+    before = girth(oid, max_len)
+    # every weight r = 0: a derived key is then the image alone
+    monkeypatch.setattr(search, "Random",
+                        lambda seed: SimpleNamespace(randrange=lambda n: 0))
+    found = girth(oid, max_len)
+    assert found == before
+    assert found.stats.tested == before.stats.tested
+    assert before.stats.key_collisions == 0 < found.stats.key_collisions
+
+
+def test_forced_key_collisions_are_counted(monkeypatch):
+    monkeypatch.setattr(search, "Random",
+                        lambda seed: SimpleNamespace(randrange=lambda n: 0))
+    oid = "derived-" + KLEIN_KERNEL
+    found = girth(oid, 10)
+    assert found == GirthResult(8, Word.parse("AABBaabb"))
+    # every Klein kernel word a join makes is a key match, and each one
+    # outside the derived subgroup is refuted: the search's cyclically
+    # reduced ones of even length before the witness, then the re-check's
+    # shorter than it
+    kernel = [w.data for w in enumerate_words(8) if BRUTE_FORCE[KLEIN_KERNEL](w)]
+    searched = [w for w in kernel if w[0] != inverse_letter(w[-1])
+                and (len(w) < 8 or w < b"AABBaabb")]
+    rechecked = [w for w in kernel if len(w) < 8]
+    assert found.stats.key_collisions == len(searched) + len(rechecked) == 1070
 
 
 # ----------------------------------------------------------------------
