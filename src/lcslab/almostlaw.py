@@ -55,6 +55,7 @@ from .search import (
     search_mitm,
 )
 from .words import (
+    EXPONENT_DELTA,
     LETTER_A,
     LETTER_AI,
     LETTER_B,
@@ -465,8 +466,6 @@ class SeedObstruction:
     max_len: int
     outcome: Union[NotFoundBelow, Tuple[int, Word]]
     stats: SearchStats
-    threshold: float = SEED_THRESHOLD
-    gap: float = ICOSAHEDRAL_GAP
 
     @property
     def no_admissible_seed(self) -> bool:
@@ -499,9 +498,6 @@ def _zero_sum_cyclic_words(max_len: int) -> int:
     exponent sums, keeping those that can still return to zero sums; the
     symmetries a <-> a^-1 and a <-> b carry them onto the words that start
     with each of the other three letters, so the total is four times that."""
-    # (letter, its a exponent, its b exponent)
-    letters = ((LETTER_A, 1, 0), (LETTER_AI, -1, 0),
-               (LETTER_B, 0, 1), (LETTER_BI, 0, -1))
     first = LETTER_A
     prefixes = {(first, 1, 0): 1}
     total = 0
@@ -509,7 +505,7 @@ def _zero_sum_cyclic_words(max_len: int) -> int:
         left = max_len - n
         grown: dict = {}
         for (last, ea, eb), count in prefixes.items():
-            for c, da, db in letters:
+            for c, (da, db) in EXPONENT_DELTA.items():
                 if c != inverse_letter(last) and \
                         abs(ea + da) + abs(eb + db) <= left:
                     key = (c, ea + da, eb + db)

@@ -31,9 +31,7 @@ from .construction import (build, check_identities, check_lengths,
 from .girth import beta_bracket, girth, verify_three_x
 from .magnus import Depth, expand, lcs_depth
 from .nielsen import check_nielsen, reduce_with_witnesses, same_subgroup
-from .quotients import parse_quotient_spec
-from .search import (AlphaEntry, NotFoundBelow, NotFoundBelowError,
-                     SearchFlags, SearchSpec, alpha_table, search_min)
+from .search import AlphaEntry, NotFoundBelow, NotFoundBelowError, alpha_table
 from .words import commutator, random_word
 
 # reference decimal strings of the growth constants, in report order
@@ -43,7 +41,7 @@ PRINTED_DIGITS = [("mu", "3.56155"), ("nu", "1.44115577304"),
 
 DEPTHS = [1, 2, 5, 12]            # lower-central depths of b_0..b_3
 ALPHA_VALUES = [1, 4, 8, 14, 14]  # alpha(1..5); alpha(5) is witnessed by b_2
-# girth(kernel) and girth([kernel, kernel]) for each quotient
+# girth(kernel) and girth([kernel, kernel]) for each kernel oracle
 THREE_X = [("z2", "z2", (4, 14)),
            ("S3-kernel", "perm:a=(1 2);b=(1 2 3)", (2, 10)),
            ("klein-kernel", "perm:a=(1 2)(3 4);b=(1 3)(2 4)", (2, 8))]
@@ -145,22 +143,11 @@ def _check_alpha_table(ctx) -> Tuple[str, str]:
     values = [e.value for e in entries]
     if values != ALPHA_VALUES:
         return "fail", f"alpha(1..5) = {values}, expected {ALPHA_VALUES}"
-    # pruning soundness at small lengths
-    for oid in ("lcs:2", "lcs:3"):
-        found = []
-        for flags in (SearchFlags(True, True, True), SearchFlags()):
-            outcome, _ = search_min(SearchSpec(oracle_id=oid, max_len=10,
-                                               flags=flags))
-            found.append(None if isinstance(outcome, NotFoundBelow)
-                         else outcome[0])
-        if found[0] != found[1]:
-            return "fail", (f"pruned/unpruned disagree on {oid}: "
-                            f"{found[0]} vs {found[1]}")
     return "pass", (f"alpha(1..5) = {values}, witnesses "
-                    f"{[str(e.witness) for e in entries]}, each re-checked "
-                    f"by an unpruned meet in the middle, "
-                    f"alpha(4) <= alpha(2)^2, pruned and unpruned searches "
-                    f"agree to length 10")
+                    f"{[str(e.witness) for e in entries]}, each found by "
+                    f"the pruned square-root search and re-checked by an "
+                    f"unpruned meet in the middle over every shorter word, "
+                    f"alpha(4) <= alpha(2)^2")
 
 
 def _check_girth_theorem(ctx) -> Tuple[str, str]:
@@ -168,7 +155,7 @@ def _check_girth_theorem(ctx) -> Tuple[str, str]:
     lines = []
     for label, spec, (kernel, derived) in THREE_X:
         try:
-            rep = verify_three_x(parse_quotient_spec(spec), max_len=cap)
+            rep = verify_three_x(spec, max_len=cap)
         except NotFoundBelowError as ex:
             return "inconclusive", (f"{label}: kernel girth not found below "
                                     f"{ex.bound}")
@@ -195,7 +182,7 @@ def _check_beta2(ctx) -> Tuple[str, str]:
             return "inconclusive", f"no member below {cap}; need max_len 14"
         return "fail", (f"beta(2) = {outcome.value} < {BETA2}, witness "
                         f"{outcome.witness}")
-    bracket = beta_bracket(2, max_len=BETA2)
+    bracket = beta_bracket(2)
     ctx["beta2"] = bracket.exact
     detail = (f"beta(2) = {bracket.exact} in [{bracket.lower}, "
               f"{bracket.upper}], witness {bracket.witness}")
@@ -251,7 +238,8 @@ def _check_almostlaw(ctx) -> Tuple[str, str]:
         f"every alternating-degree-5 image ({obs.stats.tested} words "
         f"tested), both necessary for a bound <= 1/3, since the "
         f"nearest nontrivial value of a <= 1/3 word map would lie in "
-        f"the binary icosahedral subgroup at distance {obs.gap:.4f} "
+        f"the binary icosahedral subgroup at distance "
+        f"{almostlaw.ICOSAHEDRAL_GAP:.4f} "
         f"> 1/3; (3) grid certification of the best candidate at the "
         f"threshold would need ~{cost:.3e} pair evaluations")
 

@@ -158,7 +158,7 @@ def _cmd_alpha(args, t0):
 
 
 def _cmd_beta(args, t0):
-    bracket = beta_bracket(args.n, max_len=args.max_len)
+    bracket = beta_bracket(args.n)
     result = {"n": bracket.n, "lower": bracket.lower, "upper": bracket.upper,
               "beta": bracket.exact,
               "witness": str(bracket.witness) if bracket.witness else None}
@@ -176,7 +176,7 @@ def _cmd_report(args, t0):
         entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
     betas = {}
     for n in range(1, args.beta_n_max + 1):
-        b = beta_bracket(n, max_len=args.max_len)
+        b = beta_bracket(n)
         if b.exact is not None:
             betas[n] = b.exact
     return EXIT_OK, {
@@ -233,7 +233,7 @@ def _cmd_almostlaw(args, t0):
             "max_len": report.obstruction.max_len,
             "no_word_satisfies_necessary_conditions":
                 report.obstruction.no_admissible_seed,
-            "icosahedral_gap": report.obstruction.gap,
+            "icosahedral_gap": almostlaw.ICOSAHEDRAL_GAP,
         },
         "grid_cost_at_threshold_best":
             almostlaw.certification_cost_at_threshold(best_word),
@@ -342,7 +342,6 @@ def build_parser() -> _Parser:
 
     b = sub.add_parser("beta", help="minimal length in a derived subgroup")
     b.add_argument("--n", type=int, default=2)
-    b.add_argument("--max-len", type=int, default=14)
     b.set_defaults(func=_cmd_beta)
 
     v = sub.add_parser("verify", parents=[letters, seconds],

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .construction import build
-from .quotients import QuotientGroup
 from .search import (
     NotFoundBelow,
     NotFoundBelowError,
@@ -70,13 +69,12 @@ class ThreeXReport:
     factor_ok: Optional[bool]    # None = inconclusive
 
 
-def verify_three_x(q: QuotientGroup, max_len: int) -> ThreeXReport:
-    """Check girth([kernel, kernel]) >= 3 * girth(kernel) for the quotient.
+def verify_three_x(kernel_id: str, max_len: int) -> ThreeXReport:
+    """Check girth([kernel, kernel]) >= 3 * girth(kernel) for a kernel
+    oracle id, 'z2' or 'perm:<spec>'.
 
     Raises NotFoundBelowError when the kernel girth lies beyond max_len."""
-    spec_string = q.spec_string()
-    kernel_id = "z2" if spec_string == "z2" else spec_string
-    derived_id = "derived2" if spec_string == "z2" else f"derived-{spec_string}"
+    derived_id = "derived2" if kernel_id == "z2" else f"derived-{kernel_id}"
     g1 = girth(kernel_id, max_len)
     if isinstance(g1, NotFoundBelow):
         raise NotFoundBelowError(g1.bound)
@@ -100,12 +98,13 @@ class BetaBracket:
     witness: Optional[Word]
 
 
-def beta_bracket(n: int = 2, max_len: int = 14) -> BetaBracket:
+def beta_bracket(n: int = 2) -> BetaBracket:
     """Bracket for the shortest nontrivial word in the n-th derived subgroup.
 
     The lower bound is 3^n; the upper bound is the recursive family's
-    witness.  Exact membership testing is available only through the
-    abelianization (n <= 2), so higher n report the bracket alone.
+    witness b_n, a member.  Exact membership testing is available only
+    through the abelianization (n <= 2), where the search runs to len(b_n)
+    and so always settles the value; higher n report the bracket alone.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -119,7 +118,7 @@ def beta_bracket(n: int = 2, max_len: int = 14) -> BetaBracket:
     if oracle_id is None:
         return BetaBracket(n=n, lower=lower, upper=upper, exact=None,
                            witness=None)
-    result = girth(oracle_id, max_len=max(max_len, upper))
+    result = girth(oracle_id, max_len=upper)
     if isinstance(result, NotFoundBelow):  # cannot happen: upper is a member
         raise AssertionError("search missed the structural witness")
     if not (lower <= result.value <= upper):

@@ -123,9 +123,6 @@ class NcSeries:
         return (isinstance(other, NcSeries) and self.D == other.D
                 and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        raise TypeError("NcSeries is not hashable")
-
     def terms(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (degree, packed_monomial, coeff) for every nonzero term."""
         for i in np.flatnonzero(self.coeffs).tolist():
@@ -168,21 +165,6 @@ class NcSeries:
                 parts.append("...")
                 break
         return f"NcSeries(D={self.D}: {' + '.join(parts) or '0'})"
-
-
-def letter_series(letter: int, D: int) -> NcSeries:
-    """Magnus image of one letter: g -> 1 + X_g, g^-1 -> sum (-1)^i X_g^i."""
-    _check_degree(D)
-    f = _one(D)
-    beta = _BIT[letter]
-    if _POSITIVE[letter]:
-        f[1 + beta] = 1
-    else:
-        i = 0
-        for d in range(1, D + 1):
-            i = 2 * i + 1 + beta  # X_g^d, the all-beta monomial
-            f[i] = -1 if d % 2 else 1
-    return NcSeries(D, f)
 
 
 def expand(w: Word, D: int) -> NcSeries:

@@ -208,11 +208,6 @@ def expand_expression(basis: Sequence[Word], expr: Iterable[Tuple[int, int]]) ->
     return acc
 
 
-def nielsen_reduce(gens: Sequence[Word]) -> List[Word]:
-    """A basis of <gens> satisfying the length conditions (i)-(iii)."""
-    return SubgroupGraph(gens).basis
-
-
 def check_nielsen(gens: Sequence[Word]) -> Optional[str]:
     """None if (i)-(iii) hold over gens and their inverses, else a complaint."""
     signed = []
@@ -240,10 +235,6 @@ def check_nielsen(gens: Sequence[Word]) -> Optional[str]:
                 if len(uv * w) <= len(u) - len(v) + len(w):
                     return f"(iii) fails at {u},{v},{w}"
     return None
-
-
-def is_nielsen_reduced(gens: Sequence[Word]) -> bool:
-    return check_nielsen(gens) is None
 
 
 def same_subgroup(xs: Sequence[Word], ys: Sequence[Word]) -> bool:

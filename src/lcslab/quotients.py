@@ -6,7 +6,8 @@ concrete group: either a finite permutation group or Z^2 (exponent sums,
 whose kernel is the commutator subgroup).  Membership in the kernel is
 evaluation; membership in [kernel, kernel] projects both Fox derivatives
 into the integer group ring of the quotient and requires them to vanish,
-which decides it exactly.
+which decides it exactly.  A projected derivative is a plain {g: coeff}
+dict, no zero stored, so it vanishes exactly when the dict is empty.
 
 A permutation on n <= 256 points is stored as n bytes, the image of
 point i at index i, so a product is one bytes.translate call and elements
@@ -27,6 +28,7 @@ from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
 from .words import (
+    EXPONENT_DELTA,
     LETTER_A,
     LETTER_AI,
     LETTER_B,
@@ -47,9 +49,6 @@ class QuotientGroup:
         raise NotImplementedError
 
     def multiply(self, x: Hashable, y: Hashable) -> Hashable:
-        raise NotImplementedError
-
-    def invert(self, x: Hashable) -> Hashable:
         raise NotImplementedError
 
     # letter -> image, including inverse letters; filled by subclasses
@@ -90,11 +89,7 @@ class QuotientGroup:
 class FreeAbelianQuotient(QuotientGroup):
     """F2 -> Z^2 by exponent sums; the kernel is the commutator subgroup."""
 
-    def __init__(self):
-        self.letter_images = {
-            LETTER_A: (1, 0), LETTER_AI: (-1, 0),
-            LETTER_B: (0, 1), LETTER_BI: (0, -1),
-        }
+    letter_images = EXPONENT_DELTA
 
     def identity(self):
         return (0, 0)
@@ -102,8 +97,11 @@ class FreeAbelianQuotient(QuotientGroup):
     def multiply(self, x, y):
         return (x[0] + y[0], x[1] + y[1])
 
-    def invert(self, x):
-        return (-x[0], -x[1])
+    def letter_step(self):
+        def step(x, c):  # one call per letter: add its exponent sums
+            da, db = EXPONENT_DELTA[c]
+            return x[0] + da, x[1] + db
+        return step
 
     def spec_string(self) -> str:
         return "z2"
@@ -213,31 +211,10 @@ class PermutationQuotient(QuotientGroup):
         return f"perm:a={a};b={b}"
 
 
-def free_abelian_rank2() -> FreeAbelianQuotient:
-    return FreeAbelianQuotient()
-
-
-def s3_transpositions() -> PermutationQuotient:
-    """a -> (1 2), b -> (2 3) in S3.  The swap a<->b is realized by an inner
-    automorphism of S3 (conjugation by (1 3)) and both images are
-    involutions, so the kernel is fixed by the letter automorphisms."""
-    return PermutationQuotient(
-        permutation_from_cycles("(1 2)", 3),
-        permutation_from_cycles("(2 3)", 3))
-
-
-def klein_four() -> PermutationQuotient:
-    """Regular representation of Z/2 x Z/2; every letter automorphism
-    descends to an automorphism of the target, so the kernel is fixed."""
-    return PermutationQuotient(
-        permutation_from_cycles("(1 2)(3 4)", 4),
-        permutation_from_cycles("(1 3)(2 4)", 4))
-
-
 def parse_quotient_spec(spec: str) -> QuotientGroup:
     """'z2' or 'perm:a=(1 2);b=(2 3)'."""
     if spec == "z2":
-        return free_abelian_rank2()
+        return FreeAbelianQuotient()
     if spec.startswith("perm:"):
         pairs = [kv.split("=", 1) for kv in spec[5:].split(";")]
         if (any(len(kv) != 2 for kv in pairs)
@@ -255,41 +232,16 @@ def parse_quotient_spec(spec: str) -> QuotientGroup:
 
 
 # ----------------------------------------------------------------------
-# group-ring carriers and membership
-
-class GroupRingElement:
-    """Finitely supported integer combination of quotient elements.
-    Zero coefficients are never stored."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Optional[Dict[Hashable, int]] = None):
-        self.coeffs = {g: c for g, c in (coeffs or {}).items() if c}
-
-    def add_unit(self, g: Hashable, delta: int) -> None:
-        c = self.coeffs.get(g, 0) + delta
-        if c:
-            self.coeffs[g] = c
-        else:
-            self.coeffs.pop(g, None)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"GroupRingElement({self.coeffs!r})"
-
+# membership
 
 def in_lambda(w: Word, q: QuotientGroup) -> bool:
     """Membership in the kernel of F2 -> q."""
     return q.image(w) == q.identity()
 
 
-def project_fox(w: Word, q: QuotientGroup, gen: str) -> GroupRingElement:
-    """Fox derivative of w pushed into the group ring of the quotient.
+def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
+    """Fox derivative of w pushed into the group ring of the quotient, as
+    {g: coeff} with no zero stored.
 
     One left-to-right walk: a positive occurrence of the generator
     contributes +(image of the prefix before it), a negative one
@@ -299,18 +251,15 @@ def project_fox(w: Word, q: QuotientGroup, gen: str) -> GroupRingElement:
         raise ValueError("gen must be 'a' or 'b'")
     pos = LETTER_A if gen == "a" else LETTER_B
     neg = LETTER_AI if gen == "a" else LETTER_BI
-    out = GroupRingElement()
+    out: Dict[Hashable, int] = {}
     p = q.identity()
     for c in w.data:
         if c == pos:
-            out.add_unit(p, 1)
-            p = q.multiply(p, q.letter_images[c])
-        elif c == neg:
-            p = q.multiply(p, q.letter_images[c])
-            out.add_unit(p, -1)
-        else:
-            p = q.multiply(p, q.letter_images[c])
-    return out
+            out[p] = out.get(p, 0) + 1
+        p = q.multiply(p, q.letter_images[c])
+        if c == neg:
+            out[p] = out.get(p, 0) - 1
+    return {g: n for g, n in out.items() if n}
 
 
 def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
@@ -318,5 +267,4 @@ def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
     both projected Fox derivatives must vanish."""
     if not in_lambda(w, q):
         return False
-    return (project_fox(w, q, "a").is_zero()
-            and project_fox(w, q, "b").is_zero())
+    return not project_fox(w, q, "a") and not project_fox(w, q, "b")

@@ -30,10 +30,12 @@ the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
 half up once, at 3^(L/2) cost per length rather than 3^L.  The halves
 come from a store of levels, every reduced word of length k beside its
-key, each level made once from the one before.  alpha,
-girth and almostlaw.seed_pool_obstruction use it.  search_min's
-remaining caller is the battery's alpha-table check, which runs it
-pruned and unpruned on lcs:2 and lcs:3 as a cross-check of the prunes.
+key, each level made once from the one before.  alpha, girth and
+almostlaw.seed_pool_obstruction use it, so every minimum the CLI and the
+battery report comes from it.  search_min serves only the tests'
+cross-checks and the benchmark's pins of its walker counts, which hold
+it in place until the benchmark counts the square-root search
+(ROADMAP.md).
 
 A found minimum is re-checked by verify_minimum, which shares none of the
 search's pruning (no symmetry, balance or cyclic prune, no odd-length
@@ -59,15 +61,14 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 from . import utkey
 from .magnus import _check_degree, _letter_updates
 from .quotients import parse_quotient_spec
-from .words import (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, Word,
-                    inverse_bytes, inverse_letter)
+from .words import (EXPONENT_DELTA, LETTER_A, LETTER_AI, LETTER_B,
+                    LETTER_BI, Word, inverse_bytes, inverse_letter)
 
 _BYTE_ORDER = b"ABab"  # enumeration order = byte order, so streams are lexicographic
 _ALLOWED: Dict[int, bytes] = {
     c: bytes(d for d in _BYTE_ORDER if d != inverse_letter(c)) for c in _BYTE_ORDER
 }
 P61 = (1 << 61) - 1  # the derived key's modulus, a Mersenne prime
-_DELTA = {ord("a"): (1, 0), ord("A"): (-1, 0), ord("b"): (0, 1), ord("B"): (0, -1)}
 
 
 def _auto_tables() -> List[bytes]:
@@ -127,29 +128,6 @@ def orbit_words(w: bytes, flags: SearchFlags) -> set:
 
 def canonical_bytes(w: bytes, flags: SearchFlags) -> bytes:
     return min(orbit_words(w, flags)) if flags.any() else w
-
-
-def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterator[Word]:
-    """Every reduced word of length 1..max_len with pruning off; exactly one
-    representative (the byte-least member) of each symmetry class otherwise.
-    Nondecreasing length, lexicographic within a length."""
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    path = bytearray()
-
-    def rec(depth: int, L: int) -> Iterator[Word]:
-        if depth == L:
-            w = bytes(path)
-            if not flags.any() or w == canonical_bytes(w, flags):
-                yield Word.from_reduced(w)
-            return
-        for c in (_ALLOWED[path[-1]] if path else _BYTE_ORDER):
-            path.append(c)
-            yield from rec(depth + 1, L)
-            path.pop()
-
-    for L in range(1, max_len + 1):
-        yield from rec(0, L)
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +334,7 @@ class ZeroSumKernelOracle(KernelOracle):
 
         def step(state, c):
             ea, eb, p = state
-            da, db = _DELTA[c]
+            da, db = EXPONENT_DELTA[c]
             return ea + da, eb + db, multiply(p, c)
 
         return (0, 0, self.q.identity()), step, _state_key
@@ -473,7 +451,8 @@ class NotFoundBelow:
 
 # reduced successors of each letter, in byte order, with exponent-sum deltas
 _CHILDREN: Dict[int, Tuple[Tuple[int, int, int], ...]] = {
-    c: tuple((d,) + _DELTA[d] for d in _ALLOWED[c]) for c in _BYTE_ORDER
+    c: tuple((d,) + EXPONENT_DELTA[d] for d in _ALLOWED[c])
+    for c in _BYTE_ORDER
 }
 
 
@@ -492,7 +471,7 @@ def _scan_prefix(oracle: Oracle, prefix: bytes, L: int, flags: SearchFlags
     ea = eb = 0
     for c in prefix:
         push(c)
-        da, db = _DELTA[c]
+        da, db = EXPONENT_DELTA[c]
         ea += da
         eb += db
     path = bytearray(prefix)
@@ -674,8 +653,13 @@ def search_mitm(oracle_id: str, max_len: int,
     It prunes what the oracle declares: left halves start with 'A' when it
     is automorphism-invariant, odd lengths are skipped when members need
     zero exponent sums, and joins are cyclically reduced when it is
-    conjugation-invariant.  The byte-least member of the minimal length
-    is returned in canonical form, as search_min does.
+    conjugation-invariant.  The first confirmed join, the byte-least
+    member of the minimal length L, is already canonical (the least of
+    its orbit): at length L every member of a conjugation-invariant
+    oracle is cyclically reduced, as a shorter conjugate would be a
+    shorter member, so the members of length L are closed under the
+    declared symmetries, and under automorphism invariance their least
+    starts with 'A', the smallest byte.
 
     Every key match is confirmed on the exact state; the refuted ones are
     counted in stats.key_collisions.  stats.tested counts the right halves
@@ -684,8 +668,8 @@ def search_mitm(oracle_id: str, max_len: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
-    flags = engine_flags(oracle)
-    roots = b"A" if flags.automorphism else _BYTE_ORDER
+    automorphism = oracle.automorphism_invariant
+    roots = b"A" if automorphism else _BYTE_ORDER
     levels = _key_levels(oracle)
     stats = SearchStats() if stats is None else stats
     for L in range(1, max_len + 1):
@@ -693,14 +677,14 @@ def search_mitm(oracle_id: str, max_len: int,
             continue
         # the left halves are the smaller side: 3^(split-1) words against
         # 4*3^(L-split-1) when they start with 'A', 4*3^(split-1) otherwise
-        split = (L + 1) // 2 if flags.automorphism else L // 2
+        split = (L + 1) // 2 if automorphism else L // 2
         k = L - split  # every reduced right half is looked up on both routes
         stats.tested += 4 * 3 ** (k - 1) if k else 1
         # the joins come in byte order: the first confirmed is least
-        joins = levels.joins(L, split, roots, flags.cyclic)
+        joins = levels.joins(L, split, roots, oracle.conjugation_invariant)
         best = next(_confirmed(oracle, joins, stats), None)
         if best is not None:
-            return L, Word.from_reduced(canonical_bytes(best, flags))
+            return L, Word.from_reduced(best)
     return NotFoundBelow(max_len)
 
 
@@ -750,7 +734,6 @@ class AlphaEntry:
     value: int
     witness: Word
     max_len: int
-    degree: int
     # key matches the exact check refuted, over the search and the re-check
     key_collisions: int = field(default=0, compare=False)
 
@@ -776,7 +759,7 @@ def alpha(n: int, max_len: int, D: int) -> AlphaEntry:
             f"square-root search and independent scan disagree for "
             f"{oracle_id} at length {length}")
     return AlphaEntry(n=n, value=length, witness=witness, max_len=max_len,
-                      degree=D, key_collisions=stats.key_collisions)
+                      key_collisions=stats.key_collisions)
 
 
 def alpha_table(n_max: int, max_len: int) -> List[AlphaEntry]:

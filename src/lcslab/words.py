@@ -25,6 +25,9 @@ LETTER_B = 0x62  # b
 LETTER_BI = 0x42  # b^-1
 
 LETTERS = bytes([LETTER_A, LETTER_AI, LETTER_B, LETTER_BI])
+# each letter's exponent sums: its image in Z^2 under abelianization
+EXPONENT_DELTA = {LETTER_A: (1, 0), LETTER_AI: (-1, 0),
+                  LETTER_B: (0, 1), LETTER_BI: (0, -1)}
 
 # swap case = invert one letter
 _INV_TABLE = bytes.maketrans(b"aAbB", b"AaBb")
@@ -269,11 +272,6 @@ def cyclic_reduce(w: Word) -> Tuple[Word, Word]:
         i += 1
         j -= 1
     return Word.from_reduced(d[i:j]), Word.from_reduced(d[:i])
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    d = w.data
-    return len(d) < 2 or d[0] != _INV_BYTE[d[-1]]
 
 
 def exponent_sums(w: Word) -> Tuple[int, int]:

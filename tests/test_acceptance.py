@@ -85,7 +85,7 @@ def test_quotient_tables_consistency(ctx):
     for name, key in (("alpha-table", "alpha"), ("beta2-bracket", "beta2")):
         if key not in ctx:
             battery.run_check(name, ctx)
-    beta_values = {1: beta_bracket(1, max_len=4).exact, 2: ctx["beta2"]}
+    beta_values = {1: beta_bracket(1).exact, 2: ctx["beta2"]}
     tables = battery.quotient_tables(ctx["alpha"], beta_values)
     ok = (all(row["quotient"] >= 1.0 for row in tables["alpha"]
               if row["quotient"] is not None)

@@ -326,7 +326,7 @@ def test_obstruction_search_short_lengths():
     assert isinstance(ob.outcome, NotFoundBelow)
     assert ob.outcome.bound == 10
     assert ob.no_admissible_seed
-    assert ob.threshold == pytest.approx(1.0 / 3.0)
+    assert al.SEED_THRESHOLD == pytest.approx(1.0 / 3.0)
 
 
 def test_seed_search_report():

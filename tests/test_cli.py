@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import re
 import shlex
@@ -7,13 +9,30 @@ from pathlib import Path
 
 import pytest
 
-from lcslab import battery, cli
+from lcslab import battery, cli, search
 from lcslab.construction import build
 from lcslab.search import AlphaEntry
 from lcslab.words import Word
 
 
 def run_cli(*argv, expect=0):
+    """cli.main in this process, its stdout and stderr captured.  argparse
+    ends a usage error with SystemExit (see cli._Parser.error), whose code
+    is then the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as ex:
+            code = ex.code
+    proc = subprocess.CompletedProcess(argv, code, out.getvalue(),
+                                       err.getvalue())
+    assert proc.returncode == expect, proc.stderr or proc.stdout
+    return proc
+
+
+def run_module(*argv, expect=0):
+    """python -m lcslab.cli in a fresh process."""
     proc = subprocess.run([sys.executable, "-m", "lcslab.cli", *argv],
                           capture_output=True, text=True)
     assert proc.returncode == expect, proc.stderr or proc.stdout
@@ -25,7 +44,8 @@ def run_json(*argv, expect=0):
 
 
 def test_gen_envelope_and_determinism():
-    one = run_json("gen", "--n", "2")
+    # the module entry point prints what cli.main prints in-process
+    one = json.loads(run_module("gen", "--n", "2").stdout)
     two = run_json("gen", "--n", "2")
     for doc in (one, two):
         del doc["elapsed_seconds"]
@@ -77,9 +97,9 @@ def test_girth_found_and_not_found():
     assert doc["result"]["key_collisions"] == 0
 
 
-def run_twice_masked(*argv, expect=0):
+def run_twice_masked(*argv, expect=0, run=run_cli):
     # a plain diff with the one timing field masked
-    runs = [run_cli(*argv, expect=expect).stdout for _ in range(2)]
+    runs = [run(*argv, expect=expect).stdout for _ in range(2)]
     masked = [re.sub(r'"elapsed_seconds": [0-9.e+-]+', '"elapsed_seconds": 0',
                      text) for text in runs]
     assert masked[0] == masked[1]
@@ -87,8 +107,10 @@ def run_twice_masked(*argv, expect=0):
 
 
 def test_girth_output_is_deterministic():
+    # across two fresh processes: no state a process leaves behind, such
+    # as the derived key's weights, may show in the output
     text = run_twice_masked("girth", "--quotient", "derived-perm:a=(1 2)(3 4);"
-                            "b=(1 3)(2 4)", "--max-len", "8")
+                            "b=(1 3)(2 4)", "--max-len", "8", run=run_module)
     result = json.loads(text)["result"]
     assert result["girth"] == 8 and "elapsed" not in result
 
@@ -97,7 +119,7 @@ def test_girth_output_is_deterministic():
     (("gen", "--n", "3"), 0),
     (("depth", "--word", "abAB"), 0),
     (("alpha", "--n", "2", "--max-len", "6"), 0),
-    (("beta", "--n", "1", "--max-len", "6"), 0),
+    (("beta", "--n", "1"), 0),
     (("report",), 0),
     (("almostlaw", "--pool-max-len", "8", "--samples", "100"), 2),
 ], ids=["gen", "depth", "alpha", "beta", "report", "almostlaw"])
@@ -147,9 +169,10 @@ def test_alpha_reverifies_every_minimum(monkeypatch, capsys):
 
 
 def test_beta_small_and_open():
-    doc = run_json("beta", "--n", "1", "--max-len", "6")
+    doc = run_json("beta", "--n", "1")
     assert doc["result"]["beta"] == 4
-    doc = run_json("beta", "--n", "3", "--max-len", "6", expect=2)
+    assert "max_len" not in doc["config"]
+    doc = run_json("beta", "--n", "3", expect=2)
     assert doc["result"]["beta"] is None
     assert doc["result"]["lower"] == 27
     assert doc["result"]["upper"] == 50
@@ -226,6 +249,7 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("girth", "--quotient", "z2", "--max-len", "0"), 3),
     (("girth", "--quotient", "z2", "--max-len", "4", "--checkpoint", "x"), 3),
     (("beta", "--checkpoint", "x"), 3),
+    (("beta", "--max-len", "6"), 3),
     (("girth", "--workers", "2", "--quotient", "z2", "--max-len", "4"), 3),
     (("beta", "--workers", "2"), 3),
     (("girth", "--quotient", "z2", "--max-len", "4", "--no-prune"), 3),
@@ -240,7 +264,8 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
         "verify-seconds-negative", "girth-workers-0", "letters-before-gen",
         "seed-before-gen", "girth-perm-degree-257", "alpha-cap-0",
         "alpha-cap-negative", "report-cap-0", "girth-cap-0",
-        "girth-checkpoint", "beta-checkpoint", "girth-workers-2",
+        "girth-checkpoint", "beta-checkpoint", "beta-max-len",
+        "girth-workers-2",
         "beta-workers-2", "girth-no-prune", "girth-lcs-not-integer",
         "girth-derived-perm-empty", "girth-perm-b-without-cycles"])
 def test_bad_input_exits_without_traceback(argv, expect):
@@ -338,12 +363,29 @@ def test_battery_alpha_check_asserts_every_value(monkeypatch):
     # alpha(3) = 9 keeps the table monotone and submultiplicative; only the
     # exact values catch it
     w = Word.parse("a")
-    wrong = [AlphaEntry(n, v, w, 16, max(n, 2))
+    wrong = [AlphaEntry(n, v, w, 16)
              for n, v in enumerate([1, 4, 9, 14], 1)]
     monkeypatch.setattr(battery, "alpha_table", lambda *a, **k: wrong)
     row = battery.run_check("alpha-table", _ctx())
     assert row.status == "fail", row.detail
     assert "[1, 4, 9, 14]" in row.detail
+
+
+def test_battery_alpha_check_runs_no_depth_first_search(monkeypatch):
+    # the check rests on the routes that produce the alpha values: the
+    # pruned square-root search, re-checked by an unpruned meet in the
+    # middle inside alpha
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the depth-first engine was called")
+
+    original = search.search_min
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "lcslab"
+                and getattr(module, "search_min", None) is original):
+            monkeypatch.setattr(module, "search_min", unreachable)
+    row = battery.run_check("alpha-table", _ctx())
+    assert row.status == "pass", row.detail
+    assert "re-checked by an unpruned meet in the middle" in row.detail
 
 
 def test_battery_constants_check_fails_on_delta():

@@ -22,12 +22,12 @@ from lcslab.magnus import (
     fox_derivative,
     fundamental_identity_holds,
     lcs_depth,
-    letter_series,
     monomial_name,
     ring_add,
     ring_augmentation,
     ring_mul,
 )
+from reference import letter_series
 
 letter_strings = st.lists(st.sampled_from(list(LETTERS)), max_size=16).map(bytes)
 words = letter_strings.map(Word)

@@ -25,7 +25,6 @@ from lcslab.search import (
     canonical_bytes,
     check_alpha_table,
     engine_flags,
-    enumerate_words,
     orbit_words,
     search_min,
     search_mitm,
@@ -35,14 +34,12 @@ from lcslab.magnus import expand, lcs_depth
 from lcslab.girth import GirthResult, beta_bracket, girth, verify_three_x
 from lcslab.quotients import (
     cycles_string,
-    free_abelian_rank2,
     in_derived_lambda,
     in_lambda,
-    klein_four,
     parse_quotient_spec,
     project_fox,
-    s3_transpositions,
 )
+from reference import enumerate_words
 
 
 def test_enumeration_counts_unpruned():
@@ -182,11 +179,11 @@ def test_alpha_table_checks_fire():
     from lcslab.search import AlphaEntry
     w = Word.parse("A")
     # a minimum below n is impossible: depth(w) <= len(w)
-    bad = [AlphaEntry(1, 1, w, 4, 1), AlphaEntry(3, 2, w, 6, 2)]
+    bad = [AlphaEntry(1, 1, w, 4), AlphaEntry(3, 2, w, 6)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
     # the sequence is nondecreasing in n
-    bad = [AlphaEntry(1, 4, w, 4, 1), AlphaEntry(2, 3, w, 6, 2)]
+    bad = [AlphaEntry(1, 4, w, 4), AlphaEntry(2, 3, w, 6)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
 
@@ -224,8 +221,8 @@ def test_quotient_tables_relation():
 
 
 def test_verify_three_x_small_quotients():
-    for q, g1_want in ((s3_transpositions(), 2), (klein_four(), 2)):
-        rep = verify_three_x(q, max_len=8)
+    for kernel, g1_want in (("perm:a=(1 2);b=(2 3)", 2), (KLEIN_KERNEL, 2)):
+        rep = verify_three_x(kernel, max_len=8)
         assert rep.kernel_girth.value == g1_want
         assert rep.factor_ok is True
         assert rep.derived_lower >= 3 * g1_want
@@ -234,7 +231,7 @@ def test_verify_three_x_small_quotients():
 def test_verify_three_x_inconclusive_band():
     # bound too small to finish the derived search but big enough to
     # certify the 3x factor from the exhausted lengths
-    rep = verify_three_x(s3_transpositions(), max_len=7)
+    rep = verify_three_x("perm:a=(1 2);b=(2 3)", max_len=7)
     assert rep.derived_girth == NotFoundBelow(7)
     assert rep.derived_lower == 8
     assert rep.factor_ok is True
@@ -288,8 +285,7 @@ def _fresh_state(oracle, w: Word):
         return expand(w, oracle.n - 1).coeffs.tolist()
     q = oracle.q
     if isinstance(oracle, DerivedKernelOracle):
-        return (q.image(w), project_fox(w, q, "a").coeffs,
-                project_fox(w, q, "b").coeffs)
+        return q.image(w), project_fox(w, q, "a"), project_fox(w, q, "b")
     if isinstance(oracle, ZeroSumKernelOracle):
         return (*exponent_sums(w), q.image(w))
     return q.image(w)
@@ -693,4 +689,4 @@ def test_girth_outcomes_carry_stats():
 
 def test_verify_three_x_kernel_beyond_budget():
     with pytest.raises(NotFoundBelowError):
-        verify_three_x(free_abelian_rank2(), max_len=3)
+        verify_three_x("z2", max_len=3)

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from lcslab import search, utkey
 from lcslab.construction import build
 from lcslab.girth import girth
-from lcslab.search import (SearchStats, build_oracle, enumerate_words,
-                           search_mitm, verify_minimum)
+from lcslab.search import SearchStats, build_oracle, search_mitm, verify_minimum
 from lcslab.words import Word, inverse_letter, random_word
+from reference import enumerate_words
 
 
 def _key(w: bytes, x: np.ndarray) -> list:
