@@ -1,10 +1,20 @@
 """Subgroup bases for finitely generated subgroups of the rank-2 free group.
 
-A subgroup given by a generator list is turned into its folded core graph
-(vertices, edges labeled a/b, no two same-label edges sharing an endpoint
-in the same direction).  A breadth-first spanning tree is geodesic, and the
-dual basis -- one element per non-tree edge, read as tree-path + edge +
-reverse tree-path -- satisfies the three length conditions
+A generator list is read as loops at a base vertex and folded into the
+subgroup's core graph, one transition map step[u][c] = v over signed
+letters.  Folding fills the slot (u, c) and its reverse (v, c^-1) of every
+edge from a worklist; a slot that already holds another head merges the
+two heads, the smaller id surviving so the base stays 0, and the dropped
+vertex's slots go back on the worklist.  No trim is needed: slots only
+ever fill, and every non-base vertex starts with two filled, since a reduced
+word never turns back on itself.  The folded graph depends only on the
+subgroup (Stallings), and a breadth-first tree trying letters in byte
+order gives each vertex its shortlex-least path from the base, so the basis
+is a function of the subgroup, not of the generator list.
+
+The tree is geodesic, and the dual basis -- one element per non-tree edge,
+read as tree-path + edge + reverse tree-path, sorted shortlex -- satisfies
+the three length conditions
 
     (i)   u != 1,
     (ii)  l(uv) >= max(l(u), l(v))          whenever uv != 1,
@@ -42,129 +52,80 @@ _SIGNED_ORDER = tuple(sorted((LETTER_A, LETTER_B,
 
 _BASE = 0
 
-# An edge is identified by (tail, positive letter, head); the adjacency map
-# stores both directions: adj[u][c] = heads reachable by reading signed c.
-_Adj = Dict[int, Dict[int, Set[int]]]
+# step[u][c] = v: reading signed letter c at u leads to v.  Folded means one
+# head per slot; every slot (u, c) -> v has its reverse (v, c^-1) -> u.
+_Step = Dict[int, Dict[int, int]]
 
 
-def _add_edge(adj: _Adj, u: int, letter: int, v: int) -> None:
-    adj.setdefault(u, {}).setdefault(letter, set()).add(v)
-    adj.setdefault(v, {}).setdefault(inverse_letter(letter), set()).add(u)
+def _core_graph(gens: Iterable[Word]) -> _Step:
+    """Folded core graph of <gens>; every non-base vertex has degree >= 2."""
+    step: _Step = {_BASE: {}}
+    merged: Dict[int, int] = {}  # dropped id -> the id it merged into
 
+    def find(u: int) -> int:
+        while u in merged:
+            u = merged[u]
+        return u
 
-def _merge(adj: _Adj, keep: int, drop: int) -> None:
-    """Identify two vertices; every reference to drop becomes keep."""
-    if keep == drop:
-        return
-    for c, vs in adj.pop(drop).items():
-        adj.setdefault(keep, {}).setdefault(c, set()).update(vs)
-    for nbrs in adj.values():
-        for vs in nbrs.values():
-            if drop in vs:
-                vs.discard(drop)
-                vs.add(keep)
-
-
-def _find_unfolded(adj: _Adj) -> Optional[Tuple[int, int]]:
-    for u in sorted(adj):
-        nbrs = adj[u]
-        for c in _SIGNED_ORDER:
-            vs = nbrs.get(c)
-            if vs and len(vs) >= 2:
-                lo, hi = sorted(vs)[:2]
-                return lo, hi  # keep the smaller id, so the base survives
-    return None
-
-
-def _fold(adj: _Adj) -> None:
-    while True:
-        pair = _find_unfolded(adj)
-        if pair is None:
-            return
-        _merge(adj, *pair)
-
-
-def _degree(nbrs: Dict[int, Set[int]]) -> int:
-    return sum(len(vs) for vs in nbrs.values())
-
-
-def _trim(adj: _Adj) -> None:
-    # drop dead branches: a reduced loop at the base never enters a vertex of
-    # degree one, so girth/membership are unaffected
-    while True:
-        leaf = next((u for u in sorted(adj)
-                     if u != _BASE and _degree(adj[u]) <= 1), None)
-        if leaf is None:
-            return
-        for c, vs in adj.pop(leaf).items():
-            ci = inverse_letter(c)
-            for v in vs:
-                adj[v][ci].discard(leaf)
-                if not adj[v][ci]:
-                    del adj[v][ci]
+    # each generator is a loop at the base; its fresh ids are handed out
+    # before any merge, so len(step) is always unused
+    todo: List[Tuple[int, int, int]] = []  # slots (u, c) -> v to fill
+    for g in gens:
+        cur = _BASE
+        for i, c in enumerate(g.data):
+            nxt = _BASE if i == len(g) - 1 else len(step)
+            step.setdefault(nxt, {})
+            todo += [(cur, c, nxt), (nxt, inverse_letter(c), cur)]
+            cur = nxt
+    while todo:
+        u, c, v = todo.pop()
+        u, v = find(u), find(v)
+        w = find(step[u].setdefault(c, v))
+        if w != v:  # two heads in one slot: merge, keeping the smaller id
+            keep, drop = min(v, w), max(v, w)
+            merged[drop] = keep
+            todo += [(keep, d, x) for d, x in step.pop(drop).items()]
+    # nothing to trim: a filled slot stays filled through every merge, and a
+    # non-base vertex starts with two, since a reduced word never reads c
+    # then c^-1 through it
+    return {u: {c: find(v) for c, v in nbrs.items()} for u, nbrs in step.items()}
 
 
 class SubgroupGraph:
     """Folded core graph of <gens> with a geodesic spanning tree and basis."""
 
     def __init__(self, gens: Iterable[Word]):
-        adj: _Adj = {_BASE: {}}
-        fresh = 1
-        for g in gens:
-            data = g.data
-            cur = _BASE
-            for i, c in enumerate(data):
-                nxt = _BASE if i == len(data) - 1 else fresh
-                if nxt != _BASE:
-                    fresh += 1
-                if c in _POSITIVE:
-                    _add_edge(adj, cur, c, nxt)
-                else:
-                    _add_edge(adj, nxt, inverse_letter(c), cur)
-                cur = nxt
-        _fold(adj)
-        _trim(adj)
-
-        # after folding each signed step is deterministic
-        step: Dict[Tuple[int, int], int] = {}
-        for u, nbrs in adj.items():
-            for c, vs in nbrs.items():
-                assert len(vs) == 1
-                step[(u, c)] = next(iter(vs))
-        self._step = step
+        self._step = step = _core_graph(gens)
 
         # geodesic spanning tree by BFS; fixed letter order keeps it canonical
         path: Dict[int, bytes] = {_BASE: b""}
-        tree: Set[Tuple[int, int, int]] = set()
+        tree: Set[Tuple[int, int]] = set()  # tree slots, both directions
         queue = deque([_BASE])
         while queue:
             u = queue.popleft()
             for c in _SIGNED_ORDER:
-                v = step.get((u, c))
+                v = step[u].get(c)
                 if v is None or v in path:
                     continue
                 path[v] = path[u] + bytes([c])
-                tree.add(self._edge_id(u, c, v))
+                tree.update(((u, c), (v, inverse_letter(c))))
                 queue.append(v)
-        self._path = path
 
-        basis: List[Tuple[Word, Tuple[int, int, int]]] = []
-        for (u, c), v in step.items():
-            if c not in _POSITIVE:
-                continue
-            eid = (u, c, v)
-            if eid in tree:
-                continue
-            raw = path[u] + bytes([c]) + inverse_bytes(path[v])
-            assert is_reduced(raw)  # folded + geodesic tree: no cancellation
-            basis.append((Word.from_reduced(raw), eid))
+        basis: List[Tuple[Word, int, int, int]] = []
+        for u, nbrs in step.items():
+            for c, v in nbrs.items():
+                if c not in _POSITIVE or (u, c) in tree:
+                    continue
+                raw = path[u] + bytes([c]) + inverse_bytes(path[v])
+                assert is_reduced(raw)  # folded + geodesic tree: no cancellation
+                basis.append((Word.from_reduced(raw), u, c, v))
         basis.sort(key=lambda it: (len(it[0].data), it[0].data))
-        self.basis: List[Word] = [w for w, _ in basis]
-        self._basis_index = {eid: i for i, (_, eid) in enumerate(basis)}
-
-    @staticmethod
-    def _edge_id(u: int, c: int, v: int) -> Tuple[int, int, int]:
-        return (u, c, v) if c in _POSITIVE else (v, inverse_letter(c), u)
+        self.basis: List[Word] = [w for w, *_ in basis]
+        # slot -> (basis index, +1/-1) for each non-tree slot
+        self._crossing: Dict[Tuple[int, int], Tuple[int, int]] = {}
+        for i, (_, u, c, v) in enumerate(basis):
+            self._crossing[(u, c)] = (i, 1)
+            self._crossing[(v, inverse_letter(c))] = (i, -1)
 
     @property
     def rank(self) -> int:
@@ -173,7 +134,7 @@ class SubgroupGraph:
     def trace(self, w: Word) -> Optional[int]:
         cur = _BASE
         for c in w.data:
-            cur = self._step.get((cur, c))
+            cur = self._step[cur].get(c)
             if cur is None:
                 return None
         return cur
@@ -190,13 +151,12 @@ class SubgroupGraph:
         cur = _BASE
         out: List[Tuple[int, int]] = []
         for c in w.data:
-            v = self._step.get((cur, c))
+            v = self._step[cur].get(c)
             if v is None:
                 return None
-            eid = self._edge_id(cur, c, v)
-            idx = self._basis_index.get(eid)
-            if idx is not None:
-                out.append((idx, 1 if c in _POSITIVE else -1))
+            crossed = self._crossing.get((cur, c))
+            if crossed is not None:
+                out.append(crossed)
             cur = v
         return out if cur == _BASE else None
 

@@ -56,31 +56,13 @@ class QuotientGroup:
 
     def letter_step(self) -> Callable[[Hashable, int], Hashable]:
         """(x, letter) -> x times the letter's image."""
-        multiply, images = self.multiply, self.letter_images
-        return lambda x, c: multiply(x, images[c])
+        raise NotImplementedError
 
     def image(self, w: Word) -> Hashable:
         g = self.identity()
         for c in w.data:
             g = self.multiply(g, self.letter_images[c])
         return g
-
-    def generated_elements(self, limit: int = 100000) -> frozenset:
-        """Closure of the generator images (finite kinds only)."""
-        seen = {self.identity()}
-        frontier = [self.identity()]
-        gens = [self.letter_images[LETTER_A], self.letter_images[LETTER_B],
-                self.letter_images[LETTER_AI], self.letter_images[LETTER_BI]]
-        while frontier:
-            g = frontier.pop()
-            for s in gens:
-                h = self.multiply(g, s)
-                if h not in seen:
-                    if len(seen) >= limit:
-                        raise ValueError("closure exceeds enumeration limit")
-                    seen.add(h)
-                    frontier.append(h)
-        return frozenset(seen)
 
     def spec_string(self) -> str:
         raise NotImplementedError

@@ -2,14 +2,16 @@
 
 enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
-a word's expansion can be rebuilt as a product of letter series.
+a word's expansion can be rebuilt as a product of letter series;
+generated_elements closes a finite quotient's letter images by search.
 """
 
 from typing import Iterator
 
 from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
+from lcslab.quotients import QuotientGroup
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
-from lcslab.words import Word
+from lcslab.words import LETTERS, Word
 
 
 def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterator[Word]:
@@ -48,3 +50,19 @@ def letter_series(letter: int, D: int) -> NcSeries:
             i = 2 * i + 1 + beta  # X_g^d, the all-beta monomial
             f[i] = -1 if d % 2 else 1
     return NcSeries(D, f)
+
+
+def generated_elements(q: QuotientGroup, limit: int = 100000) -> frozenset:
+    """Every element of a finite quotient, as the closure of its letter images."""
+    seen = {q.identity()}
+    frontier = [q.identity()]
+    while frontier:
+        g = frontier.pop()
+        for c in LETTERS:
+            h = q.multiply(g, q.letter_images[c])
+            if h not in seen:
+                if len(seen) >= limit:
+                    raise ValueError("closure exceeds enumeration limit")
+                seen.add(h)
+                frontier.append(h)
+    return frozenset(seen)

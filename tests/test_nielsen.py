@@ -1,6 +1,7 @@
+import hashlib
 import random
 
-from lcslab.words import Word, commutator, random_word
+from lcslab.words import Word, commutator, inverse_letter, random_word
 from lcslab.nielsen import (
     ReductionReport,
     SubgroupGraph,
@@ -120,12 +121,54 @@ def test_random_lists_reduce_correctly():
 
 
 def test_reduction_is_idempotent_on_basis():
+    # the basis is a function of the subgroup, listed shortlex, so reducing
+    # it again, or any reordering or repetition of the inputs, gives the
+    # same list exactly
     rng = random.Random(7)
     for _ in range(50):
         gens = [random_word(rng, rng.randint(1, 6)) for _ in range(3)]
         once = SubgroupGraph(gens).basis
-        twice = SubgroupGraph(once).basis
-        assert sorted(w.data for w in twice) == sorted(w.data for w in once)
+        assert SubgroupGraph(once).basis == once
+        shuffled = gens + [rng.choice(gens)]
+        rng.shuffle(shuffled)
+        assert SubgroupGraph(shuffled).basis == once
+        assert SubgroupGraph(gens + gens[::-1]).basis == once
+
+
+def test_core_graph_invariants():
+    rng = random.Random(11)
+    for _ in range(300):
+        gens = [random_word(rng, rng.randint(0, 12))
+                for _ in range(rng.randint(1, 5))]
+        g = SubgroupGraph(gens)
+        step = g._step
+        for u, nbrs in step.items():
+            for c, v in nbrs.items():
+                assert step[v][inverse_letter(c)] == u
+            assert u == 0 or len(nbrs) >= 2
+        seen, todo = {0}, [0]
+        while todo:
+            for v in step[todo.pop()].values():
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        assert seen == set(step)
+        assert all(g.contains(w) for w in gens)
+
+
+def test_bases_and_rewrites_are_pinned():
+    # the digest of 2,000 seeded reductions, so any change to the fold, the
+    # spanning tree or the basis order shows as a different byte
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        gens = [random_word(rng, rng.randrange(0, 11))
+                for _ in range(rng.randrange(1, 6))]
+        rep = reduce_with_witnesses(gens)
+        digest.update(repr(([str(w) for w in rep.basis],
+                            [e for _, e in rep.rewrites])).encode())
+    assert digest.hexdigest() == (
+        "6abd08102718d3a7e49aade364e80341e0450cb91ab2f85e1b0097cc1da4fb3c")
 
 
 def test_is_nielsen_reduced_wrapper():
