@@ -14,13 +14,17 @@ in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
     underestimates,
   * a decay table with the fitted constants of the contraction.
 
-Evaluation.  Every element of SU(2) is [[alpha, beta], [-conj(beta),
-conj(alpha)]], so a word's value on a batch of argument pairs is carried as
-two complex arrays (alpha, beta), and each letter is four elementwise
-products on them (`_word_pair`); no batched 2x2 matrix product is formed.
-The grid certificate evaluates its pairs in blocks of about 50,000, so the
-arrays alive during one block stay under 20 MB and barely add to the peak
-memory of a caller that already holds long words.
+Evaluation.  An element of SU(2) is a unit quaternion, held as the pair
+(alpha, beta) = (q0 + i q1, q2 + i q3): the first row of [[alpha, beta],
+[-conj(beta), conj(alpha)]], a matrix that is never formed.  One element is
+a (2,) complex array and a batch an (n, 2) array.  `_mul` is the one
+product, `_inv` the inverse and `_normalized` the nearest unit quaternion
+(the polar factor of that matrix, by one division), and the distance is
+sqrt(2 - 2 Re alpha).  A word's value on a batch of argument pairs is one
+`_mul` per letter on the batch's columns, four elementwise complex products
+(`_word_pair`).  The grid certificate evaluates its pairs in blocks of
+about 50,000, so the arrays alive during one block peak at about 12 MB and
+barely add to the peak memory of a caller that already holds long words.
 
 Seed admissibility.  The propagation needs start words whose true maximum
 is at most 1/3.  That is a very strong property: the 120-element
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -66,7 +71,6 @@ from .words import (
     inverse_letter,
 )
 
-TOLERANCE = 1e-12          # unitarity defect ceiling after correction
 SEED_THRESHOLD = 1.0 / 3.0
 SILVER = 1.0 + math.sqrt(2.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -77,7 +81,7 @@ ICOSAHEDRAL_GAP = 1.0 / GOLDEN
 
 
 class NumericFailure(RuntimeError):
-    """Unitarity could not be restored within tolerance."""
+    """An argument is not a finite unit quaternion."""
 
 
 class SeedRejected(ValueError):
@@ -86,56 +90,38 @@ class SeedRejected(ValueError):
 
 
 # ----------------------------------------------------------------------
-# unitary matrices
+# unit quaternions
 
-@dataclass(frozen=True)
-class UnitaryMatrix:
-    matrix: np.ndarray
-    defect: float
-
-
-def unitarity_defect(m: np.ndarray) -> float:
-    k = m.shape[-1]
-    gram = m.conj().swapaxes(-1, -2) @ m
-    return float(np.linalg.norm(gram - np.eye(k), ord=2))
-
-
-def reorthonormalize(m: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor); works on a single matrix or a batch."""
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
+def _mul(p, q):
+    """The product of (alpha, beta) pairs p = (a, b) and q = (x, y),
+    (a x - b conj(y), a y + b conj(x)), as a tuple.  A pair is one (2,)
+    element or the columns `batch.T` of an (n, 2) batch."""
+    (a, b), (x, y) = p, q
+    # named, so numpy never multiplies into a temporary conjugate: on large
+    # batches it would swap the operands, which can move the last bit
+    y_bar, x_bar = y.conj(), x.conj()
+    return a * x - b * y_bar, a * y + b * x_bar
 
 
-def unitary(m: np.ndarray) -> UnitaryMatrix:
-    if not np.all(np.isfinite(m)):
-        raise NumericFailure("non-finite matrix entries")
-    fixed = reorthonormalize(np.asarray(m, dtype=complex))
-    defect = unitarity_defect(fixed)
-    if not defect <= TOLERANCE:
-        raise NumericFailure(f"unitarity defect {defect:.3e} after correction")
-    return UnitaryMatrix(matrix=fixed, defect=defect)
+def _inv(p):
+    a, b = p
+    return a.conj(), -b
 
 
-def _su2_matrices(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """The batch of matrices [[alpha, beta], [-conj(beta), conj(alpha)]]."""
-    out = np.empty((len(alpha), 2, 2), dtype=complex)
-    out[:, 0, 0] = alpha
-    out[:, 0, 1] = beta
-    out[:, 1, 0] = -beta.conj()
-    out[:, 1, 1] = alpha.conj()
-    return out
-
-
-def _quaternions_su2(q: np.ndarray) -> np.ndarray:
-    """Unit quaternions (rows of q) as a batch of SU(2) matrices."""
-    return _su2_matrices(q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3])
+def _normalized(p):
+    """The nearest unit quaternion, p / sqrt(|alpha|^2 + |beta|^2), as a
+    tuple: the polar factor of p's matrix."""
+    a, b = p
+    r = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+    return a / r, b / r
 
 
 def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Haar-distributed SU(2) batch via normalized 4-vectors of Gaussians."""
+    """Haar-distributed (size, 2) batch: normalized 4-vectors of Gaussians
+    read as (q0 + i q1, q2 + i q3)."""
     q = rng.normal(size=(size, 4))
     q /= np.linalg.norm(q, axis=1, keepdims=True)
-    return _quaternions_su2(q)
+    return q.view(complex)
 
 
 _CHUNK = 256  # fixed draw granularity so larger budgets extend smaller ones
@@ -149,67 +135,41 @@ def _haar_pairs(seed: int, samples: int):
         yield haar_su2(rng, _CHUNK)[:m], haar_su2(rng, _CHUNK)[:m]
 
 
-_LETTER_SLOT = {LETTER_A: (0, False), LETTER_AI: (0, True),
-                LETTER_B: (1, False), LETTER_BI: (1, True)}
-
-
 def _word_pair(w: Word, us: np.ndarray, vs: np.ndarray):
-    """The word map on a batch as (alpha, beta), read from row 0 of each
-    argument.  A letter (x, y) sends (alpha, beta) to
-    (alpha x - beta conj(y), alpha y + beta conj(x)), and its inverse is
-    (conj(x), -y); each argument's row and its conjugate are formed once
-    per call, however often its letters occur."""
+    """The word map on a batch as the (alpha, beta) columns of its value:
+    one _mul per letter.  Each argument's pair and its inverse are formed
+    once per call, however often its letters occur."""
     if not w:
-        n = us.shape[0]
+        n = len(us)
         return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-    rows = {}
-    alpha = beta = None
-    for c in w.data:
-        slot, inv = _LETTER_SLOT[c]
-        if slot not in rows:
-            x, y = (us, vs)[slot][:, 0].T
-            rows[slot] = (x, y, x.conj(), y.conj())
-        x, y, x_bar, y_bar = rows[slot]
-        if alpha is None:
-            alpha, beta = (x_bar, -y) if inv else (x, y)
-        elif inv:
-            alpha, beta = alpha * x_bar + beta * y_bar, beta * x - alpha * y
-        else:
-            alpha, beta = alpha * x - beta * y_bar, alpha * y + beta * x_bar
-    return alpha, beta
+    u, v = us.T, vs.T
+    letter = {LETTER_A: u, LETTER_AI: _inv(u), LETTER_B: v, LETTER_BI: _inv(v)}
+    acc = letter[w.data[0]]
+    for c in w.data[1:]:
+        acc = _mul(acc, letter[c])
+    return acc
 
 
 def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Evaluate the word map on a batch of SU(2) argument pairs; no
-    correction.  Only row 0 of each argument is read."""
-    return _su2_matrices(*_word_pair(w, us, vs))
+    """Evaluate the word map on (n, 2) batches of argument pairs, as an
+    (n, 2) batch; no normalization."""
+    return np.array(_word_pair(w, us, vs)).T
 
 
-def evaluate(w: Word, u, v) -> UnitaryMatrix:
-    """Word map at one argument pair, re-orthonormalized."""
-    mu = u.matrix if isinstance(u, UnitaryMatrix) else np.asarray(u, dtype=complex)
-    mv = v.matrix if isinstance(v, UnitaryMatrix) else np.asarray(v, dtype=complex)
-    for name, m in (("u", mu), ("v", mv)):
-        if unitarity_defect(m) > 1e-8:
-            raise NumericFailure(f"argument {name} is not unitary")
-        # batch_evaluate reads row 0 only, which fixes the matrix in SU(2)
-        # but not in U(2): a determinant other than 1 would go unseen
-        if abs(np.linalg.det(m) - 1.0) > 1e-8:
-            raise NumericFailure(f"argument {name} is not in SU(2)")
-    out = batch_evaluate(w, mu[None], mv[None])[0]
-    return unitary(out)
+def evaluate(w: Word, u, v) -> np.ndarray:
+    """Word map at one pair of unit quaternions, normalized."""
+    for name, p in (("u", u), ("v", v)):
+        if np.shape(p) != (2,) or not abs(np.vdot(p, p).real - 1.0) <= 1e-8:
+            raise NumericFailure(f"argument {name} is not a unit quaternion")
+    out = batch_evaluate(w, np.asarray(u)[None], np.asarray(v)[None])[0]
+    return np.array(_normalized(out))
 
 
-def distance_to_identity(u) -> float:
-    """Operator norm of I - U on SU(2): sqrt(2 - tr U)."""
-    m = u.matrix if isinstance(u, UnitaryMatrix) else np.asarray(u)
-    tr = m[0, 0] + m[1, 1]
-    return min(2.0, math.sqrt(max(0.0, 2.0 - tr.real)))
-
-
-def _batch_distance(ms: np.ndarray) -> np.ndarray:
-    tr = np.trace(ms, axis1=-2, axis2=-1).real
-    return np.sqrt(np.clip(2.0 - tr, 0.0, 4.0))
+def distance_to_identity(p):
+    """Operator norm of I - U on SU(2), for one element or a batch:
+    sqrt(2 - tr U), where tr U = 2 Re alpha, clipped to [0, 4] under the
+    root (np.clip costs more than two ufunc calls on one element)."""
+    return np.sqrt(np.minimum(np.maximum(2.0 - 2.0 * p[..., 0].real, 0.0), 4.0))
 
 
 # ----------------------------------------------------------------------
@@ -219,23 +179,18 @@ def _batch_distance(ms: np.ndarray) -> np.ndarray:
 class LEstimate:
     word: Word
     lower: float
-    witness: Tuple[UnitaryMatrix, UnitaryMatrix]
+    witness: Tuple[np.ndarray, np.ndarray]
     samples: int
 
     def recheck(self, tol: float = 1e-10) -> bool:
         d = distance_to_identity(evaluate(self.word, *self.witness))
-        return abs(d - self.lower) <= tol
+        return bool(abs(d - self.lower) <= tol)
 
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def _su2_rotation(axis: int, theta: float) -> np.ndarray:
-    return math.cos(theta) * np.eye(2, dtype=complex) + 1j * math.sin(theta) * _PAULI[axis]
+def _rotation(axis: int, theta: float):
+    """exp(i theta sigma_axis) for the Pauli matrix sigma_axis, as a pair."""
+    c, s = math.cos(theta), math.sin(theta)
+    return ((c, 1j * s), (c, s), (complex(c, s), 0.0))[axis]
 
 
 def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
@@ -252,9 +207,9 @@ def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
                     if used >= steps:
                         break
                     used += 1
-                    rot = _su2_rotation(axis, sign * step)
-                    cu = rot @ u if side == 0 else u
-                    cv = rot @ v if side == 1 else v
+                    rot = _rotation(axis, sign * step)
+                    cu = np.array(_mul(rot, u)) if side == 0 else u
+                    cv = np.array(_mul(rot, v)) if side == 1 else v
                     d = distance_to_identity(batch_evaluate(w, cu[None], cv[None])[0])
                     if d > best:
                         best, u, v, improved = d, cu, cv, True
@@ -275,15 +230,15 @@ def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
     best = -1.0
     best_pair = None
     for us, vs in _haar_pairs(seed, samples):
-        ds = _batch_distance(batch_evaluate(w, us, vs))
+        ds = distance_to_identity(batch_evaluate(w, us, vs))
         i = int(np.argmax(ds))
         if ds[i] > best:
             best = float(ds[i])
             best_pair = (us[i], vs[i])
     u, v, best = _polish_pair(w, *best_pair, polish_steps)
-    witness = (unitary(u), unitary(v))
-    best = distance_to_identity(evaluate(w, *witness))
-    return LEstimate(word=w, lower=min(best, 2.0), witness=witness, samples=samples)
+    witness = (np.array(_normalized(u)), np.array(_normalized(v)))
+    best = float(distance_to_identity(evaluate(w, *witness)))
+    return LEstimate(word=w, lower=best, witness=witness, samples=samples)
 
 
 # ----------------------------------------------------------------------
@@ -338,7 +293,7 @@ def su2_net(eps: float) -> np.ndarray:
                   np.sin(ps) * np.sin(ts) * np.cos(fs),
                   np.sin(ps) * np.sin(ts) * np.sin(fs),
                   np.sin(ps) * np.cos(ts)], axis=1)
-    return _quaternions_su2(q)
+    return q.view(complex)
 
 
 # the most argument pairs certify_seed evaluates before it refuses
@@ -374,17 +329,17 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
     m = len(net)
     worst = 0.0
     # about 50,000 pairs per block: the arrays alive during one block (the
-    # arguments, their first rows, the (alpha, beta) temporaries and the
-    # values) then take under 20 MB, which a run already holding the
-    # level-14 family absorbs with its peak memory almost unchanged; blocks
-    # four times larger raised that peak by 10-19 MB
+    # (n, 2) arguments, their inverses, the product temporaries and the
+    # values) then peak at about 12 MB (12.3 MB traced for a 10-letter word
+    # at eps 1.0), which a run already holding the level-14 family absorbs
+    # with its peak memory almost unchanged
     block = max(1, 50_000 // max(1, m))
     for i in range(0, m, block):
         us = np.repeat(net[i:i + block], m, axis=0)
-        vs = np.tile(net, (len(net[i:i + block]), 1, 1))
-        ds = _batch_distance(batch_evaluate(w, us, vs))
+        vs = np.tile(net, (len(us) // m, 1))
+        ds = distance_to_identity(batch_evaluate(w, us, vs))
         worst = max(worst, float(np.max(ds)))
-    # any unitary is within 2 of the identity, so 2 always certifies
+    # every element of SU(2) is within 2 of the identity, so 2 certifies
     upper = min(2.0, worst + 2.0 * lip * eps)
     return CertifiedBound(n=0, upper=upper, provenance=GridProvenance(eps, lip))
 
@@ -600,45 +555,24 @@ def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
     return words
 
 
-def _su2_chain(*factors):
-    """(alpha, beta) of the product of (alpha, beta) batches, left to right."""
-    a, b = factors[0]
-    for x, y in factors[1:]:
-        a, b = a * x - b * y.conj(), a * y + b * x.conj()
-    return a, b
-
-
-def _su2_inverse(p):
-    a, b = p
-    return a.conj(), -b
-
-
-def _su2_normalized(p):
-    """Polar factor of [[a, b], [-conj(b), conj(a)]], which is that matrix
-    divided by sqrt(|a|^2 + |b|^2)."""
-    a, b = p
-    r = np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
-    return a / r, b / r
-
-
 def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
                     rng_seed: int) -> List[float]:
     """Max sampled distance per level via the value recursion (one pass of
-    commutators per level on (alpha, beta) arrays instead of re-reading the
-    long words)."""
-    def distance(p):
-        return float(np.max(np.sqrt(np.clip(2.0 - 2.0 * p[0].real, 0.0, 4.0))))
+    commutators per level on the (alpha, beta) columns instead of re-reading
+    the long words)."""
+    def highest(p):
+        return float(np.max(distance_to_identity(np.stack(p, axis=-1))))
 
     lows = [0.0] * (n_max + 1)
     for us, vs in _haar_pairs(rng_seed, samples):
         a = _word_pair(seeds[0], us, vs)
         b = _word_pair(seeds[1], us, vs)
-        lows[0] = max(lows[0], distance(a))
+        lows[0] = max(lows[0], highest(a))
         for n in range(1, n_max + 1):
-            ai, bi = _su2_inverse(a), _su2_inverse(b)
-            a, b = (_su2_normalized(_su2_chain(bi, a, b, ai)),
-                    _su2_normalized(_su2_chain(a, b, ai, bi)))
-            lows[n] = max(lows[n], distance(a))
+            ai, bi = _inv(a), _inv(b)
+            a, b = (_normalized(reduce(_mul, (bi, a, b, ai))),
+                    _normalized(reduce(_mul, (a, b, ai, bi))))
+            lows[n] = max(lows[n], highest(a))
     return lows
 
 

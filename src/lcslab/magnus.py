@@ -1,5 +1,4 @@
-"""Magnus expansion into truncated noncommutative integer series, and Fox
-derivatives in the integer group ring of F2.
+"""Magnus expansion into truncated noncommutative integer series.
 
 A series truncated at degree D is one flat coefficient array of 2^(D+1)-1
 slots in heap order: the degree-d monomial X_{g1}...X_{gd} is the integer m
@@ -42,7 +41,6 @@ from .words import (
     LETTER_BI,
     LETTERS,
     Word,
-    concat_bytes,
     exponent_sums,
 )
 
@@ -255,73 +253,3 @@ def depth_terms(w: Word, D: int) -> Tuple[Depth, List[Tuple[str, int]]]:
     row = series.rows[d]
     terms = [(monomial_name(d, m), c) for m, c in enumerate(row) if c]
     return Depth.exact(d), terms
-
-
-# ----------------------------------------------------------------------
-# Fox calculus in the integer group ring of F2
-
-GroupRing = Dict[Word, int]
-
-
-def fox_derivative(w: Word, gen: str) -> GroupRing:
-    """Free derivative with respect to 'a' or 'b'.
-
-    d(uv)/dx = du/dx + u * dv/dx;  dx/dx = 1,  d(x^-1)/dx = -x^-1.
-    The i-th letter contributes +prefix_i for x and -(prefix_i x^-1),
-    which is the prefix including the letter, for x^-1.
-    """
-    if gen not in ("a", "b"):
-        raise ValueError("gen must be 'a' or 'b'")
-    pos = LETTER_A if gen == "a" else LETTER_B
-    neg = LETTER_AI if gen == "a" else LETTER_BI
-    out: Dict[bytes, int] = {}
-    data = w.data
-    for i, c in enumerate(data):
-        if c == pos:
-            key = data[:i]
-            out[key] = out.get(key, 0) + 1
-        elif c == neg:
-            key = data[:i + 1]
-            out[key] = out.get(key, 0) - 1
-    return {Word.from_reduced(k): v for k, v in out.items() if v}
-
-
-def ring_add(p: GroupRing, q: GroupRing) -> GroupRing:
-    out = dict(p)
-    for w, c in q.items():
-        s = out.get(w, 0) + c
-        if s:
-            out[w] = s
-        else:
-            out.pop(w, None)
-    return out
-
-
-def ring_mul(p: GroupRing, q: GroupRing) -> GroupRing:
-    out: Dict[Word, int] = {}
-    for u, cu in p.items():
-        for v, cv in q.items():
-            w_bytes, _ = concat_bytes(u.data, v.data)
-            w = Word.from_reduced(w_bytes)
-            s = out.get(w, 0) + cu * cv
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-    return out
-
-
-def ring_augmentation(p: GroupRing) -> int:
-    return sum(p.values())
-
-
-def fundamental_identity_holds(w: Word) -> bool:
-    """w - 1 = (dw/da)(a - 1) + (dw/db)(b - 1) in the group ring."""
-    one = Word.identity()
-    lhs: GroupRing = {}
-    if w != one:
-        lhs = {w: 1, one: -1}
-    rhs = ring_add(
-        ring_mul(fox_derivative(w, "a"), {Word.parse("a"): 1, one: -1}),
-        ring_mul(fox_derivative(w, "b"), {Word.parse("b"): 1, one: -1}))
-    return lhs == rhs

@@ -3,15 +3,17 @@
 enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
 a word's expansion can be rebuilt as a product of letter series;
-generated_elements closes a finite quotient's letter images by search.
+generated_elements closes a finite quotient's letter images by search;
+fox_derivative is the free derivative in the integer group ring of F2,
+which the library's quotient-ring derivative is checked against.
 """
 
-from typing import Iterator
+from typing import Dict, Iterator
 
 from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
 from lcslab.quotients import QuotientGroup
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
-from lcslab.words import LETTERS, Word
+from lcslab.words import LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS, Word
 
 
 def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterator[Word]:
@@ -66,3 +68,27 @@ def generated_elements(q: QuotientGroup, limit: int = 100000) -> frozenset:
                 seen.add(h)
                 frontier.append(h)
     return frozenset(seen)
+
+
+def fox_derivative(w: Word, gen: str) -> Dict[Word, int]:
+    """Free derivative with respect to 'a' or 'b', as {group element:
+    coefficient} in Z[F2].
+
+    d(uv)/dx = du/dx + u * dv/dx;  dx/dx = 1,  d(x^-1)/dx = -x^-1.
+    The i-th letter contributes +prefix_i for x and -(prefix_i x^-1),
+    which is the prefix including the letter, for x^-1.
+    """
+    if gen not in ("a", "b"):
+        raise ValueError("gen must be 'a' or 'b'")
+    pos = LETTER_A if gen == "a" else LETTER_B
+    neg = LETTER_AI if gen == "a" else LETTER_BI
+    out: Dict[bytes, int] = {}
+    data = w.data
+    for i, c in enumerate(data):
+        if c == pos:
+            key = data[:i]
+            out[key] = out.get(key, 0) + 1
+        elif c == neg:
+            key = data[:i + 1]
+            out[key] = out.get(key, 0) - 1
+    return {Word.from_reduced(k): v for k, v in out.items() if v}

@@ -12,38 +12,56 @@ from lcslab.words import Word, commutator, exponent_sums, random_word
 from reference import generated_elements
 
 
+def _matrix(p):
+    """[[alpha, beta], [-conj(beta), conj(alpha)]] for one (2,) quaternion."""
+    a, b = p
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
+
+
+def _matmul_chain(w, us, vs):
+    """Reference word map: the matrix of each argument row, and one plain
+    2x2 product per letter and pair."""
+    out = []
+    for u, v in zip(map(_matrix, us), map(_matrix, vs)):
+        mats = {"a": u, "A": u.conj().T, "b": v, "B": v.conj().T}
+        acc = np.eye(2, dtype=complex)
+        for c in w.data.decode("ascii"):
+            acc = acc @ mats[c]
+        out.append(acc)
+    return np.array(out)
+
+
 def test_haar_su2_unitary_and_deterministic():
     a = al.haar_su2(np.random.default_rng(5), 200)
     b = al.haar_su2(np.random.default_rng(5), 200)
+    assert a.shape == (200, 2)
     assert np.array_equal(a, b)
-    gram = a.conj().swapaxes(-1, -2) @ a
+    ms = np.array([_matrix(p) for p in a])
+    gram = ms.conj().swapaxes(-1, -2) @ ms
     assert np.abs(gram - np.eye(2)).max() < 1e-12
-    assert np.abs(np.linalg.det(a) - 1).max() < 1e-12
+    assert np.abs(np.linalg.det(ms) - 1).max() < 1e-12
 
 
-def test_unitary_corrects_small_defects():
+def test_normalized_corrects_small_defects():
     rng = np.random.default_rng(2)
-    m = al.haar_su2(rng, 1)[0] + 1e-8 * rng.normal(size=(2, 2))
-    u = al.unitary(m)
-    assert u.defect <= al.TOLERANCE
-    assert np.abs(u.matrix - m).max() < 1e-7
-
-
-def test_unitary_rejects_nonfinite():
-    bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-    with pytest.raises(al.NumericFailure):
-        al.unitary(bad)
+    p = al.haar_su2(rng, 1)[0] + 1e-8 * rng.normal(size=2)
+    q = np.array(al._normalized(p))
+    assert abs(np.vdot(q, q).real - 1.0) <= 1e-15
+    assert np.abs(q - p).max() < 1e-7
+    # the division is the polar factor of the perturbed matrix
+    u, _, vh = np.linalg.svd(_matrix(p))
+    assert np.abs(_matrix(q) - u @ vh).max() < 1e-14
 
 
 def test_evaluate_identities():
     rng = np.random.default_rng(3)
-    u = al.unitary(al.haar_su2(rng, 1)[0])
-    v = al.unitary(al.haar_su2(rng, 1)[0])
+    u = al.haar_su2(rng, 1)[0]
+    v = al.haar_su2(rng, 1)[0]
     assert al.distance_to_identity(al.evaluate(Word.parse(""), u, v)) == 0.0
-    got = al.evaluate(Word.parse("a"), u, v).matrix
-    assert np.abs(got - u.matrix).max() < 1e-12
-    got = al.evaluate(Word.parse("A"), u, v).matrix
-    assert np.abs(got - u.matrix.conj().T).max() < 1e-12
+    got = al.evaluate(Word.parse("a"), u, v)
+    assert np.abs(got - u).max() < 1e-12
+    got = al.evaluate(Word.parse("A"), u, v)
+    assert np.abs(_matrix(got) - _matrix(u).conj().T).max() < 1e-12
     # a commutator vanishes when both arguments coincide
     d = al.distance_to_identity(al.evaluate(Word.parse("abAB"), u, u))
     assert d < 1e-6
@@ -53,40 +71,29 @@ def test_evaluate_respects_free_reduction():
     rng = np.random.default_rng(4)
     import random
     r = random.Random(11)
-    u = al.unitary(al.haar_su2(rng, 1)[0])
-    v = al.unitary(al.haar_su2(rng, 1)[0])
+    u = al.haar_su2(rng, 1)[0]
+    v = al.haar_su2(rng, 1)[0]
     for _ in range(20):
         w1 = random_word(r, r.randrange(0, 8))
         w2 = random_word(r, r.randrange(0, 8))
-        lhs = al.evaluate(w1 * w2, u, v).matrix
-        rhs = al.evaluate(w1, u, v).matrix @ al.evaluate(w2, u, v).matrix
+        lhs = _matrix(al.evaluate(w1 * w2, u, v))
+        rhs = _matrix(al.evaluate(w1, u, v)) @ _matrix(al.evaluate(w2, u, v))
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_evaluate_rejects_nonunitary_argument():
     with pytest.raises(al.NumericFailure):
-        al.evaluate(Word.parse("a"), np.eye(2) * 2.0, np.eye(2))
+        al.evaluate(Word.parse("a"), np.array([2.0, 0.0]), np.array([1.0, 0.0]))
 
 
-def test_evaluate_rejects_unitary_argument_outside_su2():
-    # unitary, determinant i: row 0 alone would read it as the identity
-    phase = np.diag([1.0, 1j])
-    with pytest.raises(al.NumericFailure, match="not in SU"):
-        al.evaluate(Word.parse("ab"), phase, np.eye(2))
-    with pytest.raises(al.NumericFailure, match="not in SU"):
-        al.evaluate(Word.parse("ab"), np.eye(2), phase)
-
-
-def _matmul_chain(w, us, vs):
-    """Reference word map: one plain 2x2 product per letter and pair."""
-    out = []
-    for u, v in zip(us, vs):
-        mats = {"a": u, "A": u.conj().T, "b": v, "B": v.conj().T}
-        acc = np.eye(2, dtype=complex)
-        for c in w.data.decode("ascii"):
-            acc = acc @ mats[c]
-        out.append(acc)
-    return np.array(out)
+def test_evaluate_rejects_nonfinite_or_empty_argument():
+    one = np.array([1.0, 0.0], dtype=complex)
+    for bad in (np.array([np.nan, 0.0], dtype=complex),
+                np.zeros((2, 0), dtype=complex)):
+        with pytest.raises(al.NumericFailure):
+            al.evaluate(Word.parse("ab"), bad, one)
+        with pytest.raises(al.NumericFailure):
+            al.evaluate(Word.parse("ab"), one, bad)
 
 
 def test_batch_evaluate_matches_matmul_chain():
@@ -96,29 +103,34 @@ def test_batch_evaluate_matches_matmul_chain():
                  "ababABBA", "AABabaBAAbaBab"):
         w = Word.parse(text)
         got = al.batch_evaluate(w, us, vs)
-        assert got.shape == (64, 2, 2)
-        assert np.abs(got - _matmul_chain(w, us, vs)).max() < 1e-12
-        # every value has the form [[alpha, beta], [-conj(beta), conj(alpha)]]
-        assert np.array_equal(got[:, 1, 0], -got[:, 0, 1].conj())
-        assert np.array_equal(got[:, 1, 1], got[:, 0, 0].conj())
+        assert got.shape == (64, 2)
+        want = _matmul_chain(w, us, vs)
+        # each value is the first row of the chain product, and its matrix
+        # is the whole product
+        assert np.abs(got - want[:, 0]).max() < 1e-12
+        assert np.abs(np.array([_matrix(p) for p in got]) - want).max() < 1e-12
 
 
 def test_distance_closed_form_values():
-    assert al.distance_to_identity(np.eye(2, dtype=complex)) == 0.0
-    assert al.distance_to_identity(-np.eye(2, dtype=complex)) == pytest.approx(2.0)
-    diag = np.diag([1j, -1j])
-    assert al.distance_to_identity(diag) == pytest.approx(math.sqrt(2.0))
+    assert al.distance_to_identity(np.array([1.0 + 0j, 0.0])) == 0.0
+    assert al.distance_to_identity(np.array([-1.0 + 0j, 0.0])) == pytest.approx(2.0)
+    # diag(i, -i)
+    assert al.distance_to_identity(np.array([1j, 0.0])) == pytest.approx(math.sqrt(2.0))
 
 
 def test_distance_matches_operator_norm():
     rng = np.random.default_rng(6)
-    for m in al.haar_su2(rng, 30):
+    for p in al.haar_su2(rng, 30):
+        m = _matrix(p)
         direct = float(np.linalg.norm(np.eye(2) - m, ord=2))
-        assert al.distance_to_identity(m) == pytest.approx(direct, abs=1e-12)
+        assert al.distance_to_identity(p) == pytest.approx(direct, abs=1e-12)
+        # bit for bit the trace form: tr U = alpha + conj(alpha)
+        assert al.distance_to_identity(p) == math.sqrt(max(0.0, 2.0 - np.trace(m).real))
     batch = al.haar_su2(rng, 30)
-    ds = al._batch_distance(batch)
+    ds = al.distance_to_identity(batch)
+    assert ds.shape == (30,)
     for i in range(30):
-        assert ds[i] == pytest.approx(al.distance_to_identity(batch[i]), abs=1e-12)
+        assert ds[i] == al.distance_to_identity(batch[i])
 
 
 def test_estimate_identity_word_is_zero():
@@ -149,12 +161,12 @@ def test_estimate_rejects_empty_budget():
 
 def test_su2_net_covers():
     eps = 0.8
-    net = al.su2_net(eps)
+    net = np.array([_matrix(p) for p in al.su2_net(eps)])
     rng = np.random.default_rng(12)
     targets = al.haar_su2(rng, 40)
     worst = 0.0
     for t in targets:
-        diffs = net - t
+        diffs = net - _matrix(t)
         dists = np.linalg.svd(diffs, compute_uv=False)[:, 0]
         worst = max(worst, float(dists.min()))
     assert worst <= eps
@@ -247,9 +259,34 @@ def test_sampled_lowers_match_composed_words():
     direct = [0.0] * 4
     for us, vs in al._haar_pairs(5, 300):
         for n, w in enumerate(words):
-            ds = al._batch_distance(al.batch_evaluate(w, us, vs))
+            ds = al.distance_to_identity(al.batch_evaluate(w, us, vs))
             direct[n] = max(direct[n], float(ds.max()))
     assert lows == pytest.approx(direct, abs=1e-10)
+
+
+# seed_search(max_len=12, samples=3000, seed=0).sampled as the matrix-form
+# evaluation (SVD polar factor, matrix rotations) ranked it; the quaternion
+# form moves some values by an ulp, and a drifting polish path would move
+# them much further or reorder them
+_PINNED_RANKING = (
+    ("ababABBABAba", 1.539546363838455),
+    ("bbabABBaBA", 1.5395545901194414),
+    ("abAB", 1.9990262411283428),
+    ("aabABA", 1.9990262411283428),
+    ("ababABBA", 1.9990262411283428),
+    ("abbABB", 1.9993237813615448),
+    ("abaBBAbA", 1.999323781361545),
+    ("abaaBAAA", 1.9995305086980482),
+    ("aabbAABB", 1.9998566229650583),
+    ("babABaBA", 1.9998867162298328),
+)
+
+
+def test_seed_search_ranking_is_pinned():
+    rep = al.seed_search(max_len=12, samples=3000, seed=0)
+    assert [str(w) for w, _ in rep.sampled] == [w for w, _ in _PINNED_RANKING]
+    for (_, got), (_, want) in zip(rep.sampled, _PINNED_RANKING):
+        assert abs(got - want) <= 1e-12
 
 
 def test_run_decay_guard_catches_false_bounds():

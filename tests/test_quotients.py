@@ -4,7 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from lcslab.almostlaw import _a5_block_quotient
 from lcslab.words import LETTER_A, LETTER_B, LETTERS, Word, commutator, conjugate
 from lcslab.construction import build
-from lcslab.magnus import fox_derivative, lcs_depth
+from lcslab.magnus import lcs_depth
 from lcslab.search import DerivedKernelOracle, KernelOracle
 from lcslab.quotients import (
     MAX_DEGREE,
@@ -16,7 +16,7 @@ from lcslab.quotients import (
     permutation_from_cycles,
     project_fox,
 )
-from reference import generated_elements
+from reference import fox_derivative, generated_elements
 
 # Z^2, S3 on two transpositions, and the regular Klein four-group
 SPECS = ["z2", "perm:a=(1 2);b=(2 3)", "perm:a=(1 2)(3 4);b=(1 3)(2 4)"]
