@@ -532,15 +532,10 @@ class DecayRow:
 
 @dataclass(frozen=True)
 class DecayTable:
-    seeds: Tuple[Word, Word]
     rows: Tuple[DecayRow, ...]
     bounds: Tuple[CertifiedBound, ...]
     d_hat: float            # largest D with -log(2 U_n) >= D (1+sqrt2)^n
-    d_lsq: float            # least-squares slope against (1+sqrt2)^n
-    c_hat: float            # intercept of the log-log length regression
     exponent_hat: float     # slope of the log-log length regression
-    samples: int
-    rng_seed: int
 
 
 def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
@@ -614,19 +609,14 @@ def run_decay(seeds: Tuple[Word, Word],
     ms = [-math.log(2.0 * u) for u in uppers]
     ratios = [ms[n] / SILVER ** n for n in range(n_max + 1)]
     d_hat = min(ratios)
-    xs = np.array([SILVER ** n for n in range(n_max + 1)])
-    d_lsq = float(np.dot(xs, ms) / np.dot(xs, xs))
     log_len = np.log([len(w) for w in words])
-    log_m = np.log(ms)
-    exponent_hat, log_c = np.polyfit(log_len, log_m, 1)
+    exponent_hat = np.polyfit(log_len, np.log(ms), 1)[0]
     rows = tuple(DecayRow(n=n, length=len(words[n]), upper=uppers[n],
                           lower=lowers[n], minus_log_2upper=ms[n],
                           ratio_silver=ratios[n])
                  for n in range(n_max + 1))
-    return DecayTable(seeds=tuple(seeds), rows=rows, bounds=tuple(bounds),
-                      d_hat=d_hat, d_lsq=d_lsq, c_hat=float(math.exp(log_c)),
-                      exponent_hat=float(exponent_hat),
-                      samples=samples, rng_seed=rng_seed)
+    return DecayTable(rows=rows, bounds=tuple(bounds), d_hat=d_hat,
+                      exponent_hat=float(exponent_hat))
 
 
 CSV_HEADER = "n,len,upper,lower,minus_log_2upper,ratio_to_(1+√2)^n"

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import almostlaw
-from .construction import (build, check_identities, check_lengths,
+from .construction import (MU, build, check_identities, check_lengths,
                            check_no_cancellation)
 from .girth import beta_bracket, girth, verify_three_x
 from .magnus import Depth, expand, lcs_depth
@@ -248,8 +248,8 @@ def _check_constants(ctx) -> Tuple[str, str]:
     # Expected red: delta's printed decimal is unreachable from the closed
     # form by truncation or rounding (the others match).
     consts = report_constants()
-    bad = [(name, p) for name, p in PRINTED_DIGITS
-           if not matches_printed(consts[name], p)]
+    bad = [(r["name"], r["printed"]) for r in printed_digit_checks(consts)
+           if not r["matches"]]
     if bad:
         return "fail", ("printed digits unreachable from closed form: "
                         + ", ".join(f"{n} prints '{p}' but computes "
@@ -314,15 +314,22 @@ def matches_printed(value: float, printed: str) -> bool:
     return printed in (truncated, rounded)
 
 
+def printed_digit_checks(consts: dict) -> List[dict]:
+    """One row per PRINTED_DIGITS entry, in report order: its name, the
+    printed string and whether the computed constant matches it."""
+    return [{"name": name, "printed": p,
+             "matches": matches_printed(consts[name], p)}
+            for name, p in PRINTED_DIGITS]
+
+
 def report_constants() -> dict:
     """Closed-form constants of the growth analysis, to double precision."""
-    mu = (3.0 + math.sqrt(17.0)) / 2.0
     growth_log = math.log2(3.0 + math.sqrt(17.0)) - 1.0  # = log2(mu)
-    contraction_log = math.log2(1.0 + math.sqrt(2.0))
+    contraction_log = math.log2(almostlaw.SILVER)
     delta = contraction_log / growth_log
     nu = growth_log / contraction_log
     return {
-        "mu": mu,
+        "mu": MU,
         "nu": nu,
         "delta": delta,
         "log2_3": math.log2(3.0),

@@ -35,9 +35,8 @@ import numpy as np
 from . import __version__
 from . import almostlaw
 from .battery import (
-    PRINTED_DIGITS,
     CheckRow,
-    matches_printed,
+    printed_digit_checks,
     quotient_tables,
     report_constants,
     run_battery,
@@ -168,9 +167,6 @@ def _cmd_beta(args, t0):
 
 def _cmd_report(args, t0):
     consts = report_constants()
-    checks = [{"name": name, "printed": p,
-               "matches": matches_printed(consts[name], p)}
-              for name, p in PRINTED_DIGITS]
     entries = []
     if args.alpha_n_max >= 1:
         entries = alpha_table(args.alpha_n_max, max_len=args.max_len)
@@ -181,12 +177,27 @@ def _cmd_report(args, t0):
             betas[n] = b.exact
     return EXIT_OK, {
         "constants": {k: round(v, 12) for k, v in sorted(consts.items())},
-        "printed_digit_checks": checks,
+        "printed_digit_checks": printed_digit_checks(consts),
         "tables": quotient_tables(entries, betas)}
+
+
+# the almostlaw flags only one mode reads, with their defaults; the other
+# mode refuses any other value, as it would a flag of another subcommand
+_HONEST_ONLY = {"samples": 10_000, "seed": 0, "certify_eps": None,
+                "pool_max_len": 16}
+_HYPOTHETICAL_ONLY = {"n_max": 8}
+
+
+def _refuse_unread(args, flags: dict, mode: str) -> None:
+    for dest, default in flags.items():
+        if getattr(args, dest) != default:
+            raise ValueError(f"--{dest.replace('_', '-')} is not read by "
+                             f"{mode}")
 
 
 def _cmd_almostlaw(args, t0):
     if args.hypothetical_u0 is not None:
+        _refuse_unread(args, _HONEST_ONLY, "almostlaw --hypothetical-u0")
         if not (0.0 < args.hypothetical_u0 <= almostlaw.SEED_THRESHOLD):
             raise ValueError("--hypothetical-u0 must be in (0, 1/3]")
         if args.n_max < 2:
@@ -198,7 +209,7 @@ def _cmd_almostlaw(args, t0):
             almostlaw.GridProvenance(float("nan"), 0.0))
         seeds = (Word.parse("a"), Word.parse("b"))
         table = almostlaw.run_decay(seeds, (b0, b0), n_max=args.n_max,
-                                    samples=0, rng_seed=args.seed)
+                                    samples=0)
         env = _envelope(args, t0, None)
         head = [
             "# HYPOTHETICAL: the level-0 bound below is an assumption "
@@ -211,6 +222,8 @@ def _cmd_almostlaw(args, t0):
         _emit("\n".join(head) + "\n" + almostlaw.decay_csv(table), args.out)
         return EXIT_OK, None
     # honest mode: try to obtain a certified seed and report why none exists
+    _refuse_unread(args, _HYPOTHETICAL_ONLY,
+                   "almostlaw without --hypothetical-u0")
     shortest = min(len(w) for w in almostlaw.seed_candidate_pool())
     if args.pool_max_len < shortest:
         raise ValueError(f"--pool-max-len must be at least {shortest}: the "
@@ -307,7 +320,7 @@ def build_parser() -> _Parser:
     p = _Parser(prog="lcs-lab", description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write output to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
-    seed = _flag("--seed", type=int, default=0, help="random seed")
+    seed = _flag("--seed", type=int, help="random seed")
     letters = _flag("--budget-letters", type=_at_least(1), default=None,
                     help="cap on total letters / search length")
     seconds = _flag("--budget-seconds", type=_at_least(0, float),
@@ -351,14 +364,14 @@ def build_parser() -> _Parser:
 
     al = sub.add_parser("almostlaw", parents=[seed],
                         help="word-map decay experiment")
-    al.add_argument("--n-max", type=int, default=8)
-    al.add_argument("--samples", type=int, default=10_000)
-    al.add_argument("--certify-eps", type=float, default=None)
-    al.add_argument("--pool-max-len", type=int, default=16)
+    al.add_argument("--n-max", type=int)
+    al.add_argument("--samples", type=int)
+    al.add_argument("--certify-eps", type=float)
+    al.add_argument("--pool-max-len", type=int)
     al.add_argument("--hypothetical-u0", type=float, default=None,
                     help="run the propagation table from an assumed "
                          "(uncertified, clearly labeled) start bound")
-    al.set_defaults(func=_cmd_almostlaw)
+    al.set_defaults(func=_cmd_almostlaw, **_HONEST_ONLY, **_HYPOTHETICAL_ONLY)
 
     r = sub.add_parser("report", help="constants and finite-scale tables")
     r.add_argument("--alpha-n-max", type=int, default=2)

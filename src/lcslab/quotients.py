@@ -1,25 +1,21 @@
-"""Quotients of the rank-2 free group and membership tests for the kernel
-and its derived subgroup.
+"""Quotients of the rank-2 free group.
 
 A normal subgroup is presented as the kernel of a homomorphism onto a
 concrete group: either a finite permutation group or Z^2 (exponent sums,
-whose kernel is the commutator subgroup).  Membership in the kernel is
-evaluation; membership in [kernel, kernel] projects both Fox derivatives
-into the integer group ring of the quotient and requires them to vanish,
-which decides it exactly.  A projected derivative is a plain {g: coeff}
-dict, no zero stored, so it vanishes exactly when the dict is empty.
+whose kernel is the commutator subgroup).  Each quotient has one product,
+letter_step: (x, letter) -> x times the letter's image, with the letters'
+tables made once.  It serves the search oracles (search.KernelOracle,
+search.DerivedKernelOracle, search.ZeroSumKernelOracle), which carry the
+image, and for [kernel, kernel] both Fox derivatives projected into the
+integer group ring of the quotient, letter by letter.  The from-scratch
+routes the tests check them against, which evaluate one word at a time on
+the same letter_step, live in tests/reference.py.
 
 A permutation on n <= 256 points is stored as n bytes, the image of
 point i at index i, so a product is one bytes.translate call and elements
 hash and compare as bytes.  permutation_from_cycles and cycles_string
 speak tuples and cycle notation; PermutationQuotient converts.  Exponent
 sums stay tuples.
-
-in_lambda and in_derived_lambda evaluate one word from scratch.  The
-search oracles (search.KernelOracle, search.DerivedKernelOracle) carry
-the same image and projected derivatives letter by letter, as the states
-of a search.GroupWalker through letter_step, the same product with the
-letters' tables made once; the tests check one against the other.
 """
 
 from __future__ import annotations
@@ -27,14 +23,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple)
 
-from .words import (
-    EXPONENT_DELTA,
-    LETTER_A,
-    LETTER_AI,
-    LETTER_B,
-    LETTER_BI,
-    Word,
-)
+from .words import EXPONENT_DELTA, LETTER_A, LETTER_AI, LETTER_B, LETTER_BI
 
 
 class QuotientGroup:
@@ -48,21 +37,12 @@ class QuotientGroup:
     def identity(self) -> Hashable:
         raise NotImplementedError
 
-    def multiply(self, x: Hashable, y: Hashable) -> Hashable:
-        raise NotImplementedError
-
     # letter -> image, including inverse letters; filled by subclasses
     letter_images: Dict[int, Hashable]
 
     def letter_step(self) -> Callable[[Hashable, int], Hashable]:
         """(x, letter) -> x times the letter's image."""
         raise NotImplementedError
-
-    def image(self, w: Word) -> Hashable:
-        g = self.identity()
-        for c in w.data:
-            g = self.multiply(g, self.letter_images[c])
-        return g
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -75,9 +55,6 @@ class FreeAbelianQuotient(QuotientGroup):
 
     def identity(self):
         return (0, 0)
-
-    def multiply(self, x, y):
-        return (x[0] + y[0], x[1] + y[1])
 
     def letter_step(self):
         def step(x, c):  # one call per letter: add its exponent sums
@@ -171,10 +148,6 @@ class PermutationQuotient(QuotientGroup):
     def identity(self):
         return _PAD[:self.degree]
 
-    def multiply(self, x, y):
-        # act with x first, then y: point i goes to y[x[i]]
-        return x.translate(y + _PAD[len(y):])
-
     def invert(self, x):
         out = bytearray(len(x))
         for i, j in enumerate(x):
@@ -182,6 +155,7 @@ class PermutationQuotient(QuotientGroup):
         return bytes(out)
 
     def letter_step(self):
+        # act with x first, then the letter: point i goes to image[x[i]];
         # the images padded to translate tables once, not at every product
         tables = {c: g + _PAD[self.degree:]
                   for c, g in self.letter_images.items()}
@@ -212,41 +186,3 @@ def parse_quotient_spec(spec: str) -> QuotientGroup:
             raise ValueError(f"bad quotient spec {spec!r}: {err}") from None
     raise ValueError(f"unknown quotient spec: {spec!r}")
 
-
-# ----------------------------------------------------------------------
-# membership
-
-def in_lambda(w: Word, q: QuotientGroup) -> bool:
-    """Membership in the kernel of F2 -> q."""
-    return q.image(w) == q.identity()
-
-
-def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
-    """Fox derivative of w pushed into the group ring of the quotient, as
-    {g: coeff} with no zero stored.
-
-    One left-to-right walk: a positive occurrence of the generator
-    contributes +(image of the prefix before it), a negative one
-    contributes -(image of the prefix including it).
-    """
-    if gen not in ("a", "b"):
-        raise ValueError("gen must be 'a' or 'b'")
-    pos = LETTER_A if gen == "a" else LETTER_B
-    neg = LETTER_AI if gen == "a" else LETTER_BI
-    out: Dict[Hashable, int] = {}
-    p = q.identity()
-    for c in w.data:
-        if c == pos:
-            out[p] = out.get(p, 0) + 1
-        p = q.multiply(p, q.letter_images[c])
-        if c == neg:
-            out[p] = out.get(p, 0) - 1
-    return {g: n for g, n in out.items() if n}
-
-
-def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
-    """Membership in [kernel, kernel]: the word must die in the quotient and
-    both projected Fox derivatives must vanish."""
-    if not in_lambda(w, q):
-        return False
-    return not project_fox(w, q, "a") and not project_fox(w, q, "b")

@@ -3,16 +3,19 @@
 Every oracle maps a word to a group state: its image in a quotient, in
 Z^2 x a quotient, the image plus projected Fox derivatives, or a truncated
 Magnus expansion.  A nontrivial word is a member exactly when its state is
-the identity, and each oracle exposes (identity, step, key) for its states.
-Pruning is driven by invariances the oracle itself declares:
+the identity, and each oracle exposes (identity, step, key) for its states;
+the oracles are the library's one membership interface.  Every oracle
+decides a normal subgroup of F2 (gamma_n, a kernel, or a derived subgroup
+[N, N]), so every search tests only cyclically reduced words (the shortest
+member of a conjugation-closed set is cyclically reduced, and rotations of
+members are members), and its orbits are closed under inversion.  An
+oracle declares only the two prunes that vary:
 
-  * conjugation-invariant oracles only need cyclically reduced words
-    (the shortest member of a conjugation-closed set is cyclically
-    reduced, and string rotations of members are members);
-  * oracles invariant under the eight letter automorphisms only need
-    words starting with 'A', the smallest byte;
-  * oracles whose members must have both exponent sums zero admit the
-    balance prune |ea| + |eb| <= letters remaining, and even lengths only.
+  * automorphism_invariant: the eight letter automorphisms fix it, so only
+    words starting with 'A', the smallest byte, are needed;
+  * requires_zero_exponent_sums: its members have both exponent sums zero,
+    so the balance prune |ea| + |eb| <= letters remaining holds, and only
+    even lengths are searched.
 
 Two searches return the same outcome.  search_min, the depth-first
 engine, sweeps lengths in increasing order and walks the radix tree of
@@ -183,8 +186,8 @@ class GroupWalker:
 
 
 class Oracle:
-    """A membership predicate on nontrivial reduced words, with declared
-    invariances (the engine prunes only on what is declared).
+    """Membership of nontrivial reduced words in a normal subgroup of F2,
+    with the two prunes that vary declared (see the module docstring).
 
     group() returns (identity, step, key): the state of the empty word,
     step(state, letter) -> the state of the longer prefix (it never
@@ -200,9 +203,6 @@ class Oracle:
     states may share a key; every match is confirmed on the exact group()
     state.  It defaults to group(), whose keys never collide."""
 
-    oracle_id: str = "abstract"
-    conjugation_invariant = False
-    inversion_invariant = False
     automorphism_invariant = False
     requires_zero_exponent_sums = False
 
@@ -222,10 +222,7 @@ def _state_key(state):
 
 class KernelOracle(Oracle):
     def __init__(self, quotient_spec: str):
-        self.oracle_id = quotient_spec
         self.q = parse_quotient_spec(quotient_spec)
-        self.conjugation_invariant = True  # kernels are normal
-        self.inversion_invariant = True    # subgroups are inverse-closed
         # z2's kernel is declared fixed by the letter automorphisms; no
         # permutation kernel is, even where that holds (S3, Klein)
         if quotient_spec == "z2":
@@ -246,19 +243,16 @@ def _derived_key(state):
 
 
 class DerivedKernelOracle(Oracle):
+    # derived subgroups consist of products of commutators
+    requires_zero_exponent_sums = True
+
     def __init__(self, quotient_spec: str):
-        self.oracle_id = ("derived2" if quotient_spec == "z2"
-                          else f"derived-{quotient_spec}")
         self.q = parse_quotient_spec(quotient_spec)
-        self.conjugation_invariant = True
-        self.inversion_invariant = True
         self.automorphism_invariant = quotient_spec == "z2"
-        # derived subgroups consist of products of commutators
-        self.requires_zero_exponent_sums = True
 
     def group(self):
         # state: the image p plus both Fox derivatives projected into the
-        # group ring of the quotient (see quotients.project_fox), as dicts
+        # group ring of the quotient (Fox 1953), as dicts
         # copied on write, with zeros never stored.  A letter adds +p to
         # its generator's derivative, an inverse letter -(p after it).
         multiply = self.q.letter_step()
@@ -316,17 +310,10 @@ class DerivedKernelOracle(Oracle):
 
 
 class ZeroSumKernelOracle(KernelOracle):
-    """Kernel members with both exponent sums zero.
+    """Kernel members with both exponent sums zero: the intersection of two
+    normal subgroups, which entitles the engine to the balance prune."""
 
-    The extra constraint is conjugation- and inversion-invariant, so the
-    kernel pruning flags carry over, and it entitles the engine to the
-    balance prune.
-    """
-
-    def __init__(self, quotient_spec: str):
-        super().__init__(quotient_spec)
-        self.oracle_id = f"zerosum-{quotient_spec}"
-        self.requires_zero_exponent_sums = True
+    requires_zero_exponent_sums = True
 
     def group(self):
         # state: both exponent sums and the image, the identity in Z^2 x Q
@@ -350,15 +337,13 @@ class DepthOracle(Oracle):
     series either vanish below n or they do not.
     """
 
+    automorphism_invariant = True  # the series terms are fully invariant
+
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("depth threshold must be >= 1")
         _check_degree(max(1, n - 1))
-        self.oracle_id = f"lcs:{n}"
         self.n = n
-        self.conjugation_invariant = True
-        self.inversion_invariant = True
-        self.automorphism_invariant = True  # the series terms are fully invariant
         self.requires_zero_exponent_sums = n >= 2  # degree-1 terms are the sums
 
     def group(self):
@@ -406,8 +391,8 @@ def build_oracle(oracle_id: str) -> Oracle:
 
 
 def engine_flags(oracle: Oracle) -> SearchFlags:
-    return SearchFlags(cyclic=oracle.conjugation_invariant,
-                       inverse=oracle.inversion_invariant,
+    # every oracle decides a normal subgroup, so cyclic and inverse always hold
+    return SearchFlags(cyclic=True, inverse=True,
                        automorphism=oracle.automorphism_invariant)
 
 
@@ -650,16 +635,15 @@ def search_mitm(oracle_id: str, max_len: int,
     found by meeting in the middle at 3^(L/2) cost per length instead of
     3^L.
 
-    It prunes what the oracle declares: left halves start with 'A' when it
-    is automorphism-invariant, odd lengths are skipped when members need
-    zero exponent sums, and joins are cyclically reduced when it is
-    conjugation-invariant.  The first confirmed join, the byte-least
-    member of the minimal length L, is already canonical (the least of
-    its orbit): at length L every member of a conjugation-invariant
-    oracle is cyclically reduced, as a shorter conjugate would be a
-    shorter member, so the members of length L are closed under the
-    declared symmetries, and under automorphism invariance their least
-    starts with 'A', the smallest byte.
+    Joins are cyclically reduced, and it prunes what the oracle declares:
+    left halves start with 'A' when it is automorphism-invariant, and odd
+    lengths are skipped when members need zero exponent sums.  The first
+    confirmed join, the byte-least member of the minimal length L, is
+    already canonical (the least of its orbit): at length L every member
+    of a normal subgroup is cyclically reduced, as a shorter conjugate
+    would be a shorter member, so the members of length L are closed
+    under the flags' symmetries, and under automorphism invariance their
+    least starts with 'A', the smallest byte.
 
     Every key match is confirmed on the exact state; the refuted ones are
     counted in stats.key_collisions.  stats.tested counts the right halves
@@ -681,7 +665,7 @@ def search_mitm(oracle_id: str, max_len: int,
         k = L - split  # every reduced right half is looked up on both routes
         stats.tested += 4 * 3 ** (k - 1) if k else 1
         # the joins come in byte order: the first confirmed is least
-        joins = levels.joins(L, split, roots, oracle.conjugation_invariant)
+        joins = levels.joins(L, split, roots, cyclic=True)
         best = next(_confirmed(oracle, joins, stats), None)
         if best is not None:
             return L, Word.from_reduced(best)
@@ -733,7 +717,6 @@ class AlphaEntry:
     n: int
     value: int
     witness: Word
-    max_len: int
     # key matches the exact check refuted, over the search and the re-check
     key_collisions: int = field(default=0, compare=False)
 
@@ -758,7 +741,7 @@ def alpha(n: int, max_len: int, D: int) -> AlphaEntry:
         raise AssertionError(
             f"square-root search and independent scan disagree for "
             f"{oracle_id} at length {length}")
-    return AlphaEntry(n=n, value=length, witness=witness, max_len=max_len,
+    return AlphaEntry(n=n, value=length, witness=witness,
                       key_collisions=stats.key_collisions)
 
 

@@ -3,12 +3,18 @@
 enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
 a word's expansion can be rebuilt as a product of letter series;
-generated_elements closes a finite quotient's letter images by search;
-fox_derivative is the free derivative in the integer group ring of F2,
-which the library's quotient-ring derivative is checked against.
+generated_elements closes a finite quotient's letter images by search.
+
+The library decides membership only through the search oracles.  The
+routes here decide it from scratch, one word at a time, on the quotient's
+one product letter_step: image, in_lambda (the kernel), project_fox (a Fox
+derivative pushed into the group ring of the quotient) and
+in_derived_lambda ([kernel, kernel]).  fox_derivative is the free
+derivative in the integer group ring of F2, which project_fox is checked
+against.
 """
 
-from typing import Dict, Iterator
+from typing import Dict, Hashable, Iterator
 
 from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
 from lcslab.quotients import QuotientGroup
@@ -56,12 +62,13 @@ def letter_series(letter: int, D: int) -> NcSeries:
 
 def generated_elements(q: QuotientGroup, limit: int = 100000) -> frozenset:
     """Every element of a finite quotient, as the closure of its letter images."""
+    step = q.letter_step()
     seen = {q.identity()}
     frontier = [q.identity()]
     while frontier:
         g = frontier.pop()
         for c in LETTERS:
-            h = q.multiply(g, q.letter_images[c])
+            h = step(g, c)
             if h not in seen:
                 if len(seen) >= limit:
                     raise ValueError("closure exceeds enumeration limit")
@@ -92,3 +99,48 @@ def fox_derivative(w: Word, gen: str) -> Dict[Word, int]:
             key = data[:i + 1]
             out[key] = out.get(key, 0) - 1
     return {Word.from_reduced(k): v for k, v in out.items() if v}
+
+
+def image(w: Word, q: QuotientGroup) -> Hashable:
+    """The image of w in the quotient, one letter_step per letter."""
+    step = q.letter_step()
+    g = q.identity()
+    for c in w.data:
+        g = step(g, c)
+    return g
+
+
+def in_lambda(w: Word, q: QuotientGroup) -> bool:
+    """Membership in the kernel of F2 -> q."""
+    return image(w, q) == q.identity()
+
+
+def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
+    """Fox derivative of w pushed into the group ring of the quotient, as
+    {g: coeff} with no zero stored.
+
+    One left-to-right walk: a positive occurrence of the generator
+    contributes +(image of the prefix before it), a negative one
+    contributes -(image of the prefix including it).
+    """
+    if gen not in ("a", "b"):
+        raise ValueError("gen must be 'a' or 'b'")
+    pos = LETTER_A if gen == "a" else LETTER_B
+    neg = LETTER_AI if gen == "a" else LETTER_BI
+    step = q.letter_step()
+    out: Dict[Hashable, int] = {}
+    p = q.identity()
+    for c in w.data:
+        if c == pos:
+            out[p] = out.get(p, 0) + 1
+        p = step(p, c)
+        if c == neg:
+            out[p] = out.get(p, 0) - 1
+    return {g: n for g, n in out.items() if n}
+
+
+def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
+    """Membership in [kernel, kernel]: the word must die in the quotient and
+    both projected Fox derivatives must vanish."""
+    return (in_lambda(w, q) and not project_fox(w, q, "a")
+            and not project_fox(w, q, "b"))

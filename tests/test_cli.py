@@ -223,6 +223,30 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     run_cli("almostlaw", "--hypothetical-u0", "0.5", expect=3)
 
 
+_HYPOTHETICAL = "almostlaw --hypothetical-u0"
+_HONEST = "almostlaw without --hypothetical-u0"
+
+
+@pytest.mark.parametrize("argv, flag, mode", [
+    (("--hypothetical-u0", "0.3", "--samples", "200"), "--samples",
+     _HYPOTHETICAL),
+    (("--hypothetical-u0", "0.3", "--seed", "5"), "--seed", _HYPOTHETICAL),
+    (("--hypothetical-u0", "0.3", "--certify-eps", "1.0"), "--certify-eps",
+     _HYPOTHETICAL),
+    (("--hypothetical-u0", "0.3", "--pool-max-len", "12"), "--pool-max-len",
+     _HYPOTHETICAL),
+    (("--pool-max-len", "8", "--n-max", "5"), "--n-max", _HONEST),
+])
+def test_almostlaw_flag_of_the_other_mode_is_usage_error(argv, flag, mode):
+    proc = run_cli("almostlaw", *argv, expect=3)
+    assert f"error: {flag} is not read by {mode}\n" in proc.stderr
+
+
+def test_almostlaw_mode_accepts_the_other_modes_defaults():
+    run_cli("almostlaw", "--hypothetical-u0", "0.3", "--samples", "10000",
+            "--seed", "0", "--pool-max-len", "16")
+
+
 @pytest.mark.parametrize("argv, expect", [
     (("depth", "--word", "abAB", "--max-degree", "0"), 3),
     (("depth", "--word", "abAB", "--max-degree", "30"), 3),
@@ -234,6 +258,8 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
     (("almostlaw", "--pool-max-len", "4", "--samples", "10",
       "--certify-eps", "0"), 3),
     (("almostlaw", "--pool-max-len", "4", "--samples", "10", "--k", "2"), 3),
+    (("almostlaw", "--hypothetical-u0", "0.3", "--samples", "200"), 3),
+    (("almostlaw", "--pool-max-len", "8", "--n-max", "5"), 3),
     (("gen", "--n", "-1"), 3),
     (("gen", "--n", "1", "--seed-a", "aA", "--seed-b", "b"), 3),
     (("verify", "--budget-letters", "0"), 3),
@@ -259,7 +285,8 @@ def test_almostlaw_bad_hypothetical_is_usage_error():
 ], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
         "depth-identity-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
-        "almostlaw-k", "gen-n-negative", "gen-trivial-seed",
+        "almostlaw-k", "almostlaw-hypothetical-samples",
+        "almostlaw-honest-n-max", "gen-n-negative", "gen-trivial-seed",
         "verify-letters-0", "verify-letters-negative",
         "verify-seconds-negative", "girth-workers-0", "letters-before-gen",
         "seed-before-gen", "girth-perm-degree-257", "alpha-cap-0",
@@ -363,7 +390,7 @@ def test_battery_alpha_check_asserts_every_value(monkeypatch):
     # alpha(3) = 9 keeps the table monotone and submultiplicative; only the
     # exact values catch it
     w = Word.parse("a")
-    wrong = [AlphaEntry(n, v, w, 16)
+    wrong = [AlphaEntry(n, v, w)
              for n, v in enumerate([1, 4, 9, 14], 1)]
     monkeypatch.setattr(battery, "alpha_table", lambda *a, **k: wrong)
     row = battery.run_check("alpha-table", _ctx())

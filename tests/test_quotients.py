@@ -2,7 +2,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcslab.almostlaw import _a5_block_quotient
-from lcslab.words import LETTER_A, LETTER_B, LETTERS, Word, commutator, conjugate
+from lcslab.words import (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS,
+                          Word, commutator, conjugate)
 from lcslab.construction import build
 from lcslab.magnus import lcs_depth
 from lcslab.search import DerivedKernelOracle, KernelOracle
@@ -10,13 +11,11 @@ from lcslab.quotients import (
     MAX_DEGREE,
     PermutationQuotient,
     cycles_string,
-    in_derived_lambda,
-    in_lambda,
     parse_quotient_spec,
     permutation_from_cycles,
-    project_fox,
 )
-from reference import fox_derivative, generated_elements
+from reference import (enumerate_words, fox_derivative, generated_elements,
+                       image, in_derived_lambda, in_lambda, project_fox)
 
 # Z^2, S3 on two transpositions, and the regular Klein four-group
 SPECS = ["z2", "perm:a=(1 2);b=(2 3)", "perm:a=(1 2)(3 4);b=(1 3)(2 4)"]
@@ -53,30 +52,49 @@ def test_parse_quotient_spec_roundtrip():
         parse_quotient_spec("nonsense")
 
 
+def _walk(step, x, w: Word):
+    """x times the image of w, one letter_step per letter."""
+    for c in w.data:
+        x = step(x, c)
+    return x
+
+
 def test_group_axioms_by_enumeration():
-    # closure sizes pin the targets: S3 has 6 elements, the four-group 4
+    # closure sizes pin the targets: S3 has 6 elements, the four-group 4.
+    # x * y walks a word spelling y from x, so associativity also checks
+    # that the product does not depend on which word spells an element
     for q, size in ((S3, 6), (KLEIN, 4)):
         els = generated_elements(q)
         assert len(els) == size
         e = q.identity()
         assert e in els
+        spelled = {e: Word.identity()}
+        for w in enumerate_words(size):
+            spelled.setdefault(image(w, q), w)
+        assert spelled.keys() == els
+        step = q.letter_step()
+
+        def mul(x, y):
+            return _walk(step, x, spelled[y])
+
         for x in els:
-            assert q.multiply(x, q.invert(x)) == e
-            assert q.multiply(e, x) == x
+            assert mul(x, q.invert(x)) == e
+            assert mul(e, x) == x
             for y in els:
-                assert q.multiply(x, y) in els
+                assert mul(x, y) in els
                 for z in els:
-                    assert (q.multiply(q.multiply(x, y), z)
-                            == q.multiply(x, q.multiply(y, z)))
+                    assert mul(mul(x, y), z) == mul(x, mul(y, z))
 
 
 def test_permutation_product_acts_left_factor_first():
     q = S3
+    step = q.letter_step()
     x = bytes(permutation_from_cycles("(1 2)", 3))
     y = bytes(permutation_from_cycles("(2 3)", 3))
+    assert (q.letter_images[LETTER_A], q.letter_images[LETTER_B]) == (x, y)
     # point 1 -> 2 under x, then 2 -> 3 under y
-    assert q.multiply(x, y) == bytes(permutation_from_cycles("(1 3 2)", 3))
-    assert q.multiply(y, x) == bytes(permutation_from_cycles("(1 2 3)", 3))
+    assert step(x, LETTER_B) == bytes(permutation_from_cycles("(1 3 2)", 3))
+    assert step(y, LETTER_A) == bytes(permutation_from_cycles("(1 2 3)", 3))
 
 
 _A5_BLOCKS = _a5_block_quotient()  # 35 points, seven blocks of five
@@ -91,12 +109,14 @@ perm_pairs = st.integers(1, MAX_DEGREE).flatmap(
 def test_bytes_product_is_tuple_composition(pair):
     x, y = pair
     q = PermutationQuotient(x, y)
-    bx, by = bytes(x), bytes(y)
-    assert q.multiply(bx, by) == bytes(tuple(y[i] for i in x))
-    assert q.letter_step()(bx, LETTER_B) == q.multiply(bx, by)
+    bx, step = bytes(x), q.letter_step()
+    assert step(bx, LETTER_B) == bytes(y[i] for i in x)
     e = q.identity()
     assert e == bytes(range(len(x)))
-    assert q.multiply(bx, q.invert(bx)) == e == q.multiply(q.invert(bx), bx)
+    assert step(e, LETTER_A) == bx
+    assert step(step(e, LETTER_A), LETTER_AI) == e == step(step(e, LETTER_AI),
+                                                           LETTER_A)
+    assert step(step(bx, LETTER_B), LETTER_BI) == bx
 
 
 def test_degree_limit_names_the_limit():
@@ -114,8 +134,8 @@ def test_degree_limit_names_the_limit():
 def test_image_is_homomorphism():
     q = S3
     u, v = Word.parse("abA"), Word.parse("aBBa")
-    uv = u * v
-    assert q.image(uv) == q.multiply(q.image(u), q.image(v))
+    uv = u * v  # abA * aBBa cancels to aBa
+    assert image(uv, q) == _walk(q.letter_step(), image(u, q), v)
 
 
 def test_in_lambda_basics():
@@ -158,7 +178,7 @@ def test_project_fox_agrees_with_free_derivative(w):
         for gen in ("a", "b"):
             acc = {}
             for key, c in fox_derivative(w, gen).items():
-                acc[q.image(key)] = acc.get(q.image(key), 0) + c
+                acc[image(key, q)] = acc.get(image(key, q), 0) + c
             assert project_fox(w, q, gen) == {g: c for g, c in acc.items() if c}
 
 
@@ -203,7 +223,7 @@ def test_walker_push_pop_consistency(letters, cut):
         dw.pop(c)
     state = dw.state()
     assert len(dw.stack) == len(letters[:cut]) + 1
-    assert state == (q.image(prefix), project_fox(prefix, q, "a"),
+    assert state == (image(prefix, q), project_fox(prefix, q, "a"),
                      project_fox(prefix, q, "b"))
 
 

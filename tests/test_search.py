@@ -32,14 +32,9 @@ from lcslab.search import (
 )
 from lcslab.magnus import expand, lcs_depth
 from lcslab.girth import GirthResult, beta_bracket, girth, verify_three_x
-from lcslab.quotients import (
-    cycles_string,
-    in_derived_lambda,
-    in_lambda,
-    parse_quotient_spec,
-    project_fox,
-)
-from reference import enumerate_words
+from lcslab.quotients import cycles_string, parse_quotient_spec
+from reference import (enumerate_words, image, in_derived_lambda, in_lambda,
+                       project_fox)
 
 
 def test_enumeration_counts_unpruned():
@@ -143,6 +138,19 @@ def test_search_outcome_and_count_are_pinned():
         assert stats.tested == tested
 
 
+@pytest.mark.parametrize("oid,automorphism", [
+    ("z2", True), ("derived2", True), ("lcs:3", True),
+    ("perm:a=(1 2);b=(2 3)", False),
+    ("derived-perm:a=(1 2);b=(2 3)", False),
+    ("zerosum-perm:a=(1 2 3);b=(1 2)(3 4)", False)])
+def test_engine_flags_are_pinned(oid, automorphism):
+    # every oracle decides a normal subgroup, so the cyclic and inverse
+    # prunes always hold; the DFS pins here and in the benchmark rest on
+    # these flags
+    assert engine_flags(build_oracle(oid)) == SearchFlags(
+        cyclic=True, inverse=True, automorphism=automorphism)
+
+
 def test_alpha_small_values():
     assert alpha(1, 4, 1).value == 1
     e2 = alpha(2, 6, 2)
@@ -179,11 +187,11 @@ def test_alpha_table_checks_fire():
     from lcslab.search import AlphaEntry
     w = Word.parse("A")
     # a minimum below n is impossible: depth(w) <= len(w)
-    bad = [AlphaEntry(1, 1, w, 4), AlphaEntry(3, 2, w, 6)]
+    bad = [AlphaEntry(1, 1, w), AlphaEntry(3, 2, w)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
     # the sequence is nondecreasing in n
-    bad = [AlphaEntry(1, 4, w, 4), AlphaEntry(2, 3, w, 6)]
+    bad = [AlphaEntry(1, 4, w), AlphaEntry(2, 3, w)]
     with pytest.raises(AssertionError):
         check_alpha_table(bad)
 
@@ -285,10 +293,10 @@ def _fresh_state(oracle, w: Word):
         return expand(w, oracle.n - 1).coeffs.tolist()
     q = oracle.q
     if isinstance(oracle, DerivedKernelOracle):
-        return q.image(w), project_fox(w, q, "a"), project_fox(w, q, "b")
+        return image(w, q), project_fox(w, q, "a"), project_fox(w, q, "b")
     if isinstance(oracle, ZeroSumKernelOracle):
-        return (*exponent_sums(w), q.image(w))
-    return q.image(w)
+        return (*exponent_sums(w), image(w, q))
+    return image(w, q)
 
 
 # b_2 lies at depth 5 and in derived2: push it, pop three letters, push
