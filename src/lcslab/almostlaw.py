@@ -18,13 +18,24 @@ Evaluation.  An element of SU(2) is a unit quaternion, held as the pair
 (alpha, beta) = (q0 + i q1, q2 + i q3): the first row of [[alpha, beta],
 [-conj(beta), conj(alpha)]], a matrix that is never formed.  One element is
 a (2,) complex array and a batch an (n, 2) array.  `_mul` is the one
-product, `_inv` the inverse and `_normalized` the nearest unit quaternion
-(the polar factor of that matrix, by one division), and the distance is
-sqrt(2 - 2 Re alpha).  A word's value on a batch of argument pairs is one
+product; `_letter_pairs` gives an element's inverse (conj(alpha), -beta)
+and the conjugates `_mul` takes for each; `_normalized` is the nearest
+unit quaternion (the polar factor of that matrix, by one division); the
+distance is sqrt(2 - 2 Re alpha).  A word's value on a batch of argument pairs is one
 `_mul` per letter on the batch's columns, four elementwise complex products
-(`_word_pair`).  The grid certificate evaluates its pairs in blocks of
-about 50,000, so the arrays alive during one block peak at about 12 MB and
-barely add to the peak memory of a caller that already holds long words.
+(`_word_value`); each letter's pair and its conjugates are formed once per
+call and passed to `_mul` by name.  The grid certificate evaluates its
+pairs in blocks of about 4,000, small enough that each block reuses the
+heap memory the last one freed (about 1 MB in all) instead of faulting in
+fresh pages.
+
+One pair at a time, numpy's per-call cost outweighs four products, so the
+polish after sampling scores each probe on Python complex scalars through
+the same `_mul` (`_scalar_distance`).  numpy's array loop may fuse a
+multiply and an add where Python rounds twice, so a scalar score can differ
+from `batch_evaluate`'s in the last bits; the polish only compares its own
+scores, and the witness it returns is scored again through
+`batch_evaluate`.
 
 Seed admissibility.  The propagation needs start words whose true maximum
 is at most 1/3.  That is a very strong property: the 120-element
@@ -44,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -92,20 +102,29 @@ class SeedRejected(ValueError):
 # ----------------------------------------------------------------------
 # unit quaternions
 
-def _mul(p, q):
+def _mul(p, q, q_bar):
     """The product of (alpha, beta) pairs p = (a, b) and q = (x, y),
-    (a x - b conj(y), a y + b conj(x)), as a tuple.  A pair is one (2,)
-    element or the columns `batch.T` of an (n, 2) batch."""
-    (a, b), (x, y) = p, q
-    # named, so numpy never multiplies into a temporary conjugate: on large
-    # batches it would swap the operands, which can move the last bit
-    y_bar, x_bar = y.conj(), x.conj()
+    (a x - b conj(y), a y + b conj(x)), as a tuple, given q's conjugates
+    q_bar = (conj(x), conj(y)).  A pair is one (2,) element, the columns
+    `batch.T` of an (n, 2) batch, or two Python complex scalars."""
+    (a, b), (x, y), (x_bar, y_bar) = p, q, q_bar
     return a * x - b * y_bar, a * y + b * x_bar
 
 
-def _inv(p):
-    a, b = p
-    return a.conj(), -b
+def _bar(q):
+    """q's conjugates, to pass to _mul as bound names: numpy may multiply
+    into a temporary conjugate in place, which on a large batch swaps the
+    operands and can move the last bit."""
+    x, y = q
+    return x.conjugate(), y.conjugate()
+
+
+def _letter_pairs(q):
+    """(pair, conjugates) of q = (x, y) and of its inverse (conj(x), -y),
+    from two conjugations and two negations."""
+    x, y = q
+    x_bar, y_bar = _bar(q)
+    return ((x, y), (x_bar, y_bar)), ((x_bar, -y), (x, -y_bar))
 
 
 def _normalized(p):
@@ -135,19 +154,24 @@ def _haar_pairs(seed: int, samples: int):
         yield haar_su2(rng, _CHUNK)[:m], haar_su2(rng, _CHUNK)[:m]
 
 
+def _word_value(w: Word, u, v):
+    """w(u, v) for a nontrivial w, as an (alpha, beta) pair: one _mul per
+    letter.  Each letter's pair and its conjugates are formed once per
+    call, however often the letter occurs."""
+    letter = dict(zip((LETTER_A, LETTER_AI, LETTER_B, LETTER_BI),
+                      _letter_pairs(u) + _letter_pairs(v)))
+    acc = letter[w.data[0]][0]
+    for c in w.data[1:]:
+        acc = _mul(acc, *letter[c])
+    return acc
+
+
 def _word_pair(w: Word, us: np.ndarray, vs: np.ndarray):
-    """The word map on a batch as the (alpha, beta) columns of its value:
-    one _mul per letter.  Each argument's pair and its inverse are formed
-    once per call, however often its letters occur."""
+    """The word map on a batch as the (alpha, beta) columns of its value."""
     if not w:
         n = len(us)
         return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-    u, v = us.T, vs.T
-    letter = {LETTER_A: u, LETTER_AI: _inv(u), LETTER_B: v, LETTER_BI: _inv(v)}
-    acc = letter[w.data[0]]
-    for c in w.data[1:]:
-        acc = _mul(acc, letter[c])
-    return acc
+    return _word_value(w, us.T, vs.T)
 
 
 def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -193,10 +217,18 @@ def _rotation(axis: int, theta: float):
     return ((c, 1j * s), (c, s), (complex(c, s), 0.0))[axis]
 
 
+def _scalar_distance(w: Word, u, v) -> float:
+    """distance_to_identity of w(u, v) for one pair of Python complex
+    pairs, with no numpy call (see the module docstring on rounding)."""
+    alpha = _word_value(w, u, v)[0] if w else 1.0
+    return math.sqrt(min(max(2.0 - 2.0 * alpha.real, 0.0), 4.0))
+
+
 def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
     """Greedy rotation about each Pauli axis; returns the improved pair and
-    value."""
-    best = distance_to_identity(batch_evaluate(w, u[None], v[None])[0])
+    value.  Each probe is scored on Python complex scalars."""
+    u, v = tuple(map(complex, u)), tuple(map(complex, v))
+    best = _scalar_distance(w, u, v)
     step = 0.2
     used = 0
     while used < steps and step > 1e-9:
@@ -208,14 +240,14 @@ def _polish_pair(w: Word, u: np.ndarray, v: np.ndarray, steps: int):
                         break
                     used += 1
                     rot = _rotation(axis, sign * step)
-                    cu = np.array(_mul(rot, u)) if side == 0 else u
-                    cv = np.array(_mul(rot, v)) if side == 1 else v
-                    d = distance_to_identity(batch_evaluate(w, cu[None], cv[None])[0])
+                    cu = _mul(rot, u, _bar(u)) if side == 0 else u
+                    cv = _mul(rot, v, _bar(v)) if side == 1 else v
+                    d = _scalar_distance(w, cu, cv)
                     if d > best:
                         best, u, v, improved = d, cu, cv, True
         if not improved:
             step /= 2.0
-    return u, v, best
+    return np.array(u), np.array(v), best
 
 
 def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
@@ -328,12 +360,13 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
     net = su2_net(eps)
     m = len(net)
     worst = 0.0
-    # about 50,000 pairs per block: the arrays alive during one block (the
-    # (n, 2) arguments, their inverses, the product temporaries and the
-    # values) then peak at about 12 MB (12.3 MB traced for a 10-letter word
-    # at eps 1.0), which a run already holding the level-14 family absorbs
-    # with its peak memory almost unchanged
-    block = max(1, 50_000 // max(1, m))
+    # about 4,000 pairs per block: each column array is then about 64 KB,
+    # under glibc's default 128 KB mmap threshold, so one block's arrays
+    # reuse the heap memory the last block freed instead of being mapped
+    # and faulted in afresh (1.0 MB traced for a 10-letter word at eps
+    # 1.0).  Blocks of 50,000 pairs took 2.3 times as long for abAB at eps
+    # 1.2, with 7,300 minor faults per call against 170.
+    block = max(1, 4_000 // max(1, m))
     for i in range(0, m, block):
         us = np.repeat(net[i:i + block], m, axis=0)
         vs = np.tile(net, (len(us) // m, 1))
@@ -564,9 +597,10 @@ def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
         b = _word_pair(seeds[1], us, vs)
         lows[0] = max(lows[0], highest(a))
         for n in range(1, n_max + 1):
-            ai, bi = _inv(a), _inv(b)
-            a, b = (_normalized(reduce(_mul, (bi, a, b, ai))),
-                    _normalized(reduce(_mul, (a, b, ai, bi))))
+            (a, a_bar), (ai, ai_bar) = _letter_pairs(a)
+            (b, b_bar), (bi, bi_bar) = _letter_pairs(b)
+            a, b = (_normalized(_mul(_mul(_mul(bi, a, a_bar), b, b_bar), ai, ai_bar)),
+                    _normalized(_mul(_mul(_mul(a, b, b_bar), ai, ai_bar), bi, bi_bar)))
             lows[n] = max(lows[n], highest(a))
     return lows
 

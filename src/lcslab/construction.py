@@ -12,11 +12,16 @@ Both inverses are products of the same four level-n words,
 so `build` carries each level as (a, a^-1, b, b^-1) and gets all four
 words of the next level as reduced products; only the seeds are reversed.
 In a free group the reduced form is unique, so a carried inverse equals the
-reversed word byte for byte.  The identity checks reverse only stored
-words, never a commutator: the inverse of [u, v] is [v, u], made from the
-same four pieces.
+reversed word byte for byte.  The level below the top carries its inverses
+as spans of the level before it (`words.product_spans`), so the top level,
+most of the family's letters, is made without ever copying them.
 `PairSequence.check_derivation` recomputes each level through `commutator`
 and `~`, a route independent of the carried inverses.
+
+The identity checks build no product: every inner commutator is a span
+list, the inverse of [u, v] is [v, u] on the same pieces, and both sides of
+an identity are compared with `words.products_equal`.  Only stored words
+are reversed, never a commutator.
 
 Lengths grow like MU^n with MU = (3+sqrt(17))/2, so n around 14 is the
 practical ceiling under the default letter budget.  Every check returns a
@@ -29,8 +34,9 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .words import (Word, cancellation_bytes, common_prefix_bytes,
-                    common_suffix_bytes, commutator, inverse_bytes, product_bytes)
+from .words import (Pieces, Word, cancellation_bytes, common_prefix_bytes,
+                    common_suffix_bytes, commutator, inverse_bytes, product_bytes,
+                    product_spans, products_equal)
 
 MU = (3.0 + math.sqrt(17.0)) / 2.0
 
@@ -83,16 +89,17 @@ class PairSequence:
         return True
 
 
-def _commutator_pair(u: bytes, ui: bytes, v: bytes, vi: bytes) -> Tuple[bytes, bytes]:
-    """[u, v] = u v u^-1 v^-1 and its inverse [v, u] = v u v^-1 u^-1, both
-    reduced, from u, v and their inverses; no word is reversed."""
-    return product_bytes(u, v, ui, vi), product_bytes(v, u, vi, ui)
+def _commutator_pair(u: Pieces, ui: Pieces, v: Pieces, vi: Pieces
+                     ) -> Tuple[list, list]:
+    """[u, v] = u v u^-1 v^-1 and its inverse [v, u] = v u v^-1 u^-1, as
+    spans of u, v and their inverses; no word is reversed or copied."""
+    return product_spans(u, v, ui, vi), product_spans(v, u, vi, ui)
 
 
-def _next_level(ad: bytes, ai: bytes, bd: bytes, bi: bytes
-                ) -> Tuple[bytes, bytes, bytes, bytes]:
-    """(a, a^-1, b, b^-1) of level n+1 from those of level n:
-    a' = [b^-1, a] and b' = [a, b]."""
+def _next_level(ad: Pieces, ai: Pieces, bd: Pieces, bi: Pieces
+                ) -> Tuple[list, list, list, list]:
+    """(a, a^-1, b, b^-1) of level n+1 as spans of those of level n:
+    a' = [b^-1, a] and b' = [a, b], with inverses [a, b^-1] and [b, a]."""
     return _commutator_pair(bi, bd, ad, ai) + _commutator_pair(ad, ai, bd, bi)
 
 
@@ -119,11 +126,12 @@ def build(n_max: int,
             raise BudgetExceeded(
                 f"n_max={n_max} would exceed the letter budget {budget_letters} "
                 f"at level {n + 1} (lengths grow like {MU:.3f}^n)")
-        if n + 1 < n_max:
-            ad, ai, bd, bi = _next_level(ad, ai, bd, bi)
-        else:
-            # the last level's inverses would go unused: [b^-1, a], [a, b]
-            ad, bd = product_bytes(bi, ad, bd, ai), product_bytes(ad, bd, ai, bi)
+        # the top level's inverses go unused, and those of the level below
+        # it stay spans: the top is made without copying them
+        a_next, a_inv, b_next, b_inv = _next_level(ad, ai, bd, bi)
+        ad, bd = product_bytes(a_next), product_bytes(b_next)
+        ai, bi = ((product_bytes(a_inv), product_bytes(b_inv)) if n + 2 < n_max
+                  else (a_inv, b_inv))
         a_words.append(Word.from_reduced(ad))
         b_words.append(Word.from_reduced(bd))
     return PairSequence(a_words, b_words, seeds)
@@ -215,8 +223,8 @@ def _eqrel_pair(x: bytes, xi: bytes, y: bytes, yi: bytes) -> Tuple[bool, bool]:
     c, ci = _commutator_pair(xi, x, y, yi)
     cx, cxi = _commutator_pair(c, ci, x, xi)
     xy, yx = _commutator_pair(x, xi, y, yi)
-    left = product_bytes(c, xy, ci, yx) == product_bytes(cx, xy, cxi, yx)
-    right = product_bytes(c, yx, ci, xy) == product_bytes(cx, yx, cxi, xy)
+    left = products_equal(product_spans(c, xy, ci, yx), product_spans(cx, xy, cxi, yx))
+    right = products_equal(product_spans(c, yx, ci, xy), product_spans(cx, yx, cxi, xy))
     return left, right
 
 
@@ -255,6 +263,8 @@ def check_identities(seq: PairSequence, n: int) -> IdentityReport:
         n=n,
         eqrel_base=_eqrel_pair(b"a", b"A", b"b", b"B"),
         eqrel_level=_eqrel_pair(am2, am2i, bm2, bm2i),
-        bracket_identity=bn == product_bytes(k, bm1, ki, inverse_bytes(bm1)),
-        conjugation_identity=product_bytes(bm2, am1, bm2i) == bm1,
+        bracket_identity=products_equal(
+            product_spans(bn), product_spans(k, bm1, ki, inverse_bytes(bm1))),
+        conjugation_identity=products_equal(
+            product_spans(bm2, am1, bm2i), product_spans(bm1)),
     )

@@ -11,13 +11,20 @@ only at its junctions; the first few pairs of a junction are compared one
 letter at a time, and a longer run is found by comparing blocks that double
 after a match and halve after a mismatch.  A junction cancelling r pairs
 costs O(log r + r / 2^16) block compares of at most 2^16 letters, not r
-interpreter steps.  `product_bytes` settles every junction of a product
-first and then copies each surviving letter once.
+interpreter steps.
+
+A product need not be copied at all.  `product_spans` settles every
+junction and returns the surviving [bytes, start, end] spans, and a span
+list can be a piece of a further product.  `product_bytes` is one join over
+those spans, so each surviving letter is copied once.  `products_equal`
+compares two span lists chunk by chunk with `bytes.startswith` on a
+memoryview slice, which is a memcmp; `==` on two memoryviews compares
+element by element, 57 against 3.5 ms on 20 MB (2-core Xeon, Python 3.11).
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple, Union
 
 LETTER_A = 0x61  # a
 LETTER_AI = 0x41  # a^-1
@@ -137,32 +144,66 @@ def concat_bytes(u: bytes, v: bytes) -> Tuple[bytes, int]:
     return u + v, 0
 
 
-def product_bytes(*pieces: bytes) -> bytes:
-    """Reduced product of reduced words, copying each surviving letter once.
+Pieces = Union[bytes, List[list]]
 
-    The surviving span of every piece is settled first.  A junction may
-    cancel a whole piece; cancellation then goes on into the piece before
-    it.  One join over memoryview spans builds the result.
+
+def product_spans(*pieces: Pieces) -> List[list]:
+    """The reduced product of reduced pieces as its surviving spans.
+
+    A piece is a word's bytes or the spans of another product.  Each span
+    is [bytes, start, end], non-empty.  A junction may cancel a whole span;
+    cancellation then goes on into the span before it.  No letter is copied.
     """
     inv = _INV_BYTE
-    spans = []  # [piece, start, end] of the non-empty surviving spans
-    for p in pieces:
-        s, e = 0, len(p)
-        while spans and s < e:
-            top = spans[-1]
-            q, qs, qe = top
-            if q[qe - 1] != inv[p[s]]:
-                break
-            k = _junction(q, qe, p, s, min(qe - qs, e - s))
-            s += k
-            if k < qe - qs:
-                top[2] = qe - k
-                break
-            spans.pop()
-        if s < e:
-            spans.append([p, s, e])
+    spans = []
+    for piece in pieces:
+        for p, s, e in ((piece, 0, len(piece)),) if isinstance(piece, bytes) else piece:
+            while spans and s < e:
+                top = spans[-1]
+                q, qs, qe = top
+                if q[qe - 1] != inv[p[s]]:
+                    break
+                k = _junction(q, qe, p, s, min(qe - qs, e - s))
+                s += k
+                if k < qe - qs:
+                    top[2] = qe - k
+                    break
+                spans.pop()
+            if s < e:
+                spans.append([p, s, e])
+    return spans
+
+
+def product_bytes(*pieces: Pieces) -> bytes:
+    """Reduced product of reduced pieces, copying each surviving letter once."""
     return b"".join([q if qe - qs == len(q) else memoryview(q)[qs:qe]
-                     for q, qs, qe in spans])
+                     for q, qs, qe in product_spans(*pieces)])
+
+
+def products_equal(xs: List[list], ys: List[list]) -> bool:
+    """Whether two span lists spell the same word, compared chunk by chunk
+    where their span boundaries fall; no letter is copied."""
+    if sum(e - s for _, s, e in xs) != sum(e - s for _, s, e in ys):
+        return False
+    i = j = 0
+    p, ps, pe = xs[0] if xs else (b"", 0, 0)
+    q, qs, qe = ys[0] if ys else (b"", 0, 0)
+    while i < len(xs):
+        m = min(pe - ps, qe - qs)
+        # a memcmp; memoryview == would compare letter by letter
+        if not p.startswith(memoryview(q)[qs:qs + m], ps):
+            return False
+        ps += m
+        qs += m
+        if ps == pe:
+            i += 1
+            if i < len(xs):
+                p, ps, pe = xs[i]
+        if qs == qe:
+            j += 1
+            if j < len(ys):
+                q, qs, qe = ys[j]
+    return True
 
 
 def inverse_bytes(w: bytes) -> bytes:

@@ -7,6 +7,7 @@ independent recomputation.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from lcslab import construction
 from lcslab.construction import (MU, BudgetExceeded, PairSequence, build, check_identities,
                                  check_lengths, check_no_cancellation)
 from lcslab.words import (LETTERS, Word, commutator, concat, conjugate, inverse_bytes,
-                          random_word)
+                          product_bytes, random_word, reduce_bytes)
 
 seed_words = st.lists(st.sampled_from(list(LETTERS)), min_size=1, max_size=6).map(
     lambda letters: Word(bytes(letters))).filter(bool)
@@ -121,9 +122,42 @@ def test_carried_inverses_equal_reversed_words(wa, wb):
     ad, bd = wa.data, wb.data
     ai, bi = inverse_bytes(ad), inverse_bytes(bd)
     for n in range(1, 6):
-        ad, ai, bd, bi = construction._next_level(ad, ai, bd, bi)
+        ad, ai, bd, bi = (product_bytes(x)
+                          for x in construction._next_level(ad, ai, bd, bi))
         assert (ad, bd) == (seq.a(n).data, seq.b(n).data)
         assert (ai, bi) == (inverse_bytes(ad), inverse_bytes(bd))
+
+
+def test_family_words_are_pinned():
+    """sha256 over every word of build(n), n = 0..12, for the seeds (a, b)
+    and (ab, aB); the digest was computed with the build that carried
+    every level's inverses as bytes."""
+    h = hashlib.sha256()
+    for seeds in (("a", "b"), ("ab", "aB")):
+        for n in range(13):
+            seq = build(n, seeds=tuple(map(Word.parse, seeds)))
+            for w in seq.a_words + seq.b_words:
+                h.update(b"%d:" % len(w))
+                h.update(w.data)
+    assert h.hexdigest() == (
+        "63e9296664a1e89b794803cc97352f149ad22d42e981f634ce5218cf73726cbe")
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+@pytest.mark.parametrize("seeds", [("a", "b"), ("ab", "aB"), ("aab", "bA")])
+def test_lowest_levels_match_plain_reduction(n_max, seeds):
+    """The top level comes from the seeds' own inverses (n_max = 1) or from
+    level 1's inverses carried as spans (n_max = 2), through junctions that
+    cancel for the seeds (ab, aB)."""
+    seq = build(n_max, seeds=tuple(map(Word.parse, seeds)))
+    assert seq.n_max == n_max
+    assert (str(seq.a(0)), str(seq.b(0))) == seeds
+    for n in range(1, n_max + 1):
+        a, b = seq.a(n - 1).data, seq.b(n - 1).data
+        ai, bi = inverse_bytes(a), inverse_bytes(b)
+        assert seq.a(n).data == reduce_bytes(bi + a + b + ai)
+        assert seq.b(n).data == reduce_bytes(a + b + ai + bi)
+    assert seq.check_derivation()
 
 
 def test_commutator_pair_matches_commutator():
@@ -131,7 +165,8 @@ def test_commutator_pair_matches_commutator():
     for _ in range(200):
         u, v = (random_word(rng, rng.randrange(0, 7)) for _ in range(2))
         pair = construction._commutator_pair(u.data, (~u).data, v.data, (~v).data)
-        assert pair == (commutator(u, v).data, commutator(v, u).data)
+        assert tuple(map(product_bytes, pair)) == (commutator(u, v).data,
+                                                   commutator(v, u).data)
 
 
 def _plain_eqrel(x, y):

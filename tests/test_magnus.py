@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import numpy as np
@@ -11,6 +12,7 @@ from lcslab.words import (
     concat,
     conjugate,
     exponent_sums,
+    random_word,
 )
 from lcslab.construction import build
 from lcslab.search import DepthOracle
@@ -192,6 +194,38 @@ def test_depth_of_recursive_family():
         assert lcs_depth(seq.b(n), 13) == Depth.exact(d)
     assert lcs_depth(seq.a(4), 13) == Depth.at_least(14)
     assert lcs_depth(seq.b(4), 13) == Depth.at_least(14)
+
+
+def test_degree_ladder_matches_one_expansion():
+    """depth_terms and lcs_depth climb truncations 2, 4, 8, ... capped at
+    D; they read the depth and terms that one expansion at D reads, for
+    D = 1..13, on b_0..b_3, a_3, commutators and seeded zero-sum words,
+    exact and at_least outcomes both."""
+    rng = random.Random(20261020)
+    seq = build(3)
+    words = [seq.b(n) for n in range(4)] + [seq.a(3)]
+    for _ in range(12):
+        u, v = (random_word(rng, rng.randrange(1, 6)) for _ in range(2))
+        words.append(commutator(u, v))
+        words.append(commutator(commutator(u, v), u))
+    while len(words) < 45:
+        w = random_word(rng, rng.randrange(2, 17))
+        if w and exponent_sums(w) == (0, 0):
+            words.append(w)
+    kinds = set()
+    for w in filter(None, words):
+        for D in range(1, 14):
+            series = expand(w, D)
+            d = series.min_positive_degree()
+            if d is None:
+                expected = Depth.at_least(D + 1), []
+            else:
+                expected = Depth.exact(d), [(monomial_name(d, m), c)
+                                            for m, c in enumerate(series.rows[d]) if c]
+            assert depth_terms(w, D) == expected, (str(w), D)
+            assert lcs_depth(w, D) == expected[0]
+            kinds.add((expected[0].kind, d is not None and d > 2))
+    assert kinds == {("at_least", False), ("exact", False), ("exact", True)}
 
 
 def test_depth_recurrence_on_family():

@@ -27,6 +27,8 @@ from lcslab.words import (
     inverse_letter,
     is_reduced,
     product_bytes,
+    product_spans,
+    products_equal,
     random_word,
     reduce_bytes,
 )
@@ -251,3 +253,79 @@ def test_product_whole_word_and_swallowed_middle():
     assert product_bytes(*pieces) == y == reduce_bytes(b"".join(pieces))
     assert product_bytes() == b""
     assert commutator(Word.from_reduced(u), Word.from_reduced(ui)) == Word.identity()
+
+
+def _joined(spans) -> bytes:
+    return b"".join(q[qs:qe] for q, qs, qe in spans)
+
+
+def _flat(piece) -> bytes:
+    return piece if isinstance(piece, bytes) else _joined(piece)
+
+
+def test_spans_and_equality_match_product_bytes():
+    """Seeded random products, some pieces nested span lists, with long
+    cancelling junctions: the joined spans are product_bytes, and
+    products_equal agrees with == on the bytes, for the same word cut at
+    other span boundaries and for a word one letter away."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        z = random_word(rng, rng.randrange(0, 400)).data
+        u = reduce_bytes(random_word(rng, rng.randrange(30)).data + z)
+        v = reduce_bytes(inverse_bytes(z) + random_word(rng, rng.randrange(30)).data)
+        menu = [u, v, inverse_bytes(u), inverse_bytes(v), random_word(rng, 7).data]
+        menu.append(product_spans(*rng.choices(menu, k=3)))
+        menu.append(product_spans(menu[-1], *rng.choices(menu, k=2)))
+        pieces = rng.choices(menu, k=rng.randrange(7))
+        spans = product_spans(*pieces)
+        expected = reduce_bytes(b"".join(map(_flat, pieces)))
+        assert _joined(spans) == product_bytes(*pieces) == expected
+        assert all(0 <= qs < qe <= len(q) for q, qs, qe in spans)
+        # the same word cut elsewhere, and the pieces regrouped
+        cut = rng.randrange(len(expected) + 1)
+        assert products_equal(spans, product_spans(expected[:cut], expected[cut:]))
+        assert products_equal(spans, product_spans(product_spans(*pieces[:2]),
+                                                   *pieces[2:]))
+        other = product_spans(*rng.choices(menu, k=rng.randrange(7)))
+        assert products_equal(spans, other) == (_joined(other) == expected)
+
+
+def _other_letter(w: bytes, i: int, rng) -> bytes:
+    """w with letter i replaced, still reduced."""
+    banned = {w[i]}
+    banned.update(inverse_letter(w[j]) for j in (i - 1, i + 1) if 0 <= j < len(w))
+    c = rng.choice([c for c in LETTERS if c not in banned])
+    return w[:i] + bytes([c]) + w[i + 1:]
+
+
+def test_products_equal_edge_cases():
+    rng = random.Random(7)
+    w = random_word(rng, 300).data
+    # one letter differs right before, at and after a span boundary of
+    # either side, and the two sides cut the word at different places
+    for k in (1, 100, 299):
+        xs = product_spans(w[:k], w[k:])
+        assert products_equal(xs, product_spans(w))
+        for i in (k - 1, k, k + 1):
+            if i < len(w):
+                y = _other_letter(w, i, rng)
+                ys = product_spans(y[:k + 3], y[k + 3:])
+                assert not products_equal(xs, ys)
+                assert not products_equal(ys, xs)
+    # unequal lengths, a common prefix and the empty word
+    assert not products_equal(product_spans(w), product_spans(w[:-1]))
+    assert not products_equal(product_spans(w[:-1]), product_spans(w))
+    assert products_equal(product_spans(), product_spans(w, inverse_bytes(w)))
+    assert not products_equal(product_spans(), product_spans(w))
+    # a whole span list swallowed by the next piece, spans nested in spans
+    x, z = random_word(rng, 40).data, random_word(rng, 500).data
+    zx = product_spans(z, x)
+    assert product_spans(zx, product_spans(inverse_bytes(x), inverse_bytes(z))) == []
+    nested = product_spans(product_spans(zx, inverse_bytes(x)), x, inverse_bytes(x))
+    assert _joined(nested) == z
+    assert products_equal(nested, product_spans(z))
+    # a span list used as a piece twice is not changed by either product
+    before = [list(s) for s in zx]
+    product_spans(zx, inverse_bytes(x))
+    product_spans(zx, product_spans(inverse_bytes(x), inverse_bytes(z)))
+    assert zx == before
