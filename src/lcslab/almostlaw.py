@@ -60,7 +60,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .construction import BudgetExceeded, build
-from .quotients import PermutationQuotient, permutation_from_cycles
+from .quotients import cycles_string, permutation_from_cycles
 from .search import (
     NotFoundBelow,
     SearchFlags,
@@ -437,7 +437,7 @@ _A5_PAIRS = (
 )
 
 
-def _a5_block_quotient() -> PermutationQuotient:
+def _a5_block_spec() -> str:
     blocks_a, blocks_b = [], []
     offset = 0
     for ca, cb in _A5_PAIRS:
@@ -446,7 +446,7 @@ def _a5_block_quotient() -> PermutationQuotient:
         blocks_a.extend(p + offset for p in pa)
         blocks_b.extend(p + offset for p in pb)
         offset += 5
-    return PermutationQuotient(tuple(blocks_a), tuple(blocks_b))
+    return f"perm:a={cycles_string(blocks_a)};b={cycles_string(blocks_b)}"
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,7 @@ def seed_pool_obstruction(max_len: int = 16) -> SeedObstruction:
     pairs' block quotient, and stats.tested counts the candidates it rules
     out: every cyclically reduced zero-sum word up to max_len, 13,848 up
     to length 12 and 870,760 up to 16 (see _zero_sum_cyclic_words)."""
-    q = _a5_block_quotient()
-    outcome = search_mitm(f"zerosum-{q.spec_string()}", max_len)
+    outcome = search_mitm(f"zerosum-{_a5_block_spec()}", max_len)
     stats = SearchStats(tested=_zero_sum_cyclic_words(max_len))
     return SeedObstruction(max_len=max_len, outcome=outcome, stats=stats)
 

@@ -2,68 +2,36 @@
 
 A normal subgroup is presented as the kernel of a homomorphism onto a
 concrete group: either a finite permutation group or Z^2 (exponent sums,
-whose kernel is the commutator subgroup).  Each quotient has one product,
-letter_step: (x, letter) -> x times the letter's image, with the letters'
-tables made once.  It serves the search oracles (search.KernelOracle,
+whose kernel is the commutator subgroup).  A quotient is the pair
+(identity, step): the image of the empty word, and the one product
+step(x, letter) -> x times the letter's image, with the letters' tables
+made once.  It serves the search oracles (search.KernelOracle,
 search.DerivedKernelOracle, search.ZeroSumKernelOracle), which carry the
 image, and for [kernel, kernel] both Fox derivatives projected into the
 integer group ring of the quotient, letter by letter.  The from-scratch
 routes the tests check them against, which evaluate one word at a time on
-the same letter_step, live in tests/reference.py.
+the same pair, live in tests/reference.py.
 
 A permutation on n <= 256 points is stored as n bytes, the image of
 point i at index i, so a product is one bytes.translate call and elements
 hash and compare as bytes.  permutation_from_cycles and cycles_string
-speak tuples and cycle notation; PermutationQuotient converts.  Exponent
-sums stay tuples.
+speak tuples and cycle notation, whose cycles must be disjoint;
+permutation_quotient converts.  Exponent sums stay tuples.
 """
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Hashable, List, Optional, Sequence, Tuple
 
 from .words import EXPONENT_DELTA, LETTER_A, LETTER_AI, LETTER_B, LETTER_BI
 
-
-class QuotientGroup:
-    """Target of a homomorphism out of the free group on a, b.
-
-    Elements are hashable canonical values; subclasses provide the
-    arithmetic.  The kernel is automatically normal, so these quotients
-    are exactly the normal subgroups this package ever needs.
-    """
-
-    def identity(self) -> Hashable:
-        raise NotImplementedError
-
-    # letter -> image, including inverse letters; filled by subclasses
-    letter_images: Dict[int, Hashable]
-
-    def letter_step(self) -> Callable[[Hashable, int], Hashable]:
-        """(x, letter) -> x times the letter's image."""
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
+# (identity, step): step(x, letter) -> x times the letter's image
+Quotient = Tuple[Hashable, Callable[[Hashable, int], Hashable]]
 
 
-class FreeAbelianQuotient(QuotientGroup):
-    """F2 -> Z^2 by exponent sums; the kernel is the commutator subgroup."""
-
-    letter_images = EXPONENT_DELTA
-
-    def identity(self):
-        return (0, 0)
-
-    def letter_step(self):
-        def step(x, c):  # one call per letter: add its exponent sums
-            da, db = EXPONENT_DELTA[c]
-            return x[0] + da, x[1] + db
-        return step
-
-    def spec_string(self) -> str:
-        return "z2"
+def _exponent_step(x, c):  # one call per letter: add its exponent sums
+    da, db = EXPONENT_DELTA[c]
+    return x[0] + da, x[1] + db
 
 
 def _parse_cycles(text: str) -> List[List[int]]:
@@ -73,10 +41,16 @@ def _parse_cycles(text: str) -> List[List[int]]:
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
+    seen = set()
     for chunk in text[1:-1].split(")("):
         pts = [int(p) for p in chunk.replace(",", " ").split()]
         if len(pts) < 2 or len(set(pts)) != len(pts) or min(pts) < 1:
             raise ValueError(f"bad cycle: ({chunk})")
+        shared = seen.intersection(pts)
+        if shared:
+            raise ValueError(f"point {min(shared)} is in two cycles; cycles "
+                             f"must be disjoint")
+        seen.update(pts)
         cycles.append(pts)
     return cycles
 
@@ -126,51 +100,31 @@ def cycles_string(perm: Sequence[int]) -> str:
     return "".join(out) or "()"
 
 
-class PermutationQuotient(QuotientGroup):
+def permutation_quotient(image_a: Sequence[int],
+                         image_b: Sequence[int]) -> Quotient:
     """F2 -> a finite permutation group on {1..n}, n <= 256 (0-based
-    internally).  Elements are bytes: x[i] is the image of point i."""
-
-    def __init__(self, image_a: Sequence[int], image_b: Sequence[int]):
-        n = max(len(image_a), len(image_b))
-        _check_point_count(n)
-        image_a = tuple(image_a) + tuple(range(len(image_a), n))
-        image_b = tuple(image_b) + tuple(range(len(image_b), n))
-        for p in (image_a, image_b):
-            if sorted(p) != list(range(n)):
-                raise ValueError(f"not a permutation of 0..{n-1}: {p}")
-        self.degree = n
-        a, b = bytes(image_a), bytes(image_b)
-        self.letter_images = {
-            LETTER_A: a, LETTER_AI: self.invert(a),
-            LETTER_B: b, LETTER_BI: self.invert(b),
-        }
-
-    def identity(self):
-        return _PAD[:self.degree]
-
-    def invert(self, x):
-        out = bytearray(len(x))
-        for i, j in enumerate(x):
-            out[j] = i
-        return bytes(out)
-
-    def letter_step(self):
-        # act with x first, then the letter: point i goes to image[x[i]];
-        # the images padded to translate tables once, not at every product
-        tables = {c: g + _PAD[self.degree:]
-                  for c, g in self.letter_images.items()}
-        return lambda x, c: x.translate(tables[c])
-
-    def spec_string(self) -> str:
-        a = cycles_string(self.letter_images[LETTER_A])
-        b = cycles_string(self.letter_images[LETTER_B])
-        return f"perm:a={a};b={b}"
+    internally), the smaller image padded with fixed points.  Elements are
+    bytes: x[i] is the image of point i."""
+    n = max(len(image_a), len(image_b))
+    _check_point_count(n)
+    # act with x first, then the letter: point i goes to image[x[i]]; each
+    # letter's image padded to a translate table once, not at every product.
+    # The points sorted by their images are the inverse image.
+    tables = {}
+    for letter, inverse, image in ((LETTER_A, LETTER_AI, image_a),
+                                   (LETTER_B, LETTER_BI, image_b)):
+        p = tuple(image) + tuple(range(len(image), n))
+        if sorted(p) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n-1}: {p}")
+        tables[letter] = bytes(p) + _PAD[n:]
+        tables[inverse] = bytes(sorted(range(n), key=p.__getitem__)) + _PAD[n:]
+    return _PAD[:n], lambda x, c: x.translate(tables[c])
 
 
-def parse_quotient_spec(spec: str) -> QuotientGroup:
-    """'z2' or 'perm:a=(1 2);b=(2 3)'."""
+def parse_quotient_spec(spec: str) -> Quotient:
+    """'z2' or 'perm:a=(1 2);b=(2 3)', as its (identity, step)."""
     if spec == "z2":
-        return FreeAbelianQuotient()
+        return (0, 0), _exponent_step
     if spec.startswith("perm:"):
         pairs = [kv.split("=", 1) for kv in spec[5:].split(";")]
         if (any(len(kv) != 2 for kv in pairs)
@@ -179,10 +133,8 @@ def parse_quotient_spec(spec: str) -> QuotientGroup:
                              f"spec needs a=<cycles>;b=<cycles>")
         parts = dict(pairs)
         try:
-            # the constructor pads the smaller image with fixed points
-            return PermutationQuotient(permutation_from_cycles(parts["a"]),
-                                       permutation_from_cycles(parts["b"]))
+            return permutation_quotient(permutation_from_cycles(parts["a"]),
+                                        permutation_from_cycles(parts["b"]))
         except ValueError as err:
             raise ValueError(f"bad quotient spec {spec!r}: {err}") from None
     raise ValueError(f"unknown quotient spec: {spec!r}")
-

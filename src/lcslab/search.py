@@ -4,12 +4,14 @@ Every oracle maps a word to a group state: its image in a quotient, in
 Z^2 x a quotient, the image plus projected Fox derivatives, or a truncated
 Magnus expansion.  A nontrivial word is a member exactly when its state is
 the identity, and each oracle exposes (identity, step, key) for its states;
-the oracles are the library's one membership interface.  Every oracle
-decides a normal subgroup of F2 (gamma_n, a kernel, or a derived subgroup
-[N, N]), so every search tests only cyclically reduced words (the shortest
-member of a conjugation-closed set is cyclically reduced, and rotations of
-members are members), and its orbits are closed under inversion.  An
-oracle declares only the two prunes that vary:
+the oracles are the library's one membership interface.  A quotient is the
+pair (identity, step) that quotients.parse_quotient_spec returns; the three
+quotient oracles keep it as q and build their states on its step.  Every
+oracle decides a normal subgroup of F2 (gamma_n, a kernel, or a derived
+subgroup [N, N]), so every search tests only cyclically reduced words (the
+shortest member of a conjugation-closed set is cyclically reduced, and
+rotations of members are members), and its orbits are closed under
+inversion.  An oracle declares only the two prunes that vary:
 
   * automorphism_invariant: the eight letter automorphisms fix it, so only
     words starting with 'A', the smallest byte, are needed;
@@ -231,7 +233,7 @@ class KernelOracle(Oracle):
 
     def group(self):
         # state: the image of the prefix in the quotient
-        return self.q.identity(), self.q.letter_step(), _state_key
+        return (*self.q, _state_key)
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])
@@ -255,7 +257,7 @@ class DerivedKernelOracle(Oracle):
         # group ring of the quotient (Fox 1953), as dicts
         # copied on write, with zeros never stored.  A letter adds +p to
         # its generator's derivative, an inverse letter -(p after it).
-        multiply = self.q.letter_step()
+        identity, multiply = self.q
 
         def step(state, c):
             p, da, db = state
@@ -276,7 +278,7 @@ class DerivedKernelOracle(Oracle):
                 del table[g]
             return p2, da, db
 
-        return (self.q.identity(), {}, {}), step, _derived_key
+        return (identity, {}, {}), step, _derived_key
 
     def key_group(self):
         # state: the image p and h = sum of coeff * r(g, gen) mod P61 over
@@ -284,7 +286,7 @@ class DerivedKernelOracle(Oracle):
         # drawn on first use from a fixed seed.  h is linear in the
         # derivatives, so equal derived states get equal keys; two
         # distinct ones with the same p collide with probability 1/P61.
-        multiply = self.q.letter_step()
+        identity, multiply = self.q
         draw = Random("derived key").randrange
         wa, wb = {}, {}  # g -> r(g, a), g -> r(g, b)
         weights = {LETTER_A: wa, LETTER_AI: wa, LETTER_B: wb, LETTER_BI: wb}
@@ -303,7 +305,7 @@ class DerivedKernelOracle(Oracle):
                 r = table[p2] = draw(P61)
             return p2, (h - r) % P61
 
-        return (self.q.identity(), 0), step, _state_key
+        return (identity, 0), step, _state_key
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])
@@ -317,14 +319,14 @@ class ZeroSumKernelOracle(KernelOracle):
 
     def group(self):
         # state: both exponent sums and the image, the identity in Z^2 x Q
-        multiply = self.q.letter_step()
+        identity, multiply = self.q
 
         def step(state, c):
             ea, eb, p = state
             da, db = EXPONENT_DELTA[c]
             return ea + da, eb + db, multiply(p, c)
 
-        return (0, 0, self.q.identity()), step, _state_key
+        return (0, 0, identity), step, _state_key
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group()[:2])

@@ -7,17 +7,17 @@ generated_elements closes a finite quotient's letter images by search.
 
 The library decides membership only through the search oracles.  The
 routes here decide it from scratch, one word at a time, on the quotient's
-one product letter_step: image, in_lambda (the kernel), project_fox (a Fox
-derivative pushed into the group ring of the quotient) and
-in_derived_lambda ([kernel, kernel]).  fox_derivative is the free
-derivative in the integer group ring of F2, which project_fox is checked
-against.
+(identity, step) pair from quotients.parse_quotient_spec: image, in_lambda
+(the kernel), project_fox (a Fox derivative pushed into the group ring of
+the quotient) and in_derived_lambda ([kernel, kernel]).  fox_derivative
+is the free derivative in the integer group ring of F2, which project_fox
+is checked against.
 """
 
 from typing import Dict, Hashable, Iterator
 
 from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
-from lcslab.quotients import QuotientGroup
+from lcslab.quotients import Quotient
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
 from lcslab.words import LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS, Word
 
@@ -60,11 +60,11 @@ def letter_series(letter: int, D: int) -> NcSeries:
     return NcSeries(D, f)
 
 
-def generated_elements(q: QuotientGroup, limit: int = 100000) -> frozenset:
+def generated_elements(q: Quotient, limit: int = 100000) -> frozenset:
     """Every element of a finite quotient, as the closure of its letter images."""
-    step = q.letter_step()
-    seen = {q.identity()}
-    frontier = [q.identity()]
+    identity, step = q
+    seen = {identity}
+    frontier = [identity]
     while frontier:
         g = frontier.pop()
         for c in LETTERS:
@@ -101,21 +101,20 @@ def fox_derivative(w: Word, gen: str) -> Dict[Word, int]:
     return {Word.from_reduced(k): v for k, v in out.items() if v}
 
 
-def image(w: Word, q: QuotientGroup) -> Hashable:
-    """The image of w in the quotient, one letter_step per letter."""
-    step = q.letter_step()
-    g = q.identity()
+def image(w: Word, q: Quotient) -> Hashable:
+    """The image of w in the quotient, one step per letter."""
+    g, step = q
     for c in w.data:
         g = step(g, c)
     return g
 
 
-def in_lambda(w: Word, q: QuotientGroup) -> bool:
+def in_lambda(w: Word, q: Quotient) -> bool:
     """Membership in the kernel of F2 -> q."""
-    return image(w, q) == q.identity()
+    return image(w, q) == q[0]
 
 
-def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
+def project_fox(w: Word, q: Quotient, gen: str) -> Dict[Hashable, int]:
     """Fox derivative of w pushed into the group ring of the quotient, as
     {g: coeff} with no zero stored.
 
@@ -127,9 +126,8 @@ def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
         raise ValueError("gen must be 'a' or 'b'")
     pos = LETTER_A if gen == "a" else LETTER_B
     neg = LETTER_AI if gen == "a" else LETTER_BI
-    step = q.letter_step()
+    p, step = q
     out: Dict[Hashable, int] = {}
-    p = q.identity()
     for c in w.data:
         if c == pos:
             out[p] = out.get(p, 0) + 1
@@ -139,7 +137,7 @@ def project_fox(w: Word, q: QuotientGroup, gen: str) -> Dict[Hashable, int]:
     return {g: n for g, n in out.items() if n}
 
 
-def in_derived_lambda(w: Word, q: QuotientGroup) -> bool:
+def in_derived_lambda(w: Word, q: Quotient) -> bool:
     """Membership in [kernel, kernel]: the word must die in the quotient and
     both projected Fox derivatives must vanish."""
     return (in_lambda(w, q) and not project_fox(w, q, "a")

@@ -6,7 +6,7 @@ import pytest
 
 from lcslab import almostlaw as al
 from lcslab.construction import build
-from lcslab.quotients import PermutationQuotient, permutation_from_cycles
+from lcslab.quotients import permutation_from_cycles, permutation_quotient
 from lcslab.search import NotFoundBelow
 from lcslab.words import Word, commutator, exponent_sums, random_word
 from reference import generated_elements
@@ -434,7 +434,7 @@ def test_a5_pairs_are_even_and_first_five_generate():
         pa = permutation_from_cycles(ca, degree=5)
         pb = permutation_from_cycles(cb, degree=5)
         assert _parity(pa) == 1 and _parity(pb) == 1
-        order = len(generated_elements(PermutationQuotient(pa, pb)))
+        order = len(generated_elements(permutation_quotient(pa, pb)))
         assert order > 1 and 60 % order == 0
         if i < 5:
             assert order == 60

@@ -282,6 +282,10 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
     (("girth", "--quotient", "lcs:x", "--max-len", "4"), 3),
     (("girth", "--quotient", "derived-perm:", "--max-len", "4"), 3),
     (("girth", "--quotient", "perm:a=(1 2);b", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 2)(1 2);b=(1 2 3)", "--max-len", "4"),
+     3),
+    (("girth", "--quotient", "perm:a=(1 2 3)(3 2 1);b=(1 2 3)", "--max-len",
+      "4"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
         "depth-identity-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
@@ -294,7 +298,8 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
         "girth-checkpoint", "beta-checkpoint", "beta-max-len",
         "girth-workers-2",
         "beta-workers-2", "girth-no-prune", "girth-lcs-not-integer",
-        "girth-derived-perm-empty", "girth-perm-b-without-cycles"])
+        "girth-derived-perm-empty", "girth-perm-b-without-cycles",
+        "girth-perm-repeated-cycle", "girth-perm-overlapping-cycles"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback (exit 1 means a check failed)

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lcslab.almostlaw import _a5_block_quotient
+from lcslab.almostlaw import _a5_block_spec
 from lcslab.words import (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS,
                           Word, commutator, conjugate)
 from lcslab.construction import build
@@ -9,10 +9,10 @@ from lcslab.magnus import lcs_depth
 from lcslab.search import DerivedKernelOracle, KernelOracle
 from lcslab.quotients import (
     MAX_DEGREE,
-    PermutationQuotient,
     cycles_string,
     parse_quotient_spec,
     permutation_from_cycles,
+    permutation_quotient,
 )
 from reference import (enumerate_words, fox_derivative, generated_elements,
                        image, in_derived_lambda, in_lambda, project_fox)
@@ -35,17 +35,75 @@ def test_cycle_parsing():
         permutation_from_cycles("1 2")
 
 
+@pytest.mark.parametrize("text, point", [
+    ("(1 2)(1 2)", 1), ("(1 2 3)(3 2 1)", 1), ("(1 2)(2 3)", 2)])
+def test_overlapping_cycles_name_the_point(text, point):
+    # a product of overlapping cycles is no one-line permutation: refused,
+    # naming the 1-based point that two cycles share
+    with pytest.raises(ValueError, match=f"point {point} is in two cycles"):
+        permutation_from_cycles(text)
+    spec = f"perm:a={text};b=(1 2 3)"
+    with pytest.raises(ValueError, match=f"point {point} is in two cycles"):
+        parse_quotient_spec(spec)
+
+
 def test_cycles_roundtrip():
     for text in ("(1 2)", "(1 2)(3 4)", "(1 2 3)"):
         p = permutation_from_cycles(text)
         assert permutation_from_cycles(cycles_string(p), len(p)) == p
 
 
+def _letter_images(q):
+    e, step = q
+    return [step(e, c) for c in (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI)]
+
+
+A5_BLOCK_SPEC = (
+    "perm:a=(1 2 3 4 5)(6 7 8 9 10)(11 12 13)(16 17)(18 19)(23 24 25)"
+    "(26 27 28)(31 32)(33 34);b=(3 4 5)(6 7)(8 9)(13 14 15)(16 18 20)"
+    "(21 22 23 24 25)(27 28 29)(32 33)(34 35)")
+
+
+def test_a5_block_spec_is_pinned():
+    assert _a5_block_spec() == A5_BLOCK_SPEC
+
+
+# the images of a, A, b, B: exponent sums for z2, else the image of each
+# point 0..n-1
+@pytest.mark.parametrize("spec, images", [
+    ("z2", [(1, 0), (-1, 0), (0, 1), (0, -1)]),
+    (SPECS[1], [(1, 0, 2), (1, 0, 2), (0, 2, 1), (0, 2, 1)]),
+    ("perm:a=(1 2);b=(1 2 3)", [(1, 0, 2), (1, 0, 2), (1, 2, 0), (2, 0, 1)]),
+    (SPECS[2], [(1, 0, 3, 2), (1, 0, 3, 2), (2, 3, 0, 1), (2, 3, 0, 1)]),
+    ("perm:a=(1 2);b=(3 4 5)", [(1, 0, 2, 3, 4), (1, 0, 2, 3, 4),
+                                (0, 1, 3, 4, 2), (0, 1, 4, 2, 3)]),
+    ("perm:a=(1 2 3 4 5 6 7 8 9 10 11 12);b=(1 2)(3 5 7)(4 9)",
+     [(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0),
+      (11, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+      (1, 0, 4, 8, 6, 5, 2, 7, 3, 9, 10, 11),
+      (1, 0, 6, 8, 2, 5, 4, 7, 3, 9, 10, 11)]),
+    (A5_BLOCK_SPEC,
+     [(1, 2, 3, 4, 0, 6, 7, 8, 9, 5, 11, 12, 10, 13, 14, 16, 15, 18, 17, 19,
+       20, 21, 23, 24, 22, 26, 27, 25, 28, 29, 31, 30, 33, 32, 34),
+      (4, 0, 1, 2, 3, 9, 5, 6, 7, 8, 12, 10, 11, 13, 14, 16, 15, 18, 17, 19,
+       20, 21, 24, 22, 23, 27, 25, 26, 28, 29, 31, 30, 33, 32, 34),
+      (0, 1, 3, 4, 2, 6, 5, 8, 7, 9, 10, 11, 13, 14, 12, 17, 16, 19, 18, 15,
+       21, 22, 23, 24, 20, 25, 27, 28, 26, 29, 30, 32, 31, 34, 33),
+      (0, 1, 4, 2, 3, 6, 5, 8, 7, 9, 10, 11, 14, 12, 13, 19, 16, 15, 18, 17,
+       24, 20, 21, 22, 23, 25, 28, 26, 27, 29, 30, 32, 31, 34, 33)]),
+], ids=["z2", "s3", "s3-ci", "klein", "z2xz3", "s12-ci", "a5-blocks"])
+def test_parsed_quotients_are_pinned(spec, images):
+    got = _letter_images(parse_quotient_spec(spec))
+    assert [tuple(x) for x in got] == images
+
+
 def test_parse_quotient_spec_roundtrip():
-    for q in QUOTIENTS:
-        q2 = parse_quotient_spec(q.spec_string())
-        assert type(q2) is type(q)
-        assert q2.letter_images == q.letter_images
+    # a permutation quotient's images, written back as cycles, parse to the
+    # same quotient
+    for q in (S3, KLEIN):
+        a, _, b, _ = _letter_images(q)
+        text = f"perm:a={cycles_string(a)};b={cycles_string(b)}"
+        assert _letter_images(parse_quotient_spec(text)) == _letter_images(q)
     with pytest.raises(ValueError):
         parse_quotient_spec("perm:a=(1 2)")
     with pytest.raises(ValueError):
@@ -53,7 +111,7 @@ def test_parse_quotient_spec_roundtrip():
 
 
 def _walk(step, x, w: Word):
-    """x times the image of w, one letter_step per letter."""
+    """x times the image of w, one step per letter."""
     for c in w.data:
         x = step(x, c)
     return x
@@ -66,19 +124,18 @@ def test_group_axioms_by_enumeration():
     for q, size in ((S3, 6), (KLEIN, 4)):
         els = generated_elements(q)
         assert len(els) == size
-        e = q.identity()
+        e, step = q
         assert e in els
         spelled = {e: Word.identity()}
         for w in enumerate_words(size):
             spelled.setdefault(image(w, q), w)
         assert spelled.keys() == els
-        step = q.letter_step()
 
         def mul(x, y):
             return _walk(step, x, spelled[y])
 
         for x in els:
-            assert mul(x, q.invert(x)) == e
+            assert mul(x, image(~spelled[x], q)) == e
             assert mul(e, x) == x
             for y in els:
                 assert mul(x, y) in els
@@ -87,31 +144,28 @@ def test_group_axioms_by_enumeration():
 
 
 def test_permutation_product_acts_left_factor_first():
-    q = S3
-    step = q.letter_step()
+    e, step = S3
     x = bytes(permutation_from_cycles("(1 2)", 3))
     y = bytes(permutation_from_cycles("(2 3)", 3))
-    assert (q.letter_images[LETTER_A], q.letter_images[LETTER_B]) == (x, y)
+    assert (step(e, LETTER_A), step(e, LETTER_B)) == (x, y)
     # point 1 -> 2 under x, then 2 -> 3 under y
     assert step(x, LETTER_B) == bytes(permutation_from_cycles("(1 3 2)", 3))
     assert step(y, LETTER_A) == bytes(permutation_from_cycles("(1 2 3)", 3))
 
 
-_A5_BLOCKS = _a5_block_quotient()  # 35 points, seven blocks of five
+_A5_E, _A5_STEP = parse_quotient_spec(_a5_block_spec())  # 35 points
 perm_pairs = st.integers(1, MAX_DEGREE).flatmap(
     lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
 
 
 @settings(max_examples=60, deadline=None)
-@example((tuple(_A5_BLOCKS.letter_images[LETTER_A]),
-          tuple(_A5_BLOCKS.letter_images[LETTER_B])))
+@example((tuple(_A5_STEP(_A5_E, LETTER_A)), tuple(_A5_STEP(_A5_E, LETTER_B))))
 @given(perm_pairs)
 def test_bytes_product_is_tuple_composition(pair):
     x, y = pair
-    q = PermutationQuotient(x, y)
-    bx, step = bytes(x), q.letter_step()
+    e, step = permutation_quotient(x, y)
+    bx = bytes(x)
     assert step(bx, LETTER_B) == bytes(y[i] for i in x)
-    e = q.identity()
     assert e == bytes(range(len(x)))
     assert step(e, LETTER_A) == bx
     assert step(step(e, LETTER_A), LETTER_AI) == e == step(step(e, LETTER_AI),
@@ -121,21 +175,21 @@ def test_bytes_product_is_tuple_composition(pair):
 
 def test_degree_limit_names_the_limit():
     # point 256 is the last one a byte can hold
-    q = parse_quotient_spec("perm:a=(1 256);b=(1 2)")
-    assert q.degree == MAX_DEGREE == 256
+    e, _ = parse_quotient_spec("perm:a=(1 256);b=(1 2)")
+    assert len(e) == MAX_DEGREE == 256
     with pytest.raises(ValueError, match="at most 256 points"):
         parse_quotient_spec("perm:a=(1 257);b=(1 2)")
     with pytest.raises(ValueError, match="at most 256 points"):
         permutation_from_cycles("()", 257)
     with pytest.raises(ValueError, match="at most 256 points"):
-        PermutationQuotient(tuple(range(257)), (1, 0))
+        permutation_quotient(tuple(range(257)), (1, 0))
 
 
 def test_image_is_homomorphism():
     q = S3
     u, v = Word.parse("abA"), Word.parse("aBBa")
     uv = u * v  # abA * aBBa cancels to aBa
-    assert image(uv, q) == _walk(q.letter_step(), image(u, q), v)
+    assert image(uv, q) == _walk(q[1], image(u, q), v)
 
 
 def test_in_lambda_basics():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from lcslab import search
-from lcslab.almostlaw import _a5_block_quotient, seed_pool_obstruction
+from lcslab.almostlaw import _a5_block_spec, seed_pool_obstruction
 from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.construction import build
 from lcslab.words import (LETTERS, Word, exponent_sums, inverse_bytes,
@@ -624,7 +624,7 @@ def test_dfs_tree_is_pinned_on_derived2(monkeypatch):
 
 
 def _obstruction_spec(max_len):
-    oid = "zerosum-" + _a5_block_quotient().spec_string()
+    oid = "zerosum-" + _a5_block_spec()
     flags = SearchFlags(cyclic=True, inverse=True, automorphism=False)
     assert flags == engine_flags(build_oracle(oid))
     return SearchSpec(oid, max_len, flags)
