@@ -9,10 +9,10 @@ in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
   * certified upper bounds (an epsilon-net over SU(2)^2 with an explicit
     Lipschitz slack, the only honest grid certificate, with its cost
     accounted up front),
-  * propagated upper bounds through the commutator recursion
-    U_n = 4 U_{n-1}^2 U_{n-2}, rounded upward so the chain never
-    underestimates,
-  * a decay table with the fitted constants of the contraction.
+  * a hypothetical decay table: an assumed start bound u0 <= 1/3 carried
+    through the commutator recursion U_n = 4 U_{n-1}^2 U_{n-2}, rounded
+    upward so the chain never underestimates, beside the family's lengths
+    and the fitted constants of the contraction.
 
 Evaluation.  An element of SU(2) is a unit quaternion, held as the pair
 (alpha, beta) = (q0 + i q1, q2 + i q3): the first row of [[alpha, beta],
@@ -47,15 +47,15 @@ every induced pair in its simple quotient (the alternating group on five
 points).  One-parameter rotation subgroups force both exponent sums to
 vanish as well.  `seed_pool_obstruction` turns this into an exhaustive
 search bound: no nontrivial word up to the pool's length cap passes, which
-is why `certify_seed` can never accept a short seed and `run_decay` refuses
-to start from one.
+is why `certify_seed` can never accept a short seed and `decay_table` takes
+its start bound as an assumption rather than from a certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -92,11 +92,6 @@ ICOSAHEDRAL_GAP = 1.0 / GOLDEN
 
 class NumericFailure(RuntimeError):
     """An argument is not a finite unit quaternion."""
-
-
-class SeedRejected(ValueError):
-    """Propagation refused: a seed bound exceeds 1/3 or a composed word
-    collapses to the identity."""
 
 
 # ----------------------------------------------------------------------
@@ -166,18 +161,14 @@ def _word_value(w: Word, u, v):
     return acc
 
 
-def _word_pair(w: Word, us: np.ndarray, vs: np.ndarray):
-    """The word map on a batch as the (alpha, beta) columns of its value."""
-    if not w:
-        n = len(us)
-        return np.ones(n, dtype=complex), np.zeros(n, dtype=complex)
-    return _word_value(w, us.T, vs.T)
-
-
 def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Evaluate the word map on (n, 2) batches of argument pairs, as an
     (n, 2) batch; no normalization."""
-    return np.array(_word_pair(w, us, vs)).T
+    if not w:
+        n = len(us)
+        return np.array((np.ones(n, dtype=complex),
+                         np.zeros(n, dtype=complex))).T
+    return np.array(_word_value(w, us.T, vs.T)).T
 
 
 def evaluate(w: Word, u, v) -> np.ndarray:
@@ -204,7 +195,6 @@ class LEstimate:
     word: Word
     lower: float
     witness: Tuple[np.ndarray, np.ndarray]
-    samples: int
 
     def recheck(self, tol: float = 1e-10) -> bool:
         d = distance_to_identity(evaluate(self.word, *self.witness))
@@ -270,7 +260,7 @@ def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
     u, v, best = _polish_pair(w, *best_pair, polish_steps)
     witness = (np.array(_normalized(u)), np.array(_normalized(v)))
     best = float(distance_to_identity(evaluate(w, *witness)))
-    return LEstimate(word=w, lower=best, witness=witness, samples=samples)
+    return LEstimate(word=w, lower=best, witness=witness)
 
 
 # ----------------------------------------------------------------------
@@ -283,18 +273,9 @@ class GridProvenance:
 
 
 @dataclass(frozen=True)
-class PropagatedProvenance:
-    source: Tuple[int, int]  # the two previous levels
-
-
-Provenance = Union[GridProvenance, PropagatedProvenance]
-
-
-@dataclass(frozen=True)
 class CertifiedBound:
-    n: int
     upper: float
-    provenance: Provenance
+    provenance: GridProvenance
 
 
 def _net_shape(eps: float) -> Tuple[int, int, int]:
@@ -350,8 +331,7 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
         raise ValueError("eps must be positive")
     lip = float(len(w))
     if not w:
-        return CertifiedBound(n=0, upper=0.0,
-                              provenance=GridProvenance(eps, 0.0))
+        return CertifiedBound(upper=0.0, provenance=GridProvenance(eps, 0.0))
     needed = net_points_required(w, eps)
     if needed > CERTIFY_BUDGET_POINTS:
         raise BudgetExceeded(
@@ -374,7 +354,7 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
         worst = max(worst, float(np.max(ds)))
     # every element of SU(2) is within 2 of the identity, so 2 certifies
     upper = min(2.0, worst + 2.0 * lip * eps)
-    return CertifiedBound(n=0, upper=upper, provenance=GridProvenance(eps, lip))
+    return CertifiedBound(upper=upper, provenance=GridProvenance(eps, lip))
 
 
 def certification_cost_at_threshold(w: Word,
@@ -557,7 +537,6 @@ class DecayRow:
     n: int
     length: int
     upper: float
-    lower: Optional[float]
     minus_log_2upper: float
     ratio_silver: float
 
@@ -565,100 +544,41 @@ class DecayRow:
 @dataclass(frozen=True)
 class DecayTable:
     rows: Tuple[DecayRow, ...]
-    bounds: Tuple[CertifiedBound, ...]
     d_hat: float            # largest D with -log(2 U_n) >= D (1+sqrt2)^n
     exponent_hat: float     # slope of the log-log length regression
 
 
-def compose_family(seeds: Tuple[Word, Word], n_max: int) -> List[Word]:
-    """The first family member at each level, seeds substituted, reduced."""
-    if not seeds[0] or not seeds[1]:
-        raise SeedRejected("seed words must be nontrivial")
-    seq = build(n_max, seeds=seeds)
-    words = [seq.a(n) for n in range(n_max + 1)]
-    for n, w in enumerate(words):
-        if not w:
-            raise SeedRejected(f"composed word at level {n} is trivial")
-    return words
+def decay_table(u0: float, n_max: int) -> DecayTable:
+    """The start bound u0 propagated to level n_max beside the length of
+    each level's a_n, with the fitted constants of the contraction.
 
-
-def _sampled_lowers(seeds: Tuple[Word, Word], n_max: int, samples: int,
-                    rng_seed: int) -> List[float]:
-    """Max sampled distance per level via the value recursion (one pass of
-    commutators per level on the (alpha, beta) columns instead of re-reading
-    the long words)."""
-    def highest(p):
-        return float(np.max(distance_to_identity(np.stack(p, axis=-1))))
-
-    lows = [0.0] * (n_max + 1)
-    for us, vs in _haar_pairs(rng_seed, samples):
-        a = _word_pair(seeds[0], us, vs)
-        b = _word_pair(seeds[1], us, vs)
-        lows[0] = max(lows[0], highest(a))
-        for n in range(1, n_max + 1):
-            (a, a_bar), (ai, ai_bar) = _letter_pairs(a)
-            (b, b_bar), (bi, bi_bar) = _letter_pairs(b)
-            a, b = (_normalized(_mul(_mul(_mul(bi, a, a_bar), b, b_bar), ai, ai_bar)),
-                    _normalized(_mul(_mul(_mul(a, b, b_bar), ai, ai_bar), bi, bi_bar)))
-            lows[n] = max(lows[n], highest(a))
-    return lows
-
-
-def run_decay(seeds: Tuple[Word, Word],
-              seed_bounds: Tuple[CertifiedBound, CertifiedBound],
-              n_max: int, samples: int = 10_000,
-              rng_seed: int = 0) -> DecayTable:
-    """Propagated upper bounds against sampled lower bounds, with fits.
-
-    Refuses to run unless both seed bounds are at most 1/3 (the recursion
-    need not contract otherwise) and every composed word is nontrivial.
-    With samples = 0 the lower column is left empty; otherwise a sampled
-    lower exceeding the certified upper at any level is a hard error, since
-    both bound the same maximum.
+    u0 is an assumed bound on both seeds' word-map maxima, not a
+    certificate: no short word can have one (see seed admissibility in the
+    module docstring).  The recursion need not contract above 1/3.
     """
+    if not 0.0 < u0 <= SEED_THRESHOLD:
+        raise ValueError(f"u0 must be in (0, 1/3], not {u0!r}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2 so the fits have enough points")
-    for b in seed_bounds:
-        if b.upper > SEED_THRESHOLD:
-            raise SeedRejected(
-                f"seed bound {b.upper:.6f} exceeds {SEED_THRESHOLD:.6f}")
-    words = compose_family(seeds, n_max)
-    u0 = max(b.upper for b in seed_bounds)
+    seq = build(n_max)
+    lengths = [len(seq.a(n)) for n in range(n_max + 1)]
     uppers = propagate_bounds(u0, n_max)
-    bounds = [max(seed_bounds, key=lambda b: b.upper)]
-    for n in range(1, n_max + 1):
-        bounds.append(CertifiedBound(
-            n=n, upper=uppers[n],
-            provenance=PropagatedProvenance(source=(n - 1, max(0, n - 2)))))
-    lowers: List[Optional[float]] = [None] * (n_max + 1)
-    if samples > 0:
-        lows = _sampled_lowers(seeds, n_max, samples, rng_seed)
-        for n in range(n_max + 1):
-            if lows[n] > uppers[n] + 1e-9:
-                raise AssertionError(
-                    f"sampled lower {lows[n]:.6f} exceeds certified upper "
-                    f"{uppers[n]:.6f} at level {n}: one of the bounds is wrong")
-            lowers[n] = lows[n]
     ms = [-math.log(2.0 * u) for u in uppers]
     ratios = [ms[n] / SILVER ** n for n in range(n_max + 1)]
-    d_hat = min(ratios)
-    log_len = np.log([len(w) for w in words])
-    exponent_hat = np.polyfit(log_len, np.log(ms), 1)[0]
-    rows = tuple(DecayRow(n=n, length=len(words[n]), upper=uppers[n],
-                          lower=lowers[n], minus_log_2upper=ms[n],
-                          ratio_silver=ratios[n])
+    exponent_hat = np.polyfit(np.log(lengths), np.log(ms), 1)[0]
+    rows = tuple(DecayRow(n=n, length=lengths[n], upper=uppers[n],
+                          minus_log_2upper=ms[n], ratio_silver=ratios[n])
                  for n in range(n_max + 1))
-    return DecayTable(rows=rows, bounds=tuple(bounds), d_hat=d_hat,
+    return DecayTable(rows=rows, d_hat=min(ratios),
                       exponent_hat=float(exponent_hat))
 
 
-CSV_HEADER = "n,len,upper,lower,minus_log_2upper,ratio_to_(1+√2)^n"
+CSV_HEADER = "n,len,upper,minus_log_2upper,ratio_to_(1+√2)^n"
 
 
 def decay_csv(table: DecayTable) -> str:
     lines = [CSV_HEADER]
     for r in table.rows:
-        low = "" if r.lower is None else f"{r.lower:.12g}"
-        lines.append(f"{r.n},{r.length},{r.upper:.12g},{low},"
+        lines.append(f"{r.n},{r.length},{r.upper:.12g},"
                      f"{r.minus_log_2upper:.12g},{r.ratio_silver:.12g}")
     return "\n".join(lines) + "\n"

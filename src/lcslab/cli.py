@@ -202,14 +202,7 @@ def _cmd_almostlaw(args, t0):
             raise ValueError("--hypothetical-u0 must be in (0, 1/3]")
         if args.n_max < 2:
             raise ValueError("--n-max must be at least 2")
-        # clearly-labeled arithmetic demonstration: the start bound is an
-        # assumption, not a certificate, so no sampled column is attached
-        b0 = almostlaw.CertifiedBound(
-            0, args.hypothetical_u0,
-            almostlaw.GridProvenance(float("nan"), 0.0))
-        seeds = (Word.parse("a"), Word.parse("b"))
-        table = almostlaw.run_decay(seeds, (b0, b0), n_max=args.n_max,
-                                    samples=0)
+        table = almostlaw.decay_table(args.hypothetical_u0, args.n_max)
         env = _envelope(args, t0, None)
         head = [
             "# HYPOTHETICAL: the level-0 bound below is an assumption "

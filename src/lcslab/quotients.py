@@ -42,8 +42,13 @@ def _parse_cycles(text: str) -> List[List[int]]:
         raise ValueError(f"bad cycle notation: {text!r}")
     cycles = []
     seen = set()
-    for chunk in text[1:-1].split(")("):
-        pts = [int(p) for p in chunk.replace(",", " ").split()]
+    for k, chunk in enumerate(text[1:-1].split(")("), 1):
+        tokens = chunk.replace(",", " ").split()
+        for p in tokens:
+            if not (p.isascii() and p.isdigit()):
+                raise ValueError(f"bad point {p!r} in cycle {k} ({chunk}): "
+                                 f"points are ASCII decimal integers")
+        pts = [int(p) for p in tokens]
         if len(pts) < 2 or len(set(pts)) != len(pts) or min(pts) < 1:
             raise ValueError(f"bad cycle: ({chunk})")
         shared = seen.intersection(pts)

@@ -225,7 +225,6 @@ def test_estimate_single_letter_reaches_two():
     assert est.lower > 1.95
     assert est.lower <= 2.0
     assert est.recheck()
-    assert est.samples == 2000
 
 
 def test_estimate_sampling_is_prefix_monotone():
@@ -296,53 +295,44 @@ def test_propagation_respects_exact_arithmetic():
         al.propagate_bounds(0.25, -1)
 
 
-def test_compose_family_matches_plain_construction():
-    words = al.compose_family((Word.parse("a"), Word.parse("b")), 4)
-    seq = build(4)
-    assert words == [seq.a(n) for n in range(5)]
-
-
-def test_compose_family_rejects_collapse():
-    w = Word.parse("ab")
-    with pytest.raises(al.SeedRejected):
-        al.compose_family((w, w), 3)
-    with pytest.raises(al.SeedRejected):
-        al.compose_family((Word.parse(""), Word.parse("b")), 3)
-
-
-def test_run_decay_synthetic_table():
-    b0 = al.CertifiedBound(0, 1.0 / 3.0, al.GridProvenance(0.01, 1.0))
-    t = al.run_decay((Word.parse("a"), Word.parse("b")), (b0, b0),
-                     n_max=8, samples=0)
+def test_decay_table_synthetic():
+    t = al.decay_table(1.0 / 3.0, 8)
     assert t.d_hat > 0
     for row in t.rows:
         assert row.minus_log_2upper >= t.d_hat * al.SILVER ** row.n - 1e-12
-        assert row.lower is None
     assert 0.6 <= t.exponent_hat <= 0.8
     assert [r.length for r in t.rows[:3]] == [1, 4, 14]
-    assert isinstance(t.bounds[0].provenance, al.GridProvenance)
-    assert isinstance(t.bounds[2].provenance, al.PropagatedProvenance)
-    assert t.bounds[3].provenance.source == (2, 1)
+    seq = build(8)
+    assert [r.length for r in t.rows] == [len(seq.a(n)) for n in range(9)]
     csv = al.decay_csv(t)
     lines = csv.strip().split("\n")
-    assert lines[0] == "n,len,upper,lower,minus_log_2upper,ratio_to_(1+√2)^n"
+    assert lines[0] == "n,len,upper,minus_log_2upper,ratio_to_(1+√2)^n"
     assert len(lines) == 10
     assert lines[1].startswith("0,1,")
-    assert ",," in lines[1]  # empty lower column
+    assert all(len(line.split(",")) == 5 for line in lines)
 
 
-def test_sampled_lowers_match_composed_words():
-    # the value recursion must give the maxima of the composed words
-    # themselves, evaluated letter by letter on the same samples
-    seeds = (Word.parse("ab"), Word.parse("aB"))
-    words = al.compose_family(seeds, 3)
-    lows = al._sampled_lowers(seeds, 3, samples=300, rng_seed=5)
-    direct = [0.0] * 4
-    for us, vs in al._haar_pairs(5, 300):
-        for n, w in enumerate(words):
-            ds = al.distance_to_identity(al.batch_evaluate(w, us, vs))
-            direct[n] = max(direct[n], float(ds.max()))
-    assert lows == pytest.approx(direct, abs=1e-10)
+# decay_csv(decay_table(0.3, 8)): every bound is float arithmetic rounded
+# upward and every length a count, so any drift is a change to the
+# recursion, the fits or the family
+_PINNED_DECAY_ROWS = """\
+0,1,0.3,0.510825623766,0.510825623766
+1,4,0.18,1.02165124753,0.423181802743
+2,14,0.03888,2.55412811883,0.438219105114
+3,50,0.001088391168,6.12990748519,0.43563911191
+4,178,1.84228266434e-07,14.8139430892,0.436081768763
+5,634,1.47760220727e-16,35.7577936636,0.436005820854
+6,2258,1.60890840023e-38,86.3295304165,0.436018851455
+7,8042,1.52996029697e-91,208.416854497,0.436016615757
+8,28642,1.50643928332e-219,503.16323941,0.436016999342
+"""
+
+
+def test_decay_table_is_pinned():
+    t = al.decay_table(0.3, 8)
+    assert al.decay_csv(t) == al.CSV_HEADER + "\n" + _PINNED_DECAY_ROWS
+    assert f"{t.d_hat:.12g}" == "0.423181802743"
+    assert f"{t.exponent_hat:.12g}" == "0.683199662338"
 
 
 # seed_search(max_len=12, samples=3000, seed=0).sampled as the matrix-form
@@ -370,27 +360,13 @@ def test_seed_search_ranking_is_pinned():
         assert abs(got - want) <= 1e-12
 
 
-def test_run_decay_guard_catches_false_bounds():
-    # no nontrivial short word is really admissible, so feeding a claimed
-    # 1/3 bound with actual sampling MUST trip the consistency check
-    b0 = al.CertifiedBound(0, 1.0 / 3.0, al.GridProvenance(0.01, 1.0))
-    with pytest.raises(AssertionError, match="exceeds certified upper"):
-        al.run_decay((Word.parse("a"), Word.parse("b")), (b0, b0),
-                     n_max=2, samples=128)
-
-
-def test_run_decay_rejections():
-    b0 = al.CertifiedBound(0, 1.0 / 3.0, al.GridProvenance(0.01, 1.0))
-    big = al.CertifiedBound(0, 0.34, al.GridProvenance(0.01, 1.0))
-    with pytest.raises(al.SeedRejected):
-        al.run_decay((Word.parse("a"), Word.parse("b")), (b0, big),
-                     n_max=3, samples=0)
-    with pytest.raises(al.SeedRejected):
-        al.run_decay((Word.parse("ab"), Word.parse("ab")), (b0, b0),
-                     n_max=3, samples=0)
-    with pytest.raises(ValueError):
-        al.run_decay((Word.parse("a"), Word.parse("b")), (b0, b0),
-                     n_max=1, samples=0)
+def test_decay_table_rejections():
+    # the recursion need not contract from a start bound above 1/3, and
+    # the fits need three levels
+    for u0, n_max in ((0.34, 3), (0.0, 3), (-0.1, 3), (float("nan"), 3),
+                      (1.0 / 3.0, 1)):
+        with pytest.raises(ValueError):
+            al.decay_table(u0, n_max)
 
 
 def test_icosahedral_gap_identity():

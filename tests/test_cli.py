@@ -202,7 +202,7 @@ def test_almostlaw_hypothetical_csv(tmp_path):
     assert any(l.startswith("# config:") for l in lines)
     assert any(l.startswith("# versions:") for l in lines)
     header = [l for l in lines if not l.startswith("#")][0]
-    assert header == "n,len,upper,lower,minus_log_2upper,ratio_to_(1+√2)^n"
+    assert header == "n,len,upper,minus_log_2upper,ratio_to_(1+√2)^n"
     data = [l for l in lines if not l.startswith("#")][1:]
     assert len(data) == 5
     assert data[0].split(",")[:2] == ["0", "1"]
@@ -286,6 +286,10 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
      3),
     (("girth", "--quotient", "perm:a=(1 2 3)(3 2 1);b=(1 2 3)", "--max-len",
       "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 x);b=(1 2)", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=((1 2));b=(1 2)", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 +2);b=(1 2)", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 1_0);b=(1 2)", "--max-len", "4"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
         "depth-identity-degree-30", "report-alpha-cap",
         "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
@@ -299,12 +303,16 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
         "girth-workers-2",
         "beta-workers-2", "girth-no-prune", "girth-lcs-not-integer",
         "girth-derived-perm-empty", "girth-perm-b-without-cycles",
-        "girth-perm-repeated-cycle", "girth-perm-overlapping-cycles"])
+        "girth-perm-repeated-cycle", "girth-perm-overlapping-cycles",
+        "girth-perm-letter-point", "girth-perm-nested-cycle",
+        "girth-perm-signed-point", "girth-perm-underscored-point"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
-    # line; neither may leak a traceback (exit 1 means a check failed)
+    # line; neither may leak a traceback or int()'s own message (exit 1
+    # means a check failed)
     proc = run_cli(*argv, expect=expect)
     assert "Traceback" not in proc.stderr
+    assert "invalid literal" not in proc.stderr
     if argv[0].startswith("--"):  # a subcommand's flag before the subcommand
         assert (f"error: {argv[0]} goes after a subcommand that takes it"
                 in proc.stderr)

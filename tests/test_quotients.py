@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -45,6 +47,17 @@ def test_overlapping_cycles_name_the_point(text, point):
     spec = f"perm:a={text};b=(1 2 3)"
     with pytest.raises(ValueError, match=f"point {point} is in two cycles"):
         parse_quotient_spec(spec)
+
+
+def test_malformed_point_names_token_and_cycle():
+    # int() alone would read '+2' as 2, '1_0' as 10 and a full-width digit
+    # as its value; only ASCII digits are points
+    for text, token, k in (("(1 x)", "x", 1), ("(1 2)(3 +2)", "+2", 2),
+                           ("(1 1_0)", "1_0", 1), ("(1 2)(3 \uff14)", "\uff14", 2),
+                           ("((1 2))", "(1", 1)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"bad point {token!r} in cycle {k} ")):
+            permutation_from_cycles(text)
 
 
 def test_cycles_roundtrip():
