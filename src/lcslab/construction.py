@@ -12,16 +12,24 @@ Both inverses are products of the same four level-n words,
 so `build` carries each level as (a, a^-1, b, b^-1) and gets all four
 words of the next level as reduced products; only the seeds are reversed.
 In a free group the reduced form is unique, so a carried inverse equals the
-reversed word byte for byte.  The level below the top carries its inverses
-as spans of the level before it (`words.product_spans`), so the top level,
-most of the family's letters, is made without ever copying them.
+reversed word byte for byte.  Every piece of a product carries its inverse
+(`words.with_inverses`), so a long junction is a memcmp against it.  Levels
+up to n_max - 2 are joined into bytes.  The top two levels stay spans
+(`words.SpanWord`): level n_max - 1 of the bytes of level n_max - 2, and
+level n_max, most of the family's letters, of those spans, at most 16 spans
+of level n_max - 2 per word.  Their lengths are the spans' totals, and
+their letters are joined only when something reads them.
 `PairSequence.check_derivation` recomputes each level through `commutator`
 and `~`, a route independent of the carried inverses.
 
-The identity checks build no product: every inner commutator is a span
-list, the inverse of [u, v] is [v, u] on the same pieces, and both sides of
-an identity are compared with `words.products_equal`.  Only stored words
-are reversed, never a commutator.
+The no-cancellation check forms no product on a joined level: it reads
+common prefixes and suffixes.  On a span-held level it forms the eight
+products as spans, from the carried inverse spans, and counts what they
+lost.  The identity checks build no product: every inner commutator is a
+span list, the inverse of [u, v] is [v, u] on the same pieces, and both
+sides of an identity are compared with `words.products_equal`.  Only stored
+words are reversed, never a commutator, and the reversals are the inverses
+their junctions compare against.
 
 Lengths grow like MU^n with MU = (3+sqrt(17))/2, so n around 14 is the
 practical ceiling under the default letter budget.  Every check returns a
@@ -34,9 +42,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .words import (Pieces, Word, cancellation_bytes, common_prefix_bytes,
-                    common_suffix_bytes, commutator, inverse_bytes, product_bytes,
-                    product_spans, products_equal)
+from .words import (Pieces, SpanWord, Word, cancellation_bytes,
+                    common_prefix_bytes, common_suffix_bytes, commutator,
+                    inverse_bytes, product_bytes, product_spans, products_equal,
+                    spans_length, with_inverses)
 
 MU = (3.0 + math.sqrt(17.0)) / 2.0
 
@@ -92,7 +101,10 @@ class PairSequence:
 def _commutator_pair(u: Pieces, ui: Pieces, v: Pieces, vi: Pieces
                      ) -> Tuple[list, list]:
     """[u, v] = u v u^-1 v^-1 and its inverse [v, u] = v u v^-1 u^-1, as
-    spans of u, v and their inverses; no word is reversed or copied."""
+    spans of u, v and their inverses, each carrying its inverse; no word is
+    reversed or copied."""
+    u, ui = with_inverses(u, ui)
+    v, vi = with_inverses(v, vi)
     return product_spans(u, v, ui, vi), product_spans(v, u, vi, ui)
 
 
@@ -122,18 +134,19 @@ def build(n_max: int,
     for n in range(n_max):
         # the next level is at most 2(len a + len b) letters per word;
         # refuse before allocating anything that size
-        if 2 * (len(ad) + len(bd)) > budget_letters:
+        if 2 * (len(a_words[n]) + len(b_words[n])) > budget_letters:
             raise BudgetExceeded(
                 f"n_max={n_max} would exceed the letter budget {budget_letters} "
                 f"at level {n + 1} (lengths grow like {MU:.3f}^n)")
-        # the top level's inverses go unused, and those of the level below
-        # it stay spans: the top is made without copying them
-        a_next, a_inv, b_next, b_inv = _next_level(ad, ai, bd, bi)
-        ad, bd = product_bytes(a_next), product_bytes(b_next)
-        ai, bi = ((product_bytes(a_inv), product_bytes(b_inv)) if n + 2 < n_max
-                  else (a_inv, b_inv))
-        a_words.append(Word.from_reduced(ad))
-        b_words.append(Word.from_reduced(bd))
+        ad, ai, bd, bi = _next_level(ad, ai, bd, bi)
+        if n + 3 <= n_max:
+            ad, ai, bd, bi = map(product_bytes, (ad, ai, bd, bi))
+            a_words.append(Word.from_reduced(ad))
+            b_words.append(Word.from_reduced(bd))
+        else:
+            # the top two levels stay spans, joined only if read
+            a_words.append(SpanWord(ad, ai))
+            b_words.append(SpanWord(bd, bi))
     return PairSequence(a_words, b_words, seeds)
 
 
@@ -156,16 +169,26 @@ class NoCancellationReport:
 def check_no_cancellation(seq: PairSequence, n: int) -> NoCancellationReport:
     """Cancellation counts of the eight products of the no-cancellation lemma.
 
-    No product is formed.  The pairs cancelling in x^-1 y are the longest
-    common prefix of x and y, those in x y^-1 their longest common suffix,
-    and x^-1 y^-1 cancels exactly as much as y x.
+    On a joined level no product is formed.  The pairs cancelling in
+    x^-1 y are the longest common prefix of x and y, those in x y^-1 their
+    longest common suffix, and x^-1 y^-1 cancels exactly as much as y x.
+    A span-held level forms each product x y as spans, and its pairs are
+    (|x| + |y| - |xy|) / 2; no letter is joined.
     """
-    ad, bd = seq.a(n).data, seq.b(n).data
-    prefix = common_prefix_bytes(ad, bd)
-    suffix = common_suffix_bytes(ad, bd)
-    ba = cancellation_bytes(bd, ad)
-    counts = (cancellation_bytes(ad, ad), cancellation_bytes(bd, bd),
-              prefix, prefix, suffix, suffix, ba, ba)
+    a, b = seq.a(n), seq.b(n)
+    if isinstance(a, SpanWord) and isinstance(b, SpanWord):
+        ad, ai, bd, bi = a.spans, a.inverse_spans, b.spans, b.inverse_spans
+        pairs = ((ad, ad), (bd, bd), (ai, bd), (bi, ad),
+                 (ad, bi), (bd, ai), (ai, bi), (bd, ad))
+        counts = tuple((spans_length(x) + spans_length(y)
+                        - spans_length(product_spans(x, y))) // 2 for x, y in pairs)
+    else:
+        ad, bd = a.data, b.data
+        prefix = common_prefix_bytes(ad, bd)
+        suffix = common_suffix_bytes(ad, bd)
+        ba = cancellation_bytes(bd, ad)
+        counts = (cancellation_bytes(ad, ad), cancellation_bytes(bd, bd),
+                  prefix, prefix, suffix, suffix, ba, ba)
     return NoCancellationReport(n=n, cancelled=dict(zip(PRODUCT_LABELS, counts)))
 
 
@@ -242,6 +265,11 @@ class IdentityReport:
                 and self.bracket_identity and self.conjugation_identity)
 
 
+def _reversed_pair(w: Word) -> Tuple[Pieces, Pieces]:
+    """A stored word and its inverse made by reversal, carrying each other."""
+    return with_inverses(w.data, inverse_bytes(w.data))
+
+
 def check_identities(seq: PairSequence, n: int) -> IdentityReport:
     """Reduced-word identities behind the depth recurrence, at level n >= 2:
 
@@ -250,21 +278,22 @@ def check_identities(seq: PairSequence, n: int) -> IdentityReport:
 
     plus both rewriting identities at (a, b) and at (a_{n-2}, b_{n-2}).
     A stored word's inverse is its reversal, never the recurrence's
-    product, so a sequence that breaks the recurrence fails a check.
+    product, so a sequence that breaks the recurrence fails a check; each
+    word's junctions compare against that reversal.
     """
     if n < 2:
         raise ValueError("check_identities needs n >= 2")
-    bn = seq.b(n).data
-    am1, bm1 = seq.a(n - 1).data, seq.b(n - 1).data
-    am2, bm2 = seq.a(n - 2).data, seq.b(n - 2).data
-    am2i, bm2i = inverse_bytes(am2), inverse_bytes(bm2)
-    k, ki = _commutator_pair(am1, inverse_bytes(am1), bm2, bm2i)
+    am1, am1i = _reversed_pair(seq.a(n - 1))
+    bm1, bm1i = _reversed_pair(seq.b(n - 1))
+    am2, am2i = _reversed_pair(seq.a(n - 2))
+    bm2, bm2i = _reversed_pair(seq.b(n - 2))
+    k, ki = _commutator_pair(am1, am1i, bm2, bm2i)
     return IdentityReport(
         n=n,
         eqrel_base=_eqrel_pair(b"a", b"A", b"b", b"B"),
         eqrel_level=_eqrel_pair(am2, am2i, bm2, bm2i),
         bracket_identity=products_equal(
-            product_spans(bn), product_spans(k, bm1, ki, inverse_bytes(bm1))),
+            product_spans(seq.b(n).data), product_spans(k, bm1, ki, bm1i)),
         conjugation_identity=products_equal(
             product_spans(bm2, am1, bm2i), product_spans(bm1)),
     )

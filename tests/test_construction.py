@@ -143,6 +143,34 @@ def test_family_words_are_pinned():
         "63e9296664a1e89b794803cc97352f149ad22d42e981f634ce5218cf73726cbe")
 
 
+def _joined(w: Word) -> bool:
+    """Whether a word's letters are bytes yet, asked without joining them."""
+    try:
+        object.__getattribute__(w, "data")
+    except AttributeError:
+        return False
+    return True
+
+
+def test_checks_leave_the_top_two_levels_as_spans():
+    """The construction checks read the top two levels of build(14) from
+    their spans: none of their letters is joined, and all of their spans
+    carry inverses."""
+    seq = build(14)
+    assert check_lengths(seq).ok
+    for n in range(15):
+        assert check_no_cancellation(seq, n).ok
+    for n in range(2, 13):
+        assert check_identities(seq, n).ok
+    assert len(seq.b(14)) == len(seq.a(14)) == 58457426
+    for words in (seq.a_words, seq.b_words):
+        assert [_joined(w) for w in words] == [True] * 13 + [False] * 2
+        assert all(len(w.spans) <= 16 for w in words[13:])
+        # every span carries its buffer's inverse, so junctions are memcmps
+        assert all(len(span) == 4 for w in words[13:]
+                   for span in w.spans + w.inverse_spans)
+
+
 @pytest.mark.parametrize("n_max", [0, 1, 2])
 @pytest.mark.parametrize("seeds", [("a", "b"), ("ab", "aB"), ("aab", "bA")])
 def test_lowest_levels_match_plain_reduction(n_max, seeds):

@@ -31,6 +31,7 @@ from lcslab.words import (
     products_equal,
     random_word,
     reduce_bytes,
+    with_inverses,
 )
 
 
@@ -253,6 +254,51 @@ def test_product_whole_word_and_swallowed_middle():
     assert product_bytes(*pieces) == y == reduce_bytes(b"".join(pieces))
     assert product_bytes() == b""
     assert commutator(Word.from_reduced(u), Word.from_reduced(ui)) == Word.identity()
+
+
+def _ending(rng, n: int, last: int) -> bytes:
+    """A random reduced word of n letters whose last letter is `last`."""
+    while True:
+        w = random_word(rng, n).data
+        if w[-1] == last:
+            return w
+
+
+def _routes(u: bytes, v: bytes):
+    """u and v as pieces: both plain, either or both carrying its inverse."""
+    cu, cv = with_inverses(u, inverse_bytes(u))[0], with_inverses(v, inverse_bytes(v))[0]
+    return ((u, v), (cu, v), (u, cv), (cu, cv))
+
+
+# A junction cancelling r pairs: letter by letter up to 16, then block
+# compares against the carried inverse of the left piece, of the right
+# piece, or, with neither, against a reversed copy; 2^16 is the largest
+# block.  Every route must give the letters of plain stack reduction.
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([15, 16, 17, 2 ** 16, 2 ** 16 + 1]))
+def test_junction_routes_agree(seed, r):
+    rng = random.Random(seed)
+    z = random_word(rng, r).data
+    # x ends with c and y starts with d, so the run stops after exactly r
+    c = rng.choice([l for l in LETTERS if l != inverse_letter(z[0])])
+    d = rng.choice([l for l in LETTERS if l not in (z[0], inverse_letter(c))])
+    u = _ending(rng, 8, c) + z
+    v = inverse_bytes(z) + inverse_bytes(_ending(rng, 8, inverse_letter(d)))
+    assert is_reduced(u) and is_reduced(v)
+    expected = reduce_bytes(u + v)
+    assert len(u) + len(v) - len(expected) == 2 * r == 2 * cancellation_bytes(u, v)
+    for left, right in _routes(u, v):
+        assert product_bytes(left, right) == expected
+    # a run that eats the whole span z and cascades into the span x before
+    # it: x z . z^-1 x^-1 y = y
+    x = _ending(rng, 40, c)
+    y = inverse_bytes(_ending(rng, 20, inverse_letter(
+        rng.choice([l for l in LETTERS if l != x[0]]))))
+    right = inverse_bytes(x + z) + y
+    assert is_reduced(right)
+    for (px, pr), (pz, _) in zip(_routes(x, right), _routes(z, z)):
+        assert product_bytes(product_spans(px, pz), pr) == y
+    assert y == reduce_bytes(x + z + right)
 
 
 def _joined(spans) -> bytes:
