@@ -23,11 +23,12 @@ their letters are joined only when something reads them.
 and `~`, a route independent of the carried inverses.
 
 The no-cancellation check forms no product on a joined level: it reads
-common prefixes and suffixes.  On a span-held level it forms the eight
-products as spans, from the carried inverse spans, and counts what they
-lost.  The identity checks build no product: every inner commutator is a
-span list, the inverse of [u, v] is [v, u] on the same pieces, and both
-sides of an identity are compared with `words.products_equal`.  Only stored
+common prefixes and suffixes.  On a span-held level it forms five of the
+eight products as spans, from the carried inverse spans, and counts what
+they lost; the other three cancel as three of those five do.  The identity
+checks build no product: every inner commutator is a span list, the
+inverse of [u, v] is [v, u] on the same pieces, and both sides of an
+identity are compared with `words.products_equal`.  Only stored
 words are reversed, never a commutator, and the reversals are the inverses
 their junctions compare against.
 
@@ -169,26 +170,27 @@ class NoCancellationReport:
 def check_no_cancellation(seq: PairSequence, n: int) -> NoCancellationReport:
     """Cancellation counts of the eight products of the no-cancellation lemma.
 
-    On a joined level no product is formed.  The pairs cancelling in
-    x^-1 y are the longest common prefix of x and y, those in x y^-1 their
-    longest common suffix, and x^-1 y^-1 cancels exactly as much as y x.
-    A span-held level forms each product x y as spans, and its pairs are
-    (|x| + |y| - |xy|) / 2; no letter is joined.
+    Three pairs of products cancel alike: a^-1 b and b^-1 a lose the common
+    prefix of a and b, a b^-1 and b a^-1 their common suffix, and
+    a^-1 b^-1 as much as b a.  On a joined level no product is formed: the
+    prefix and suffix are read off the words.  A span-held level forms
+    a a, b b, a^-1 b, a b^-1 and b a as spans, from the carried inverse
+    spans, and each x y lost (|x| + |y| - |xy|) / 2 pairs; no letter is
+    joined.
     """
     a, b = seq.a(n), seq.b(n)
     if isinstance(a, SpanWord) and isinstance(b, SpanWord):
         ad, ai, bd, bi = a.spans, a.inverse_spans, b.spans, b.inverse_spans
-        pairs = ((ad, ad), (bd, bd), (ai, bd), (bi, ad),
-                 (ad, bi), (bd, ai), (ai, bi), (bd, ad))
-        counts = tuple((spans_length(x) + spans_length(y)
-                        - spans_length(product_spans(x, y))) // 2 for x, y in pairs)
+        aa, bb, prefix, suffix, ba = (
+            (spans_length(x) + spans_length(y) - spans_length(product_spans(x, y))) // 2
+            for x, y in ((ad, ad), (bd, bd), (ai, bd), (ad, bi), (bd, ad)))
     else:
         ad, bd = a.data, b.data
+        aa, bb = cancellation_bytes(ad, ad), cancellation_bytes(bd, bd)
         prefix = common_prefix_bytes(ad, bd)
         suffix = common_suffix_bytes(ad, bd)
         ba = cancellation_bytes(bd, ad)
-        counts = (cancellation_bytes(ad, ad), cancellation_bytes(bd, bd),
-                  prefix, prefix, suffix, suffix, ba, ba)
+    counts = (aa, bb, prefix, prefix, suffix, suffix, ba, ba)
     return NoCancellationReport(n=n, cancelled=dict(zip(PRODUCT_LABELS, counts)))
 
 

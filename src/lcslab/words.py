@@ -11,17 +11,18 @@ only at its junctions; the first few pairs of a junction are compared one
 letter at a time, and a longer run is found by comparing blocks that double
 after a match and halve after a mismatch.  A junction cancelling r pairs
 costs O(log r + r / 2^16) block compares of at most 2^16 letters, not r
-interpreter steps.  Where either side's inverse is at hand, a block compare
-is `bytes.startswith` on a memoryview slice of the other side, a memcmp
-that copies nothing; otherwise the left block is reversed and translated.
+interpreter steps.  Where the left side's inverse is at hand, a block
+compare is `bytes.startswith` on a memoryview slice of the right side, a
+memcmp that copies nothing; otherwise the left block is reversed and
+translated.
 
 A product need not be copied at all.  `product_spans` settles every
-junction and returns the surviving [bytes, start, end] spans, and a span
-list can be a piece of a further product.  A span may carry the inverse of
-its whole buffer as a fourth entry, [bytes, start, end, inverse];
-`with_inverses` makes such a piece of a word and its inverse, and a product
-of carrying pieces carries too.  `product_bytes` is one join over the
-spans, so each surviving letter is copied once.  `products_equal` compares
+junction and returns the surviving [bytes, start, end, inverse] spans, and
+a span list can be a piece of a further product.  The inverse is that of
+the span's whole buffer, or None where it is not at hand; `with_inverses`
+makes a piece of a word carrying its inverse, and a product of carrying
+pieces carries too.  `product_bytes` is one join over the spans, so each
+surviving letter is copied once.  `products_equal` compares
 two span lists chunk by chunk with `bytes.startswith` on a memoryview
 slice, which is a memcmp; `==` on two memoryviews compares element by
 element, 57 against 3.5 ms on 20 MB (2-core Xeon, Python 3.11).
@@ -100,10 +101,10 @@ def _gallop(agree, k: int, n: int) -> int:
 
 
 def _junction(u: bytes, ue: int, v: bytes, vs: int, n: int,
-              ui: Optional[bytes] = None, vi: Optional[bytes] = None) -> int:
+              ui: Optional[bytes] = None) -> int:
     """Pairs cancelling where u[:ue] meets v[vs:], at most n.
 
-    ui and vi are the inverses of the whole of u and v, when at hand.
+    ui is the inverse of the whole of u, when at hand.
     """
     inv = _INV_BYTE
     k = 0
@@ -112,18 +113,12 @@ def _junction(u: bytes, ue: int, v: bytes, vs: int, n: int,
         k += 1
     if k < _SHORT_RUN:
         return k
-    # the run u[ue-j:ue-i] inverted is ui[len(u)-ue+i:len(u)-ue+j], and
-    # v[vs+i:vs+j] inverted is vi[len(v)-vs-j:len(v)-vs-i]
+    # the run u[ue-j:ue-i] inverted is ui[len(u)-ue+i:len(u)-ue+j]
     if ui is not None:
         lu = len(u)
 
         def agree(i: int, j: int) -> bool:
             return ui.startswith(memoryview(v)[vs + i:vs + j], lu - ue + i)
-    elif vi is not None:
-        lv = len(v)
-
-        def agree(i: int, j: int) -> bool:
-            return u.startswith(memoryview(vi)[lv - vs - j:lv - vs - i], ue - j)
     else:
         def agree(i: int, j: int) -> bool:
             return u[ue - j:ue - i][::-1].translate(_INV_TABLE) == v[vs + i:vs + j]
@@ -184,31 +179,29 @@ def with_inverses(u: Pieces, ui: Pieces) -> Tuple[Pieces, Pieces]:
 def product_spans(*pieces: Pieces) -> List[list]:
     """The reduced product of reduced pieces as its surviving spans.
 
-    A piece is a word's bytes or the spans of another product.  Each span
-    is [bytes, start, end] or [bytes, start, end, inverse], non-empty, and
-    keeps what it carries.  A junction may cancel a whole span;
+    A piece is a word's bytes, carrying no inverse, or the spans of another
+    product.  Each span is [bytes, start, end, inverse or None], non-empty,
+    and keeps what it carries.  A junction may cancel a whole span;
     cancellation then goes on into the span before it.  No letter is copied.
     """
     inv = _INV_BYTE
     spans = []
     for piece in pieces:
-        for span in ((piece, 0, len(piece)),) if isinstance(piece, bytes) else piece:
-            p, s, e = span[0], span[1], span[2]
-            pi = span[3] if len(span) > 3 else None
+        for span in ((piece, 0, len(piece), None),) if isinstance(piece, bytes) else piece:
+            p, s, e, pi = span
             while spans and s < e:
                 top = spans[-1]
-                q, qs, qe = top[0], top[1], top[2]
+                q, qs, qe, qi = top
                 if q[qe - 1] != inv[p[s]]:
                     break
-                k = _junction(q, qe, p, s, min(qe - qs, e - s),
-                              top[3] if len(top) > 3 else None, pi)
+                k = _junction(q, qe, p, s, min(qe - qs, e - s), qi)
                 s += k
                 if k < qe - qs:
                     top[2] = qe - k
                     break
                 spans.pop()
             if s < e:
-                spans.append([p, s, e, *span[3:]])
+                spans.append([p, s, e, pi])
     return spans
 
 
@@ -217,8 +210,8 @@ def spans_length(spans: List[list]) -> int:
 
 
 def _join(spans: List[list]) -> bytes:
-    return b"".join([span[0] if span[2] - span[1] == len(span[0])
-                     else memoryview(span[0])[span[1]:span[2]] for span in spans])
+    return b"".join([q if e - s == len(q) else memoryview(q)[s:e]
+                     for q, s, e, _ in spans])
 
 
 def product_bytes(*pieces: Pieces) -> bytes:
@@ -232,8 +225,8 @@ def products_equal(xs: List[list], ys: List[list]) -> bool:
     if spans_length(xs) != spans_length(ys):
         return False
     i = j = 0
-    p, ps, pe = xs[0][:3] if xs else (b"", 0, 0)
-    q, qs, qe = ys[0][:3] if ys else (b"", 0, 0)
+    p, ps, pe, _ = xs[0] if xs else (b"", 0, 0, None)
+    q, qs, qe, _ = ys[0] if ys else (b"", 0, 0, None)
     while i < len(xs):
         m = min(pe - ps, qe - qs)
         # a memcmp; memoryview == would compare letter by letter
@@ -244,11 +237,11 @@ def products_equal(xs: List[list], ys: List[list]) -> bool:
         if ps == pe:
             i += 1
             if i < len(xs):
-                p, ps, pe = xs[i][:3]
+                p, ps, pe, _ = xs[i]
         if qs == qe:
             j += 1
             if j < len(ys):
-                q, qs, qe = ys[j][:3]
+                q, qs, qe, _ = ys[j]
     return True
 
 

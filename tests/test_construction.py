@@ -167,7 +167,7 @@ def test_checks_leave_the_top_two_levels_as_spans():
         assert [_joined(w) for w in words] == [True] * 13 + [False] * 2
         assert all(len(w.spans) <= 16 for w in words[13:])
         # every span carries its buffer's inverse, so junctions are memcmps
-        assert all(len(span) == 4 for w in words[13:]
+        assert all(span[3] is not None for w in words[13:]
                    for span in w.spans + w.inverse_spans)
 
 
