@@ -1,5 +1,6 @@
 """Command-line front end: generation, depth, girths, tables, the full
-verification battery, and the word-map decay experiment.
+verification battery, the almost-law refusal report and the hypothetical
+word-map decay table.
 
 Every output artifact embeds its own configuration, the library versions
 and the wall-clock time; with a fixed config and seed the output is
@@ -9,14 +10,15 @@ as the decimal separator (sources that print comma decimals are
 normalized).
 
 Only `--out` is global.  Every other flag sits on the subcommands that
-read it: `--seed` on almostlaw, `--budget-letters` on gen and verify,
-`--budget-seconds` on verify.
+read it: `--seed`, `--samples`, `--certify-eps` and `--pool-max-len` on
+almostlaw, `--u0` and `--n-max` on decay, `--budget-letters` on gen and
+verify, `--budget-seconds` on verify.
 
 `main` is the one runner: it starts the timer, wraps each result in the
 envelope, and maps outcomes to exit codes: 0 success, 1 check failure (an
 independent re-check refuted a search), 2 inconclusive (a bounded search,
 a budget or a Ctrl-C ended the run before an answer), 3 usage error (a bad
-flag, or input the library rejects).
+flag, input the library rejects, or an `--out` that cannot be written).
 """
 
 from __future__ import annotations
@@ -93,11 +95,14 @@ def _envelope(args, t0: float, result) -> dict:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as ex:
+        raise ValueError(f"cannot write --out {out}: {ex.strerror}") from None
 
 
 def _parse_word(text: str, what: str) -> Word:
@@ -181,48 +186,28 @@ def _cmd_report(args, t0):
         "tables": quotient_tables(entries, betas)}
 
 
-# the almostlaw flags only one mode reads, with their defaults; the other
-# mode refuses any other value, as it would a flag of another subcommand
-_HONEST_ONLY = {"samples": 10_000, "seed": 0, "certify_eps": None,
-                "pool_max_len": 16}
-_HYPOTHETICAL_ONLY = {"n_max": 8}
-
-
-def _refuse_unread(args, flags: dict, mode: str) -> None:
-    for dest, default in flags.items():
-        if getattr(args, dest) != default:
-            raise ValueError(f"--{dest.replace('_', '-')} is not read by "
-                             f"{mode}")
+def _cmd_decay(args, t0):
+    table = almostlaw.decay_table(args.u0, args.n_max)
+    env = _envelope(args, t0, None)
+    head = [
+        "# HYPOTHETICAL: the level-0 bound below is an assumption "
+        "(no certificate exists; see the almostlaw refusal report)",
+        *(f"# {k}: {json.dumps(env[k], sort_keys=True)}"
+          for k in ("config", "versions", "elapsed_seconds")),
+        f"# d_hat: {table.d_hat:.12g}",
+        f"# exponent_hat: {table.exponent_hat:.12g}",
+    ]
+    _emit("\n".join(head) + "\n" + almostlaw.decay_csv(table), args.out)
+    return EXIT_OK, None
 
 
 def _cmd_almostlaw(args, t0):
-    if args.hypothetical_u0 is not None:
-        _refuse_unread(args, _HONEST_ONLY, "almostlaw --hypothetical-u0")
-        if not (0.0 < args.hypothetical_u0 <= almostlaw.SEED_THRESHOLD):
-            raise ValueError("--hypothetical-u0 must be in (0, 1/3]")
-        if args.n_max < 2:
-            raise ValueError("--n-max must be at least 2")
-        table = almostlaw.decay_table(args.hypothetical_u0, args.n_max)
-        env = _envelope(args, t0, None)
-        head = [
-            "# HYPOTHETICAL: the level-0 bound below is an assumption "
-            "(no certificate exists; see the almostlaw refusal report)",
-            *(f"# {k}: {json.dumps(env[k], sort_keys=True)}"
-              for k in ("config", "versions", "elapsed_seconds")),
-            f"# d_hat: {table.d_hat:.12g}",
-            f"# exponent_hat: {table.exponent_hat:.12g}",
-        ]
-        _emit("\n".join(head) + "\n" + almostlaw.decay_csv(table), args.out)
-        return EXIT_OK, None
-    # honest mode: try to obtain a certified seed and report why none exists
-    _refuse_unread(args, _HYPOTHETICAL_ONLY,
-                   "almostlaw without --hypothetical-u0")
+    # try to obtain a certified seed and report why none exists; the two
+    # checks come first, as the search would refuse them late or not at all
     shortest = min(len(w) for w in almostlaw.seed_candidate_pool())
     if args.pool_max_len < shortest:
         raise ValueError(f"--pool-max-len must be at least {shortest}: the "
                          f"shortest pool word has length {shortest}")
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
     if args.certify_eps is not None and not args.certify_eps > 0:
         raise ValueError("--certify-eps must be positive")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
@@ -245,8 +230,8 @@ def _cmd_almostlaw(args, t0):
             almostlaw.certification_cost_at_threshold(best_word),
         "note": ("no word up to the pool cap can have word-map maximum "
                  "<= 1/3, so no certified seed exists and the decay table "
-                 "cannot be produced honestly; rerun with "
-                 "--hypothetical-u0 for the arithmetic demonstration"),
+                 "cannot be produced honestly; run lcs-lab decay "
+                 "--u0 U for the arithmetic demonstration"),
     }
     if args.certify_eps is not None:
         try:
@@ -313,7 +298,6 @@ def build_parser() -> _Parser:
     p = _Parser(prog="lcs-lab", description=__doc__.split("\n")[0])
     p.add_argument("--out", help="write output to this file instead of stdout")
     sub = p.add_subparsers(dest="command", required=True)
-    seed = _flag("--seed", type=int, help="random seed")
     letters = _flag("--budget-letters", type=_at_least(1), default=None,
                     help="cap on total letters / search length")
     seconds = _flag("--budget-seconds", type=_at_least(0, float),
@@ -355,16 +339,20 @@ def build_parser() -> _Parser:
     v.add_argument("--format", choices=("json", "text"), default="text")
     v.set_defaults(func=_cmd_verify)
 
-    al = sub.add_parser("almostlaw", parents=[seed],
-                        help="word-map decay experiment")
-    al.add_argument("--n-max", type=int)
-    al.add_argument("--samples", type=int)
+    al = sub.add_parser("almostlaw", help="why no certified seed for the "
+                                          "word-map decay exists")
+    al.add_argument("--seed", type=int, default=0, help="random seed")
+    al.add_argument("--samples", type=_at_least(1), default=10_000)
     al.add_argument("--certify-eps", type=float)
-    al.add_argument("--pool-max-len", type=int)
-    al.add_argument("--hypothetical-u0", type=float, default=None,
-                    help="run the propagation table from an assumed "
-                         "(uncertified, clearly labeled) start bound")
-    al.set_defaults(func=_cmd_almostlaw, **_HONEST_ONLY, **_HYPOTHETICAL_ONLY)
+    al.add_argument("--pool-max-len", type=int, default=16)
+    al.set_defaults(func=_cmd_almostlaw)
+
+    dc = sub.add_parser("decay", help="word-map decay table from an "
+                                      "assumed start bound")
+    dc.add_argument("--u0", type=float, required=True,
+                    help="assumed, uncertified start bound in (0, 1/3]")
+    dc.add_argument("--n-max", type=int, default=8)
+    dc.set_defaults(func=_cmd_decay)
 
     r = sub.add_parser("report", help="constants and finite-scale tables")
     r.add_argument("--alpha-n-max", type=int, default=2)
@@ -388,21 +376,22 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         code, result = args.func(args, t0)
+        if result is not None:
+            _emit(json.dumps(_envelope(args, t0, result), indent=2,
+                             sort_keys=True, ensure_ascii=False) + "\n",
+                  args.out)
     except (NotFoundBelowError, BudgetExceeded) as ex:
         print(f"{args.command}: {ex}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except AssertionError as ex:  # an independent re-check refuted a search
         print(f"{args.command}: {ex}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as ex:  # a bad flag value, or input the library rejects
+    except ValueError as ex:  # a bad flag value or --out, or rejected input
         print(f"lcs-lab: error: {ex}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:
         print(f"{args.command}: interrupted", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    if result is not None:
-        _emit(json.dumps(_envelope(args, t0, result), indent=2,
-                         sort_keys=True, ensure_ascii=False) + "\n", args.out)
     return code
 
 

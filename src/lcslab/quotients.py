@@ -127,13 +127,18 @@ def permutation_quotient(image_a: Sequence[int],
 
 
 def parse_quotient_spec(spec: str) -> Quotient:
-    """'z2' or 'perm:a=(1 2);b=(2 3)', as its (identity, step)."""
+    """'z2' or 'perm:a=(1 2);b=(2 3)', each generator given once, as its
+    (identity, step)."""
     if spec == "z2":
         return (0, 0), _exponent_step
     if spec.startswith("perm:"):
         pairs = [kv.split("=", 1) for kv in spec[5:].split(";")]
-        if (any(len(kv) != 2 for kv in pairs)
-                or {kv[0] for kv in pairs} != {"a", "b"}):
+        names = [kv[0] for kv in pairs]
+        for name in ("a", "b"):
+            if names.count(name) > 1:
+                raise ValueError(f"bad quotient spec {spec!r}: generator "
+                                 f"{name} is given more than once")
+        if any(len(kv) != 2 for kv in pairs) or set(names) != {"a", "b"}:
             raise ValueError(f"bad quotient spec {spec!r}: a permutation "
                              f"spec needs a=<cycles>;b=<cycles>")
         parts = dict(pairs)

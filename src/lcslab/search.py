@@ -380,7 +380,7 @@ def build_oracle(oracle_id: str) -> Oracle:
         return KernelOracle(oracle_id)  # parse_quotient_spec names a bad spec
     try:
         if oracle_id.startswith("lcs:"):
-            if not oracle_id[4:].isdigit():
+            if not (oracle_id[4:].isascii() and oracle_id[4:].isdigit()):
                 raise ValueError("lcs:<n> takes a positive integer n")
             return DepthOracle(int(oracle_id[4:]))
         if oracle_id.startswith("derived-perm:"):

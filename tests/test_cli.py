@@ -194,8 +194,7 @@ def test_report_constants_and_digit_checks():
 
 def test_almostlaw_hypothetical_csv(tmp_path):
     out = tmp_path / "decay.csv"
-    run_cli("--out", str(out), "almostlaw", "--hypothetical-u0", "0.333",
-            "--n-max", "4")
+    run_cli("--out", str(out), "decay", "--u0", "0.333", "--n-max", "4")
     text = out.read_text(encoding="utf-8")
     lines = text.strip().split("\n")
     assert lines[0].startswith("# HYPOTHETICAL")
@@ -220,31 +219,37 @@ def test_almostlaw_honest_mode_refuses(tmp_path):
 
 
 def test_almostlaw_bad_hypothetical_is_usage_error():
-    run_cli("almostlaw", "--hypothetical-u0", "0.5", expect=3)
+    run_cli("decay", "--u0", "0.5", expect=3)
 
 
-_HYPOTHETICAL = "almostlaw --hypothetical-u0"
-_HONEST = "almostlaw without --hypothetical-u0"
+@pytest.mark.parametrize("argv, flag", [
+    (("decay", "--u0", "0.3", "--samples", "200"), "--samples"),
+    (("decay", "--u0", "0.3", "--seed", "5"), "--seed"),
+    (("decay", "--u0", "0.3", "--certify-eps", "1.0"), "--certify-eps"),
+    (("decay", "--u0", "0.3", "--pool-max-len", "12"), "--pool-max-len"),
+    (("almostlaw", "--pool-max-len", "8", "--n-max", "5"), "--n-max"),
+    (("almostlaw", "--hypothetical-u0", "0.3"), "--hypothetical-u0"),
+], ids=["decay-samples", "decay-seed", "decay-certify-eps",
+        "decay-pool-max-len", "almostlaw-n-max", "almostlaw-hypothetical-u0"])
+def test_flag_of_the_other_command_is_usage_error(argv, flag):
+    proc = run_cli(*argv, expect=3)
+    assert f"error: unrecognized arguments: {flag} " in proc.stderr
 
 
-@pytest.mark.parametrize("argv, flag, mode", [
-    (("--hypothetical-u0", "0.3", "--samples", "200"), "--samples",
-     _HYPOTHETICAL),
-    (("--hypothetical-u0", "0.3", "--seed", "5"), "--seed", _HYPOTHETICAL),
-    (("--hypothetical-u0", "0.3", "--certify-eps", "1.0"), "--certify-eps",
-     _HYPOTHETICAL),
-    (("--hypothetical-u0", "0.3", "--pool-max-len", "12"), "--pool-max-len",
-     _HYPOTHETICAL),
-    (("--pool-max-len", "8", "--n-max", "5"), "--n-max", _HONEST),
-])
-def test_almostlaw_flag_of_the_other_mode_is_usage_error(argv, flag, mode):
-    proc = run_cli("almostlaw", *argv, expect=3)
-    assert f"error: {flag} is not read by {mode}\n" in proc.stderr
-
-
-def test_almostlaw_mode_accepts_the_other_modes_defaults():
-    run_cli("almostlaw", "--hypothetical-u0", "0.3", "--samples", "10000",
-            "--seed", "0", "--pool-max-len", "16")
+def test_config_holds_the_flags_each_command_reads(tmp_path):
+    out = tmp_path / "decay.csv"
+    run_cli("--out", str(out), "decay", "--u0", "0.3")
+    line = next(l for l in out.read_text(encoding="utf-8").split("\n")
+                if l.startswith("# config: "))
+    config = json.loads(line[len("# config: "):])
+    assert config == {"command": "decay", "n_max": 8, "out": str(out),
+                      "u0": 0.3}
+    doc = run_json("almostlaw", "--pool-max-len", "8", "--samples", "100",
+                   expect=2)
+    assert doc["config"] == {"certify_eps": None, "command": "almostlaw",
+                             "out": None, "pool_max_len": 8, "samples": 100,
+                             "seed": 0}
+    assert "lcs-lab decay --u0 U" in doc["result"]["note"]
 
 
 @pytest.mark.parametrize("argv, expect", [
@@ -254,11 +259,11 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
     (("depth", "--word", "1", "--max-degree", "30"), 3),
     (("report", "--alpha-n-max", "3", "--max-len", "6"), 2),
     (("almostlaw", "--pool-max-len", "4", "--samples", "0"), 3),
-    (("almostlaw", "--hypothetical-u0", "0.3", "--n-max", "1"), 3),
+    (("decay", "--u0", "0.3", "--n-max", "1"), 3),
     (("almostlaw", "--pool-max-len", "4", "--samples", "10",
       "--certify-eps", "0"), 3),
     (("almostlaw", "--pool-max-len", "4", "--samples", "10", "--k", "2"), 3),
-    (("almostlaw", "--hypothetical-u0", "0.3", "--samples", "200"), 3),
+    (("decay", "--u0", "0.3", "--samples", "200"), 3),
     (("almostlaw", "--pool-max-len", "8", "--n-max", "5"), 3),
     (("gen", "--n", "-1"), 3),
     (("gen", "--n", "1", "--seed-a", "aA", "--seed-b", "b"), 3),
@@ -290,10 +295,18 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
     (("girth", "--quotient", "perm:a=((1 2));b=(1 2)", "--max-len", "4"), 3),
     (("girth", "--quotient", "perm:a=(1 +2);b=(1 2)", "--max-len", "4"), 3),
     (("girth", "--quotient", "perm:a=(1 1_0);b=(1 2)", "--max-len", "4"), 3),
+    (("girth", "--quotient", "perm:a=(1 2);a=(1 3);b=(1 2 3)", "--max-len",
+      "4"), 3),
+    (("girth", "--quotient", "lcs:²", "--max-len", "4"), 3),
+    (("girth", "--quotient", "lcs:٣", "--max-len", "4"), 3),
+    (("--out", ".", "gen", "--n", "1"), 3),
+    (("--out", ".", "decay", "--u0", "0.3"), 3),
+    (("--out", ".", "verify", "--budget-seconds", "0"), 3),
+    (("--out", "no-such-directory/out.json", "gen", "--n", "1"), 3),
 ], ids=["depth-degree-0", "depth-degree-30", "depth-identity-degree-0",
         "depth-identity-degree-30", "report-alpha-cap",
-        "almostlaw-samples-0", "almostlaw-n-max-1", "almostlaw-eps-0",
-        "almostlaw-k", "almostlaw-hypothetical-samples",
+        "almostlaw-samples-0", "decay-n-max-1", "almostlaw-eps-0",
+        "almostlaw-k", "decay-samples",
         "almostlaw-honest-n-max", "gen-n-negative", "gen-trivial-seed",
         "verify-letters-0", "verify-letters-negative",
         "verify-seconds-negative", "girth-workers-0", "letters-before-gen",
@@ -305,7 +318,11 @@ def test_almostlaw_mode_accepts_the_other_modes_defaults():
         "girth-derived-perm-empty", "girth-perm-b-without-cycles",
         "girth-perm-repeated-cycle", "girth-perm-overlapping-cycles",
         "girth-perm-letter-point", "girth-perm-nested-cycle",
-        "girth-perm-signed-point", "girth-perm-underscored-point"])
+        "girth-perm-signed-point", "girth-perm-underscored-point",
+        "girth-perm-repeated-generator", "girth-lcs-superscript-digit",
+        "girth-lcs-arabic-indic-digit", "out-is-a-directory",
+        "out-is-a-directory-decay-csv", "out-is-a-directory-verify-text",
+        "out-in-a-missing-directory"])
 def test_bad_input_exits_without_traceback(argv, expect):
     # usage errors exit 3 with "error:", an exhausted cap exits 2 with one
     # line; neither may leak a traceback or int()'s own message (exit 1
@@ -313,7 +330,9 @@ def test_bad_input_exits_without_traceback(argv, expect):
     proc = run_cli(*argv, expect=expect)
     assert "Traceback" not in proc.stderr
     assert "invalid literal" not in proc.stderr
-    if argv[0].startswith("--"):  # a subcommand's flag before the subcommand
+    if argv[0] == "--out":  # a file that cannot be written
+        assert f"error: cannot write --out {argv[1]}: " in proc.stderr
+    elif argv[0].startswith("--"):  # a subcommand's flag before the subcommand
         assert (f"error: {argv[0]} goes after a subcommand that takes it"
                 in proc.stderr)
     if expect == 3:
