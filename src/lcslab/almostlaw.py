@@ -21,13 +21,21 @@ a (2,) complex array and a batch an (n, 2) array.  `_mul` is the one
 product; `_letter_pairs` gives an element's inverse (conj(alpha), -beta)
 and the conjugates `_mul` takes for each; `_normalized` is the nearest
 unit quaternion (the polar factor of that matrix, by one division); the
-distance is sqrt(2 - 2 Re alpha).  A word's value on a batch of argument pairs is one
-`_mul` per letter on the batch's columns, four elementwise complex products
-(`_word_value`); each letter's pair and its conjugates are formed once per
-call and passed to `_mul` by name.  The grid certificate evaluates its
-pairs in blocks of about 4,000, small enough that each block reuses the
-heap memory the last one freed (about 1 MB in all) instead of faulting in
+distance is sqrt(2 - 2 Re alpha).  A word's value on a batch of argument
+pairs is one `_mul` per letter on the batch's columns, four elementwise
+complex products (`_word_value`); each letter's pair and its conjugates
+are formed once per call and passed to `_mul` by name.  The u and v
+batches need only broadcast: the grid certificate evaluates a block of net
+rows against the whole net, (b, 1) against (1, m), and copies no pair out.
+Its blocks of about 4,000 pairs are small enough that each reuses the heap
+memory the last one freed (about 0.6 MB in all) instead of faulting in
 fresh pages.
+
+Sampling draws each (seed, samples) stream once, in one call of whole
+chunks, and keeps it read-only in a small memo (`_haar_pairs`): the seed
+search and the criteria estimate every pool word on the same stream.  A
+word is evaluated on the whole stream at once, and its first maximum
+starts the polish.
 
 One pair at a time, numpy's per-call cost outweighs four products, so the
 polish after sampling scores each probe on Python complex scalars through
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -130,23 +139,29 @@ def _normalized(p):
     return a / r, b / r
 
 
-def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Haar-distributed (size, 2) batch: normalized 4-vectors of Gaussians
-    read as (q0 + i q1, q2 + i q3)."""
-    q = rng.normal(size=(size, 4))
-    q /= np.linalg.norm(q, axis=1, keepdims=True)
+def haar_su2(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """Haar-distributed (*shape, 2) batch: normalized 4-vectors of
+    Gaussians read as (q0 + i q1, q2 + i q3), drawn in C order."""
+    q = rng.normal(size=(*shape, 4))
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
     return q.view(complex)
 
 
 _CHUNK = 256  # fixed draw granularity so larger budgets extend smaller ones
 
 
-def _haar_pairs(seed: int, samples: int):
-    """`samples` Haar argument pairs as (us, vs) batches of at most _CHUNK."""
-    rng = np.random.default_rng(seed)
-    for done in range(0, samples, _CHUNK):
-        m = min(_CHUNK, samples - done)
-        yield haar_su2(rng, _CHUNK)[:m], haar_su2(rng, _CHUNK)[:m]
+@lru_cache(maxsize=4)  # one entry per (seed, samples) a caller repeats
+def _haar_pairs(seed: int, samples: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`samples` Haar argument pairs as read-only (us, vs) batches.
+
+    The stream is whole chunks of _CHUNK u's, then _CHUNK v's, drawn in
+    one call; the last chunk is cut to length.  These are the pairs that
+    haar_su2 draws chunk by chunk, u batch before v batch."""
+    q = haar_su2(np.random.default_rng(seed), -(-samples // _CHUNK), 2, _CHUNK)
+    pairs = tuple(q[:, i].reshape(-1, 2)[:samples] for i in (0, 1))
+    for batch in pairs:
+        batch.setflags(write=False)
+    return pairs
 
 
 def _word_value(w: Word, u, v):
@@ -162,13 +177,14 @@ def _word_value(w: Word, u, v):
 
 
 def batch_evaluate(w: Word, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Evaluate the word map on (n, 2) batches of argument pairs, as an
-    (n, 2) batch; no normalization."""
-    if not w:
-        n = len(us)
-        return np.array((np.ones(n, dtype=complex),
-                         np.zeros(n, dtype=complex))).T
-    return np.array(_word_value(w, us.T, vs.T)).T
+    """Evaluate the word map on batches of argument pairs, (..., 2) arrays
+    whose leading shapes broadcast, as a batch of the broadcast shape; no
+    normalization."""
+    out = np.empty(np.broadcast_shapes(us.shape, vs.shape), dtype=complex)
+    out[..., 0], out[..., 1] = (
+        _word_value(w, np.moveaxis(us, -1, 0), np.moveaxis(vs, -1, 0))
+        if w else (1.0, 0.0))
+    return out
 
 
 def evaluate(w: Word, u, v) -> np.ndarray:
@@ -245,19 +261,14 @@ def estimate_L(w: Word, samples: int = 10_000, polish_steps: int = 200,
     """Best sampled distance from the identity, then a local polish.
 
     Deterministic for a fixed seed; the sample stream is drawn in fixed-size
-    chunks, so a larger budget strictly extends a smaller one.
+    chunks, so a larger budget strictly extends a smaller one.  The first
+    sample at the batch's maximum starts the polish.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    best = -1.0
-    best_pair = None
-    for us, vs in _haar_pairs(seed, samples):
-        ds = distance_to_identity(batch_evaluate(w, us, vs))
-        i = int(np.argmax(ds))
-        if ds[i] > best:
-            best = float(ds[i])
-            best_pair = (us[i], vs[i])
-    u, v, best = _polish_pair(w, *best_pair, polish_steps)
+    us, vs = _haar_pairs(seed, samples)
+    i = int(np.argmax(distance_to_identity(batch_evaluate(w, us, vs))))
+    u, v, best = _polish_pair(w, us[i], vs[i], polish_steps)
     witness = (np.array(_normalized(u)), np.array(_normalized(v)))
     best = float(distance_to_identity(evaluate(w, *witness)))
     return LEstimate(word=w, lower=best, witness=witness)
@@ -335,26 +346,44 @@ def certify_seed(w: Word, eps: float) -> CertifiedBound:
     needed = net_points_required(w, eps)
     if needed > CERTIFY_BUDGET_POINTS:
         raise BudgetExceeded(
-            f"eps={eps:g} needs {needed:.3e} pair evaluations "
+            f"eps={eps:g} needs {_scientific(needed)} pair evaluations "
             f"(budget {CERTIFY_BUDGET_POINTS:.3e})")
-    net = su2_net(eps)
-    m = len(net)
-    worst = 0.0
-    # about 4,000 pairs per block: each column array is then about 64 KB,
-    # under glibc's default 128 KB mmap threshold, so one block's arrays
-    # reuse the heap memory the last block freed instead of being mapped
-    # and faulted in afresh (1.0 MB traced for a 10-letter word at eps
-    # 1.0).  Blocks of 50,000 pairs took 2.3 times as long for abAB at eps
-    # 1.2, with 7,300 minor faults per call against 170.
-    block = max(1, 4_000 // max(1, m))
-    for i in range(0, m, block):
-        us = np.repeat(net[i:i + block], m, axis=0)
-        vs = np.tile(net, (len(us) // m, 1))
-        ds = distance_to_identity(batch_evaluate(w, us, vs))
-        worst = max(worst, float(np.max(ds)))
     # every element of SU(2) is within 2 of the identity, so 2 certifies
-    upper = min(2.0, worst + 2.0 * lip * eps)
+    upper = min(2.0, _net_max(w, su2_net(eps)) + 2.0 * lip * eps)
     return CertifiedBound(upper=upper, provenance=GridProvenance(eps, lip))
+
+
+def _net_max(w: Word, net: np.ndarray) -> float:
+    """The largest distance from the identity of w over net x net.
+
+    About 4,000 pairs per block, a block of net rows against the whole net
+    by broadcasting: each column array is then about 64 KB, under glibc's
+    default 128 KB mmap threshold, so one block's arrays reuse the heap
+    memory the last block freed instead of being mapped and faulted in
+    afresh (0.56 MB traced for a 10-letter word at eps 1.0).  Blocks of
+    50,000 pairs took 1.6 times as long for abAB at eps 1.2 (11.0 ms
+    against 6.8, best of 20 on a 2-core Xeon), with about 3,600 minor
+    faults per call against none."""
+    m = len(net)
+    block = max(1, 4_000 // m)
+    worst = 0.0
+    for i in range(0, m, block):
+        ds = distance_to_identity(
+            batch_evaluate(w, net[i:i + block, None], net[None]))
+        worst = max(worst, float(np.max(ds)))
+    return worst
+
+
+def _scientific(n: int) -> str:
+    """A positive int as f"{n:.3e}" spells it, by integer arithmetic, so
+    an int too large for a float still formats."""
+    e = len(str(n)) - 1
+    m, r = divmod(n * 1000, 10 ** e)  # four significant digits, remainder
+    if 2 * r > 10 ** e or (2 * r == 10 ** e and m % 2):  # half to even
+        m += 1
+    if m == 10_000:
+        m, e = 1000, e + 1
+    return f"{m // 1000}.{m % 1000:03d}e{e:+03d}"
 
 
 def certification_cost_at_threshold(w: Word,

@@ -208,8 +208,9 @@ def _cmd_almostlaw(args, t0):
     if args.pool_max_len < shortest:
         raise ValueError(f"--pool-max-len must be at least {shortest}: the "
                          f"shortest pool word has length {shortest}")
-    if args.certify_eps is not None and not args.certify_eps > 0:
-        raise ValueError("--certify-eps must be positive")
+    if args.certify_eps is not None and not (math.isfinite(args.certify_eps)
+                                             and args.certify_eps > 0):
+        raise ValueError("--certify-eps must be finite and positive")
     report = almostlaw.seed_search(max_len=args.pool_max_len,
                                    samples=args.samples, seed=args.seed)
     best_word, best_lower = report.best

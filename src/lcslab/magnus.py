@@ -22,18 +22,32 @@ finishes exactly.
 Depth: w lies in the n-th lower central subgroup iff its expansion has no
 nonzero term of positive degree < n (Magnus; treated as imported
 mathematics and cross-checked against the structural certificates of the
-recursive families).  The degree-1 terms are the exponent sums, so a word
-with a nonzero exponent sum has depth 1 without an expansion.
+recursive families).
 
-The degree ladder.  A truncation at t holds the exact coefficients of every
-degree <= t, so a nonzero term found at truncation t settles the depth
-whatever D is.  `lcs_depth` and `depth_terms` share one route, `_ladder`:
-expand at truncations 2, 4, 8, ..., capped at D, and stop at the first
-with a nonzero term of positive degree.  A word reaches D only if its
-depth exceeds the last power of two below D, and its lower rungs then cost
-at most about as much again as the expansion at D.  Most words settle at
-degree 2, where a letter is at most two slice updates on 7 slots instead
-of up to D updates on 2^(D+1) - 1.
+The degree ladder.  `lcs_depth` and `depth_terms` share one route,
+`_ladder`, which returns the depth and the coefficients of that degree.
+Degrees 1 to 3 are settled in closed form, with no expansion:
+
+  * degree 1: the terms are the exponent sums, so a word with a nonzero
+    exponent sum has depth 1;
+  * degree 2: with zero exponent sums the degree-2 part is c (X_a X_b -
+    X_b X_a), c = sum over i < j of alpha_i beta_j the signed area, where
+    alpha_i = +-1 if letter i is a^+-1 (0 otherwise) and beta_i likewise
+    for b;
+  * degree 3, when c = 0: the degree-3 part is a Lie element, -p
+    [[X_a, X_b], X_a] + q [[X_a, X_b], X_b], so in heap order aab, aba,
+    abb, baa, bab, bba its row is (p, -2p, q, p, -2q, q), where p and q are
+    the coefficients of X_a X_a X_b and X_b X_b X_a (Magnus, Karrass and
+    Solitar 1966).
+
+c, p and q come from one pass of running sums over the word
+(`_running_sums`).  Above degree 3 the ladder expands at truncations 4, 8,
+16, ..., capped at D, and stops at the first with a nonzero term of
+positive degree: a truncation at t holds the exact coefficients of every
+degree <= t, so a nonzero term found there settles the depth whatever D
+is.  A word reaches D only if its depth exceeds the last power of two
+below D, and its lower rungs then cost at most about as much again as the
+expansion at D.
 """
 
 from __future__ import annotations
@@ -237,37 +251,70 @@ class Depth:
         return "inf"
 
 
-def _ladder(w: Word, D: int) -> Tuple[Optional[int], NcSeries]:
-    """The least positive degree <= D with a nonzero term (None if there
-    is none), and the expansion that settled it: truncations 2, 4, 8, ...
-    capped at D, up to the first with a nonzero term."""
-    t = min(2, D)
-    while True:
+def _running_sums(data: bytes) -> Tuple[int, int, int]:
+    """(c, p, q): the coefficients of X_a X_b, X_a X_a X_b and X_b X_b X_a
+    in the expansion of a word, by one pass of running sums.
+
+    sa, sb, aa and bb hold the prefix's coefficients of X_a, X_b, X_a^2 and
+    X_b^2.  Appending g^+-1 adds to each coefficient ending in X_g the
+    prefix's coefficient one degree down, times +-1; g^-1 adds as well the
+    prefix's constant term times its X_g^2 term, +1."""
+    c = p = q = sa = sb = aa = bb = 0
+    for x in data:
+        if x == LETTER_A:
+            q += bb
+            aa += sa
+            sa += 1
+        elif x == LETTER_AI:
+            q -= bb
+            aa += 1 - sa
+            sa -= 1
+        elif x == LETTER_B:
+            p += aa
+            c += sa
+            bb += sb
+            sb += 1
+        else:
+            p -= aa
+            c -= sa
+            bb += 1 - sb
+            sb -= 1
+    return c, p, q
+
+
+def _ladder(w: Word, D: int) -> Tuple[Depth, List[int]]:
+    """The depth of w decided up to degree D, and, when it is exact, the
+    coefficients of that degree in heap order (else []): degrees 1, 2 and 3
+    in closed form, then truncations 4, 8, ... capped at D, up to the first
+    with a nonzero term."""
+    _check_degree(D)
+    if not w:
+        return Depth.infinite(), []
+    sums = exponent_sums(w)
+    if sums != (0, 0):
+        return Depth.exact(1), list(sums)
+    c, p, q = _running_sums(w.data)
+    if c and D >= 2:
+        return Depth.exact(2), [0, c, -c, 0]
+    if (p or q) and D >= 3:  # c = 0 here, so the row is the Lie one
+        return Depth.exact(3), [0, p, -2 * p, q, p, -2 * q, q, 0]
+    t = 4
+    while t <= D:
         series = expand(w, t)
         d = series.min_positive_degree()
-        if d is not None or t == D:
-            return d, series
-        t = min(2 * t, D)
+        if d is not None:
+            return Depth.exact(d), series.coeffs[_row(d)].tolist()
+        t = D if t < D < 2 * t else 2 * t
+    return Depth.at_least(D + 1), []
 
 
 def lcs_depth(w: Word, D: int) -> Depth:
     """Lower-central-series depth of w, decided up to degree D."""
-    _check_degree(D)
-    if not w:
-        return Depth.infinite()
-    if exponent_sums(w) != (0, 0):  # the degree-1 terms
-        return Depth.exact(1)
-    d, _ = _ladder(w, D)
-    return Depth.at_least(D + 1) if d is None else Depth.exact(d)
+    return _ladder(w, D)[0]
 
 
 def depth_terms(w: Word, D: int) -> Tuple[Depth, List[Tuple[str, int]]]:
     """Depth plus the nonzero terms at the depth degree (for reporting)."""
-    _check_degree(D)
-    if not w:
-        return Depth.infinite(), []
-    d, series = _ladder(w, D)
-    if d is None:
-        return Depth.at_least(D + 1), []
-    row = series.coeffs[_row(d)].tolist()
-    return Depth.exact(d), [(monomial_name(d, m), c) for m, c in enumerate(row) if c]
+    depth, row = _ladder(w, D)
+    return depth, [(monomial_name(depth.value, m), k)
+                   for m, k in enumerate(row) if k]

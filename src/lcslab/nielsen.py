@@ -2,15 +2,18 @@
 
 A generator list is read as loops at a base vertex and folded into the
 subgroup's core graph, one transition map step[u][c] = v over signed
-letters.  Folding fills the slot (u, c) and its reverse (v, c^-1) of every
-edge from a worklist; a slot that already holds another head merges the
-two heads, the smaller id surviving so the base stays 0, and the dropped
-vertex's slots go back on the worklist.  No trim is needed: slots only
-ever fill, and every non-base vertex starts with two filled, since a reduced
-word never turns back on itself.  The folded graph depends only on the
-subgroup (Stallings), and a breadth-first tree trying letters in byte
-order gives each vertex its shortlex-least path from the base, so the basis
-is a function of the subgroup, not of the generator list.
+letters.  Reading a generator follows the slots already filled and, where
+a slot is empty, fills it and its reverse (v, c^-1) with a fresh vertex;
+only the closing letter's two slots, back to the base, go on the merge
+worklist.  Once every generator is read, the worklist fills its slots; a
+slot that already holds another head merges the two heads, the smaller id
+surviving so the base stays 0, and the dropped vertex's slots go back on
+the worklist.  No trim is needed: slots only ever fill, and every non-base
+vertex starts with two filled, since a reduced word never turns back on
+itself.  The folded graph depends only on the subgroup (Stallings), and a
+breadth-first tree trying letters in byte order gives each vertex its
+shortlex-least path from the base, so the basis is a function of the
+subgroup, not of the generator list.
 
 The tree is geodesic, and the dual basis -- one element per non-tree edge,
 read as tree-path + edge + reverse tree-path, sorted shortlex -- satisfies
@@ -67,16 +70,22 @@ def _core_graph(gens: Iterable[Word]) -> _Step:
             u = merged[u]
         return u
 
-    # each generator is a loop at the base; its fresh ids are handed out
-    # before any merge, so len(step) is always unused
+    # each generator is a loop at the base: its letters follow the slots
+    # already filled and fill an empty one with a fresh id, and only its
+    # closing letter's two slots wait for the merges; every generator is
+    # read before any merge, so len(step) is always unused
     todo: List[Tuple[int, int, int]] = []  # slots (u, c) -> v to fill
     for g in gens:
         cur = _BASE
-        for i, c in enumerate(g.data):
-            nxt = _BASE if i == len(g) - 1 else len(step)
-            step.setdefault(nxt, {})
-            todo += [(cur, c, nxt), (nxt, inverse_letter(c), cur)]
+        for c in g.data[:-1]:
+            nxt = step[cur].get(c)
+            if nxt is None:
+                nxt = step[cur][c] = len(step)
+                step[nxt] = {inverse_letter(c): cur}
             cur = nxt
+        if g:
+            c = g.data[-1]
+            todo += [(cur, c, _BASE), (_BASE, inverse_letter(c), cur)]
     while todo:
         u, c, v = todo.pop()
         u, v = find(u), find(v)

@@ -4,6 +4,9 @@ enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
 a word's expansion can be rebuilt as a product of letter series;
 generated_elements closes a finite quotient's letter images by search.
+chunked_haar_pairs draws the SU(2) sample stream one chunk at a time, and
+chunked_estimate and repeat_tile_net_max are the sampled estimate and the
+grid's net maximum on copied-out pairs, one chunk or block at a time.
 
 The library decides membership only through the search oracles.  The
 routes here decide it from scratch, one word at a time, on the quotient's
@@ -14,8 +17,11 @@ is the free derivative in the integer group ring of F2, which project_fox
 is checked against.
 """
 
-from typing import Dict, Hashable, Iterator
+from typing import Dict, Hashable, Iterator, Tuple
 
+import numpy as np
+
+from lcslab import almostlaw
 from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
 from lcslab.quotients import Quotient
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
@@ -142,3 +148,46 @@ def in_derived_lambda(w: Word, q: Quotient) -> bool:
     both projected Fox derivatives must vanish."""
     return (in_lambda(w, q) and not project_fox(w, q, "a")
             and not project_fox(w, q, "b"))
+
+
+def chunked_haar_pairs(seed: int, samples: int
+                       ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The Haar sample stream as (us, vs) chunks: haar_su2 of _CHUNK u's,
+    then of _CHUNK v's, each cut to the samples still wanted."""
+    rng = np.random.default_rng(seed)
+    for done in range(0, samples, almostlaw._CHUNK):
+        m = min(almostlaw._CHUNK, samples - done)
+        yield (almostlaw.haar_su2(rng, almostlaw._CHUNK)[:m],
+               almostlaw.haar_su2(rng, almostlaw._CHUNK)[:m])
+
+
+def chunked_estimate(w: Word, samples: int, polish_steps: int, seed: int
+                     ) -> almostlaw.LEstimate:
+    """estimate_L with each chunk evaluated on its own: a chunk's first
+    maximum replaces the best only if it is strictly larger."""
+    best, best_pair = -1.0, None
+    for us, vs in chunked_haar_pairs(seed, samples):
+        ds = almostlaw.distance_to_identity(almostlaw.batch_evaluate(w, us, vs))
+        i = int(np.argmax(ds))
+        if ds[i] > best:
+            best, best_pair = float(ds[i]), (us[i], vs[i])
+    u, v, _ = almostlaw._polish_pair(w, *best_pair, polish_steps)
+    witness = (np.array(almostlaw._normalized(u)),
+               np.array(almostlaw._normalized(v)))
+    lower = float(almostlaw.distance_to_identity(almostlaw.evaluate(w, *witness)))
+    return almostlaw.LEstimate(word=w, lower=lower, witness=witness)
+
+
+def repeat_tile_net_max(w: Word, net: np.ndarray) -> float:
+    """The largest distance from the identity of w over net x net, each
+    block of about 4,000 pairs copied out row by row with np.repeat and
+    np.tile."""
+    m = len(net)
+    block = max(1, 4_000 // m)
+    worst = 0.0
+    for i in range(0, m, block):
+        us = np.repeat(net[i:i + block], m, axis=0)
+        vs = np.tile(net, (len(us) // m, 1))
+        ds = almostlaw.distance_to_identity(almostlaw.batch_evaluate(w, us, vs))
+        worst = max(worst, float(np.max(ds)))
+    return worst

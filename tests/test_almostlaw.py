@@ -9,7 +9,12 @@ from lcslab.construction import build
 from lcslab.quotients import permutation_from_cycles, permutation_quotient
 from lcslab.search import NotFoundBelow
 from lcslab.words import Word, commutator, exponent_sums, random_word
-from reference import generated_elements
+from reference import (
+    chunked_estimate,
+    chunked_haar_pairs,
+    generated_elements,
+    repeat_tile_net_max,
+)
 
 
 def _matrix(p):
@@ -234,6 +239,44 @@ def test_estimate_sampling_is_prefix_monotone():
     assert large.lower >= small.lower - 1e-12
 
 
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 4000])
+def test_haar_draw_is_the_chunked_stream(samples):
+    """One draw of whole chunks gives, bit for bit, the pairs that haar_su2
+    draws chunk by chunk, u batch before v batch."""
+    for seed in (0, 3):
+        us, vs = al._haar_pairs(seed, samples)
+        chunks = list(chunked_haar_pairs(seed, samples))
+        assert us.shape == vs.shape == (samples, 2)
+        assert us.tobytes() == np.concatenate([u for u, _ in chunks]).tobytes()
+        assert vs.tobytes() == np.concatenate([v for _, v in chunks]).tobytes()
+
+
+@pytest.mark.parametrize("samples", [1, 255, 256, 257, 4000])
+def test_estimate_matches_chunked_reference(samples):
+    """estimate_L on its single draw, one argmax over the whole batch,
+    returns the lower bound and witness bytes of the chunk-by-chunk loop
+    on every pool word up to length 8."""
+    for w in al.seed_candidate_pool(8):
+        got = al.estimate_L(w, samples=samples, polish_steps=20, seed=3)
+        ref = chunked_estimate(w, samples, polish_steps=20, seed=3)
+        assert got.lower == ref.lower, (str(w), samples)
+        assert [p.tobytes() for p in got.witness] == \
+            [p.tobytes() for p in ref.witness], (str(w), samples)
+
+
+def test_cached_draw_is_read_only_and_bounded():
+    us, vs = al._haar_pairs(5, 300)
+    assert al._haar_pairs(5, 300)[0] is us
+    for batch in (us, vs):
+        with pytest.raises(ValueError):
+            batch[0, 0] = 1.0
+    cap = al._haar_pairs.cache_info().maxsize
+    assert cap is not None and cap <= 8
+    for seed in range(cap + 2):
+        al._haar_pairs(seed, 10)
+    assert al._haar_pairs.cache_info().currsize == cap
+
+
 def test_estimate_rejects_empty_budget():
     with pytest.raises(ValueError):
         al.estimate_L(Word.parse("a"), samples=0)
@@ -267,6 +310,40 @@ def test_certify_commutator_coarse():
     assert est.lower <= cb.upper + 1e-9
 
 
+@pytest.mark.parametrize("text", ["a", "B", "aa", "abAB"])
+def test_broadcast_grid_matches_repeat_tile(text):
+    """The net maximum over broadcast blocks is, bit for bit, the one over
+    pairs copied out by np.repeat/np.tile.  At eps 1.0 the net has 686
+    points and a block 5 rows, so the last block is one row.  The second
+    grid keeps one of the 98 net points farthest from the identity and
+    puts it last, alone in a one-row block (589 points, blocks of 6),
+    where it alone decides the maximum of a.  A word that reads one
+    argument still fills the block's full shape."""
+    net = al.su2_net(1.0)
+    d = al.distance_to_identity(net)
+    lopsided = np.concatenate([net[d < d.max()], net[np.argmax(d)][None]])
+    for grid, shape in ((net, (686, 5, 1)), (lopsided, (589, 6, 1))):
+        m = len(grid)
+        assert (m, 4_000 // m, m % (4_000 // m)) == shape
+    w = Word.parse(text)
+    for grid in (net, lopsided):
+        assert al._net_max(w, grid) == repeat_tile_net_max(w, grid)
+    if text == "a":
+        assert al._net_max(w, lopsided) == d.max()
+    assert al.batch_evaluate(w, net[:5, None], net[None]).shape == (5, 686, 2)
+
+
+def test_batch_evaluate_broadcasts_like_copied_pairs():
+    rng = np.random.default_rng(8)
+    us, vs = al.haar_su2(rng, 7), al.haar_su2(rng, 11)
+    for text in ("", "a", "b", "abAB", "aabAB"):
+        w = Word.parse(text)
+        got = al.batch_evaluate(w, us[:, None], vs[None])
+        ref = al.batch_evaluate(w, np.repeat(us, 11, axis=0), np.tile(vs, (7, 1)))
+        assert got.shape == (7, 11, 2)
+        assert got.reshape(-1, 2).tobytes() == ref.tobytes(), text
+
+
 def test_certify_budget_refusal():
     with pytest.raises(al.BudgetExceeded):
         al.certify_seed(Word.parse("abAB"), eps=0.01)
@@ -274,6 +351,20 @@ def test_certify_budget_refusal():
         al.certify_seed(Word.parse("abAB"), eps=0.0)
     with pytest.raises(ValueError):
         al.su2_net(0.0)
+
+
+def test_certify_budget_refusal_past_float_range():
+    """At eps 1e-300 the pair count is too large for a float; the refusal
+    spells it in full."""
+    with pytest.raises(al.BudgetExceeded, match=r"needs 3\.504e\+1805 pair"):
+        al.certify_seed(Word.parse("abAB"), eps=1e-300)
+
+
+def test_scientific_spells_ints_as_float_format_does():
+    for n in (1, 9, 10, 12345, 12355, 99_995, 999_950_000, 4_000_000,
+              2 ** 53 - 1, 470_596):
+        assert al._scientific(n) == f"{n:.3e}", n
+    assert al._scientific(10 ** 400) == "1.000e+400"
 
 
 def test_certification_cost_at_threshold_is_astronomical():

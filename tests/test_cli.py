@@ -353,6 +353,25 @@ def test_almostlaw_pool_cap_below_shortest_word_is_usage_error(cap):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("eps", ["inf", "-inf", "nan", "0", "-1"])
+def test_almostlaw_certify_eps_must_be_finite_and_positive(eps):
+    proc = run_cli("almostlaw", "--pool-max-len", "8", "--samples", "10",
+                   f"--certify-eps={eps}", expect=3)
+    assert "--certify-eps must be" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_almostlaw_certify_eps_past_float_range_is_a_budget_refusal():
+    """The pair count at eps 1e-300 is too large for a float; the budget
+    refusal still spells it and ends inconclusive (exit 2)."""
+    doc = run_json("almostlaw", "--pool-max-len", "8", "--samples", "10",
+                   "--certify-eps", "1e-300", expect=2)
+    best = doc["result"]["certify_best"]
+    assert best["eps"] == 1e-300
+    assert re.fullmatch(r"eps=1e-300 needs \d\.\d{3}e\+\d{4} pair evaluations "
+                        r"\(budget 4\.000e\+06\)", best["error"]), best
+
+
 def test_verify_time_budget_skips_everything():
     proc = run_cli("verify", "--budget-seconds", "0", expect=2)
     lines = proc.stdout.strip().split("\n")

@@ -228,6 +228,63 @@ def test_degree_ladder_matches_one_expansion():
     assert kinds == {("at_least", False), ("exact", False), ("exact", True)}
 
 
+def _power(g: str, e: int) -> str:
+    return (g if e > 0 else g.upper()) * abs(e)
+
+
+def _zero_sum_words(seed: int, count: int):
+    """count seeded nontrivial zero-sum words, each a body closed by the
+    powers of a and b that cancel its exponent sums: half of the bodies are
+    uniform reduced words, half products of powers g^e, mostly inverse and
+    up to four long, so inverse letters come in runs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        if len(out) % 2:
+            body = str(random_word(rng, rng.randrange(1, 17)))
+        else:
+            body = "".join(_power(rng.choice("ab"),
+                                  rng.choice((-4, -3, -2, -1, -1, 1, 2)))
+                           for _ in range(rng.randrange(2, 8)))
+        ea, eb = exponent_sums(Word.parse(body))
+        w = Word.parse(body + _power("a", -ea) + _power("b", -eb))
+        if w:
+            out.append(w)
+    return out
+
+
+def test_running_sums_are_the_rows_of_expand_at_three():
+    """On 10,000 seeded zero-sum words the running sums (c, p, q) are the
+    coefficients of ab, aab and bba in expand(w, 3): the degree-2 row is
+    c (ab - ba), and where c = 0 the degree-3 row is, in heap order,
+    (0, p, -2p, q, p, -2q, q, 0)."""
+    from lcslab.magnus import _running_sums
+    outcomes = set()
+    for w in _zero_sum_words(33, 10_000):
+        rows = expand(w, 3).rows
+        c, p, q = _running_sums(w.data)
+        assert rows[2] == [0, c, -c, 0], str(w)
+        assert (rows[3][1], rows[3][6]) == (p, q), str(w)
+        if not c:
+            assert rows[3] == [0, p, -2 * p, q, p, -2 * q, q, 0], str(w)
+        outcomes.add(2 if c else 3 if (p, q) != (0, 0) else 4)
+    assert outcomes == {2, 3, 4}
+
+
+def test_depth_terms_through_degree_three_read_one_expansion():
+    """depth_terms at D = 2 and 3 reads what one expansion at D reads, on
+    3,000 seeded zero-sum words."""
+    for w in _zero_sum_words(34, 3_000):
+        for D in (2, 3):
+            series = expand(w, D)
+            d = series.min_positive_degree()
+            expected = ((Depth.at_least(D + 1), []) if d is None else
+                        (Depth.exact(d), [(monomial_name(d, m), k)
+                                          for m, k in enumerate(series.rows[d])
+                                          if k]))
+            assert depth_terms(w, D) == expected, (str(w), D)
+
+
 def test_depth_recurrence_on_family():
     # measured exact depths obey d_n = 2 d_{n-1} + d_{n-2}, with equality
     d = [1, 2, 5, 12]
