@@ -10,9 +10,10 @@ in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
     Lipschitz slack, the only honest grid certificate, with its cost
     accounted up front),
   * a hypothetical decay table: an assumed start bound u0 <= 1/3 carried
-    through the commutator recursion U_n = 4 U_{n-1}^2 U_{n-2}, rounded
-    upward so the chain never underestimates, beside the family's lengths
-    and the fitted constants of the contraction.
+    through the commutator recursion U_n = 4 U_{n-1}^2 U_{n-2} by its closed
+    form U_n = (2 u0)^P_(n+1) / 2 (P the Pell numbers 1, 2, 5, 12, ...),
+    rounded up in 40-digit decimal so that no bound underestimates or
+    underflows, beside the family's lengths and the contraction's fits.
 
 Evaluation.  An element of SU(2) is a unit quaternion, held as the pair
 (alpha, beta) = (q0 + i q1, q2 + i q3): the first row of [[alpha, beta],
@@ -61,7 +62,9 @@ its start bound as an assumption rather than from a certificate.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Tuple, Union
@@ -212,9 +215,9 @@ class LEstimate:
     lower: float
     witness: Tuple[np.ndarray, np.ndarray]
 
-    def recheck(self, tol: float = 1e-10) -> bool:
+    def recheck(self) -> bool:
         d = distance_to_identity(evaluate(self.word, *self.witness))
-        return bool(abs(d - self.lower) <= tol)
+        return bool(abs(d - self.lower) <= 1e-10)
 
 
 def _rotation(axis: int, theta: float):
@@ -386,12 +389,11 @@ def _scientific(n: int) -> str:
     return f"{m // 1000}.{m % 1000:03d}e{e:+03d}"
 
 
-def certification_cost_at_threshold(w: Word,
-                                    target: float = SEED_THRESHOLD) -> int:
-    """Pairs the grid would need even in the best case (net max 0)."""
+def certification_cost_at_threshold(w: Word) -> int:
+    """Pairs the grid would need at the seed threshold, even at net max 0."""
     if not w:
         return 1
-    eps = target / (2.0 * len(w))
+    eps = SEED_THRESHOLD / (2.0 * len(w))
     return net_points_required(w, eps)
 
 
@@ -543,29 +545,17 @@ def seed_search(max_len: int = 16, samples: int = 2000, seed: int = 7
 # ----------------------------------------------------------------------
 # propagation and the decay table
 
-def _up(x: float) -> float:
-    return math.nextafter(x, math.inf)
-
-
-def propagate_bounds(u0: float, n_max: int) -> List[float]:
-    """U_1 = 2 U_0^2, then U_n = 4 U_{n-1}^2 U_{n-2}, every product rounded
-    upward so floating point can only overestimate."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    us = [float(u0)]
-    if n_max >= 1:
-        us.append(_up(2.0 * _up(u0 * u0)))
-    for _ in range(2, n_max + 1):
-        prev, prev2 = us[-1], us[-2]
-        us.append(_up(4.0 * _up(_up(prev * prev) * prev2)))
-    return us
+# 40 digits rounded up, over an exponent range no table can leave; ln and
+# exp round to nearest in any context, so their results step one ulp by hand
+_UP = decimal.Context(prec=40, rounding=decimal.ROUND_CEILING,
+                      Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 @dataclass(frozen=True)
 class DecayRow:
     n: int
     length: int
-    upper: float
+    upper: decimal.Decimal
     minus_log_2upper: float
     ratio_silver: float
 
@@ -591,8 +581,15 @@ def decay_table(u0: float, n_max: int) -> DecayTable:
         raise ValueError("n_max must be >= 2 so the fits have enough points")
     seq = build(n_max)
     lengths = [len(seq.a(n)) for n in range(n_max + 1)]
-    uppers = propagate_bounds(u0, n_max)
-    ms = [-math.log(2.0 * u) for u in uppers]
+    pell = [1, 2]  # P_1, P_2, ...: P_(n+1) = 2 P_n + P_(n-1)
+    while len(pell) <= n_max:
+        pell.append(2 * pell[-1] + pell[-2])
+    # log(2 U_n) = P_(n+1) log(2 u0) = -m_n, rounded up, so m_n rounds down
+    # and U_n up; 2.0 * u0 is exact
+    log0 = decimal.Decimal(2.0 * u0).ln(_UP).next_plus(_UP)
+    logs = [_UP.multiply(p, log0) for p in pell]
+    uppers = [_UP.divide(x.exp(_UP).next_plus(_UP), 2) for x in logs]
+    ms = [-float(x) for x in logs]
     ratios = [ms[n] / SILVER ** n for n in range(n_max + 1)]
     exponent_hat = np.polyfit(np.log(lengths), np.log(ms), 1)[0]
     rows = tuple(DecayRow(n=n, length=lengths[n], upper=uppers[n],
@@ -606,8 +603,12 @@ CSV_HEADER = "n,len,upper,minus_log_2upper,ratio_to_(1+√2)^n"
 
 
 def decay_csv(table: DecayTable) -> str:
+    """A bound below the smallest normal double prints rounded up to 12
+    digits (format rounds in the context's mode), with its own exponent."""
     lines = [CSV_HEADER]
-    for r in table.rows:
-        lines.append(f"{r.n},{r.length},{r.upper:.12g},"
-                     f"{r.minus_log_2upper:.12g},{r.ratio_silver:.12g}")
+    with decimal.localcontext(_UP):
+        for r in table.rows:
+            u = r.upper if r.upper < sys.float_info.min else float(r.upper)
+            lines.append(f"{r.n},{r.length},{u:.12g},"
+                         f"{r.minus_log_2upper:.12g},{r.ratio_silver:.12g}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,10 @@ its old value.  Dividing by (1 + X_g) (the inverse letter) solves
 T + T*X_g = S one degree at a time, ascending, so row d-1 is already T when
 row d subtracts it: D row slices.
 
+An expansion is that array itself: expand returns it, its degree D is read
+off its length and `_row` slices one degree; `series_product`, the generic
+truncated product in exact ints, serves the homomorphism check.
+
 Coefficients grow combinatorially and must never wrap.  expand runs on
 int64 under a bound M >= max |coefficient|: a positive letter at most
 doubles M and an inverse letter multiplies it by at most D+1, since
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -121,75 +125,31 @@ def monomial_name(degree: int, packed: int) -> str:
                    for i in range(degree))
 
 
-class NcSeries:
-    """Degree-truncated series in two noncommuting indeterminates, held as
-    one heap-ordered coefficient array (int64, or object for Python ints)."""
-
-    __slots__ = ("D", "coeffs")
-
-    def __init__(self, D: int, coeffs: np.ndarray):
-        self.D = D
-        self.coeffs = coeffs
-
-    @staticmethod
-    def one(D: int) -> "NcSeries":
-        _check_degree(D)
-        return NcSeries(D, _one(D))
-
-    @property
-    def rows(self) -> List[List[int]]:
-        """The coefficients of each degree as Python ints, rows[d][m]."""
-        return [self.coeffs[_row(d)].tolist() for d in range(self.D + 1)]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NcSeries) and self.D == other.D
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def terms(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (degree, packed_monomial, coeff) for every nonzero term."""
-        for i in np.flatnonzero(self.coeffs).tolist():
-            d = (i + 1).bit_length() - 1
-            yield d, i + 1 - (1 << d), int(self.coeffs[i])
-
-    def coefficient(self, degree: int, packed: int) -> int:
-        return int(self.coeffs[(1 << degree) - 1 + packed])
-
-    def min_positive_degree(self) -> Optional[int]:
-        nonzero = np.flatnonzero(self.coeffs[1:])
-        if not len(nonzero):
-            return None
-        return int(nonzero[0] + 2).bit_length() - 1
-
-    def __mul__(self, other: "NcSeries") -> "NcSeries":
-        """Generic truncated product in exact Python ints; the expand fast
-        path never calls this, it exists for the homomorphism property and
-        as a cross-check.  The product of monomials m1 (degree d1) and m2
-        (degree d2) is m1 * 2^d2 + m2, the flat index of outer(row1, row2)."""
-        if self.D != other.D:
-            raise ValueError("truncation degrees differ")
-        D = self.D
-        f, g = self.coeffs.astype(object), other.coeffs.astype(object)
-        out = np.zeros_like(f)
-        for d1 in range(D + 1):
-            row1 = f[_row(d1)]
-            if not row1.any():
-                continue
-            for d2 in range(D - d1 + 1):
-                out[_row(d1 + d2)] += np.outer(row1, g[_row(d2)]).ravel()
-        return NcSeries(D, out)
-
-    def __repr__(self):
-        parts = []
-        for d, m, c in self.terms():
-            name = monomial_name(d, m) or "1"
-            parts.append(f"{c}*{name}")
-            if len(parts) > 8:
-                parts.append("...")
-                break
-        return f"NcSeries(D={self.D}: {' + '.join(parts) or '0'})"
+def min_positive_degree(f: np.ndarray) -> Optional[int]:
+    """The lowest positive degree with a nonzero coefficient, else None."""
+    nonzero = np.flatnonzero(f[1:])
+    return int(nonzero[0] + 2).bit_length() - 1 if len(nonzero) else None
 
 
-def expand(w: Word, D: int) -> NcSeries:
+def series_product(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The truncated product in exact Python ints, which expand never calls:
+    monomials m1 of degree d1 and m2 of degree d2 multiply to
+    m1 * 2^d2 + m2, the flat index of outer(row1, row2)."""
+    if len(f) != len(g):
+        raise ValueError("truncation degrees differ")
+    D = len(f).bit_length() - 1
+    f, g = f.astype(object), g.astype(object)
+    out = np.zeros_like(f)
+    for d1 in range(D + 1):
+        row1 = f[_row(d1)]
+        if not row1.any():
+            continue
+        for d2 in range(D - d1 + 1):
+            out[_row(d1 + d2)] += np.outer(row1, g[_row(d2)]).ravel()
+    return out
+
+
+def expand(w: Word, D: int) -> np.ndarray:
     """Magnus expansion of a word: one slice update per letter (D for an
     inverse letter), on int64 while the overflow guard allows it."""
     _check_degree(D)
@@ -212,7 +172,7 @@ def expand(w: Word, D: int) -> NcSeries:
                 f[target] += f[source]
             else:
                 f[target] -= f[source]
-    return NcSeries(D, f)
+    return f
 
 
 # ----------------------------------------------------------------------
@@ -300,10 +260,10 @@ def _ladder(w: Word, D: int) -> Tuple[Depth, List[int]]:
         return Depth.exact(3), [0, p, -2 * p, q, p, -2 * q, q, 0]
     t = 4
     while t <= D:
-        series = expand(w, t)
-        d = series.min_positive_degree()
+        f = expand(w, t)
+        d = min_positive_degree(f)
         if d is not None:
-            return Depth.exact(d), series.coeffs[_row(d)].tolist()
+            return Depth.exact(d), f[_row(d)].tolist()
         t = D if t < D < 2 * t else 2 * t
     return Depth.at_least(D + 1), []
 

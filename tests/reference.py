@@ -2,7 +2,8 @@
 
 enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
-a word's expansion can be rebuilt as a product of letter series;
+a word's expansion can be rebuilt as a product of letter series, and
+series_rows and series_terms read an expansion's coefficient array;
 generated_elements closes a finite quotient's letter images by search.
 chunked_haar_pairs draws the SU(2) sample stream one chunk at a time, and
 chunked_estimate and repeat_tile_net_max are the sampled estimate and the
@@ -17,12 +18,12 @@ is the free derivative in the integer group ring of F2, which project_fox
 is checked against.
 """
 
-from typing import Dict, Hashable, Iterator, Tuple
+from typing import Dict, Hashable, Iterator, List, Tuple
 
 import numpy as np
 
 from lcslab import almostlaw
-from lcslab.magnus import _BIT, _POSITIVE, NcSeries, _check_degree, _one
+from lcslab.magnus import _BIT, _POSITIVE, _check_degree, _one, _row
 from lcslab.quotients import Quotient
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
 from lcslab.words import LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS, Word
@@ -51,7 +52,7 @@ def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterato
         yield from rec(0, L)
 
 
-def letter_series(letter: int, D: int) -> NcSeries:
+def letter_series(letter: int, D: int) -> np.ndarray:
     """Magnus image of one letter: g -> 1 + X_g, g^-1 -> sum (-1)^i X_g^i."""
     _check_degree(D)
     f = _one(D)
@@ -63,7 +64,19 @@ def letter_series(letter: int, D: int) -> NcSeries:
         for d in range(1, D + 1):
             i = 2 * i + 1 + beta  # X_g^d, the all-beta monomial
             f[i] = -1 if d % 2 else 1
-    return NcSeries(D, f)
+    return f
+
+
+def series_rows(f: np.ndarray) -> List[List[int]]:
+    """The coefficients of each degree as Python ints, rows[d][m]."""
+    return [f[_row(d)].tolist() for d in range(len(f).bit_length())]
+
+
+def series_terms(f: np.ndarray) -> List[Tuple[int, int, int]]:
+    """(degree, packed monomial, coefficient) of every nonzero term, in
+    heap order."""
+    return [(d, m, k) for d, row in enumerate(series_rows(f))
+            for m, k in enumerate(row) if k]
 
 
 def generated_elements(q: Quotient, limit: int = 100000) -> frozenset:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -373,17 +374,33 @@ def test_certification_cost_at_threshold_is_astronomical():
 
 
 def test_propagation_respects_exact_arithmetic():
-    floats = al.propagate_bounds(1.0 / 3.0, 8)
-    exact = [Fraction(floats[0])]  # the contract starts from the given float
+    # the recursion itself, in exact rationals, from the given float
+    bounds = [r.upper for r in al.decay_table(1.0 / 3.0, 8).rows]
+    exact = [Fraction(1.0 / 3.0)]
     exact.append(2 * exact[0] ** 2)
     for n in range(2, 9):
         exact.append(4 * exact[n - 1] ** 2 * exact[n - 2])
-    for f, e in zip(floats, exact):
-        assert Fraction(f) >= e            # round-up never undershoots
-        assert f <= float(e) * (1 + 1e-12) # and stays tight
-    assert al.propagate_bounds(0.25, 0) == [0.25]
-    with pytest.raises(ValueError):
-        al.propagate_bounds(0.25, -1)
+    for f, e in zip(bounds, exact):
+        assert Fraction(f) >= e  # never undershoots
+        assert Fraction(f) <= e * (1 + Fraction(1, 10 ** 12))  # and stays tight
+
+
+def test_decay_bounds_keep_falling_below_the_smallest_double():
+    """The closed form does not underflow: at u0 = 0.3 every bound to level
+    14 is positive and strictly below the one before, d_hat (the level-1
+    ratio) is the same for every n_max from 2 to 14, and the length slope
+    at 14 approaches delta = 0.693888."""
+    t = al.decay_table(0.3, 14)
+    uppers = [r.upper for r in t.rows]
+    assert all(u > 0 for u in uppers)
+    assert all(b < a for a, b in zip(uppers, uppers[1:]))
+    assert uppers[-1] < sys.float_info.min
+    d_hats = {al.decay_table(0.3, n).d_hat for n in range(2, 15)}
+    assert d_hats == {t.d_hat}
+    assert f"{t.d_hat:.12g}" == "0.423181802743"
+    assert abs(t.exponent_hat - 0.68995) <= 0.005
+    last = al.decay_csv(t).splitlines()[-1]
+    assert last.startswith("14,58457426,4.43175837851e-43267,")
 
 
 def test_decay_table_synthetic():
@@ -403,9 +420,9 @@ def test_decay_table_synthetic():
     assert all(len(line.split(",")) == 5 for line in lines)
 
 
-# decay_csv(decay_table(0.3, 8)): every bound is float arithmetic rounded
-# upward and every length a count, so any drift is a change to the
-# recursion, the fits or the family
+# decay_csv(decay_table(0.3, 8)): every bound here is a normal double,
+# printed as that float, and every length a count, so any drift is a change
+# to the recursion, the fits or the family
 _PINNED_DECAY_ROWS = """\
 0,1,0.3,0.510825623766,0.510825623766
 1,4,0.18,1.02165124753,0.423181802743

@@ -290,7 +290,7 @@ BRUTE_FORCE = {
 def _fresh_state(oracle, w: Word):
     """The walker state of w, computed from scratch."""
     if isinstance(oracle, DepthOracle):
-        return expand(w, oracle.n - 1).coeffs.tolist()
+        return expand(w, oracle.n - 1).tolist()
     q = oracle.q
     if isinstance(oracle, DerivedKernelOracle):
         return image(w, q), project_fox(w, q, "a"), project_fox(w, q, "b")
