@@ -14,6 +14,9 @@ in operator norm, which on SU(2) has the closed form d(I, U) = sqrt(2 - tr U):
     form U_n = (2 u0)^P_(n+1) / 2 (P the Pell numbers 1, 2, 5, 12, ...),
     rounded up in 40-digit decimal so that no bound underestimates or
     underflows, beside the family's lengths and the contraction's fits.
+    The lengths come from len_0 = 1, len_1 = 4, len_n = 3 len_(n-1) +
+    2 len_(n-2), with no word built.  The table stops at level 40: at 41 a
+    start bound of 5e-324 underflows even the decimal exponent range.
 
 Evaluation.  An element of SU(2) is a unit quaternion, held as the pair
 (alpha, beta) = (q0 + i q1, q2 + i q3): the first row of [[alpha, beta],
@@ -549,6 +552,7 @@ def seed_search(max_len: int = 16, samples: int = 2000, seed: int = 7
 # exp round to nearest in any context, so their results step one ulp by hand
 _UP = decimal.Context(prec=40, rounding=decimal.ROUND_CEILING,
                       Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+DECAY_N_MAX = 40
 
 
 @dataclass(frozen=True)
@@ -579,10 +583,13 @@ def decay_table(u0: float, n_max: int) -> DecayTable:
         raise ValueError(f"u0 must be in (0, 1/3], not {u0!r}")
     if n_max < 2:
         raise ValueError("n_max must be >= 2 so the fits have enough points")
-    seq = build(n_max)
-    lengths = [len(seq.a(n)) for n in range(n_max + 1)]
-    pell = [1, 2]  # P_1, P_2, ...: P_(n+1) = 2 P_n + P_(n-1)
-    while len(pell) <= n_max:
+    if n_max > DECAY_N_MAX:
+        raise ValueError(f"n_max must be <= {DECAY_N_MAX}: beyond it the "
+                         f"smallest start bounds underflow")
+    # len(a_n) (construction.check_lengths), and P_1, P_2, ... (Pell)
+    lengths, pell = [1, 4], [1, 2]
+    for _ in range(n_max - 1):
+        lengths.append(3 * lengths[-1] + 2 * lengths[-2])
         pell.append(2 * pell[-1] + pell[-2])
     # log(2 U_n) = P_(n+1) log(2 u0) = -m_n, rounded up, so m_n rounds down
     # and U_n up; 2.0 * u0 is exact
@@ -591,7 +598,9 @@ def decay_table(u0: float, n_max: int) -> DecayTable:
     uppers = [_UP.divide(x.exp(_UP).next_plus(_UP), 2) for x in logs]
     ms = [-float(x) for x in logs]
     ratios = [ms[n] / SILVER ** n for n in range(n_max + 1)]
-    exponent_hat = np.polyfit(np.log(lengths), np.log(ms), 1)[0]
+    # the lengths pass int64 near level 35: their logs are taken per int
+    exponent_hat = np.polyfit([math.log(x) for x in lengths], np.log(ms),
+                              1)[0]
     rows = tuple(DecayRow(n=n, length=lengths[n], upper=uppers[n],
                           minus_log_2upper=ms[n], ratio_silver=ratios[n])
                  for n in range(n_max + 1))

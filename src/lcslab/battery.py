@@ -160,8 +160,8 @@ def _check_girth_theorem(ctx) -> Tuple[str, str]:
         try:
             rep = verify_three_x(spec, max_len=cap)
         except NotFoundBelowError as ex:
-            return "inconclusive", (f"{label}: kernel girth not found below "
-                                    f"{ex.bound}")
+            return "inconclusive", (f"{label}: kernel girth not found up "
+                                    f"to length {ex.bound}")
         exact = not isinstance(rep.derived_girth, NotFoundBelow)
         got = (rep.kernel_girth.value, rep.derived_lower)
         # only a budget-capped search may leave the derived girth as a bound
@@ -182,7 +182,8 @@ def _check_beta2(ctx) -> Tuple[str, str]:
         # the structural witness lies beyond the budget; search what we can
         outcome = girth("derived2", cap)
         if isinstance(outcome, NotFoundBelow):
-            return "inconclusive", f"no member below {cap}; need max_len 14"
+            return "inconclusive", (f"no member up to length {cap}; need "
+                                    f"max_len 14")
         return "fail", (f"beta(2) = {outcome.value} < {BETA2}, witness "
                         f"{outcome.witness}")
     bracket = beta_bracket(2)

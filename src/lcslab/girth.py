@@ -1,63 +1,23 @@
-"""Girth of kernel subgroups and their derived subgroups, the 3x lower
-bound verification, and the shortest-member bracket for the second
-derived subgroup.
+"""The 3x lower bound on the girth of a derived kernel subgroup, and the
+shortest-member bracket for the second derived subgroup.  Both rest on
+search.girth, which this module re-exports with GirthResult.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .construction import build
 from .search import (
+    GirthResult,
     NotFoundBelow,
     NotFoundBelowError,
-    SearchStats,
+    girth,
     search_min,  # noqa: F401  perfbench's self-test reads girth.search_min
-    search_mitm,
-    verify_minimum,
+    verify_minimum,  # noqa: F401  and girth.verify_minimum
 )
 from .words import Word
-
-
-@dataclass(frozen=True)
-class GirthResult:
-    value: int
-    witness: Word
-    stats: Optional[SearchStats] = field(default=None, compare=False,
-                                         repr=False)
-
-    def __post_init__(self):
-        if len(self.witness) != self.value:
-            raise ValueError("witness length disagrees with girth value")
-
-
-def girth(oracle_id: str, max_len: int, reverify: bool = True
-          ) -> Union[GirthResult, NotFoundBelow]:
-    """Length of the shortest nontrivial member, by exhaustive search.
-
-    Found by search_mitm, the square-root search, which prunes only on
-    the oracle's declared invariances; the witness is the byte-least
-    member of the minimal length in canonical form.  Either outcome
-    carries the counters as `stats`.  A hit is re-verified by
-    verify_minimum, an unpruned meet in the middle over every shorter
-    reduced word, unless reverify is off; a disagreement raises
-    AssertionError.  NotFoundBelow is an explicit outcome, never an
-    absence claim beyond the bound.
-    """
-    if max_len < 1:
-        raise ValueError("max_len must be >= 1")
-    stats = SearchStats()
-    outcome = search_mitm(oracle_id, max_len, stats)
-    if isinstance(outcome, NotFoundBelow):
-        return dataclasses.replace(outcome, stats=stats)
-    length, witness = outcome
-    if reverify and not verify_minimum(oracle_id, length, witness, stats):
-        raise AssertionError(
-            f"pruned search and independent scan disagree for {oracle_id} "
-            f"at length {length}")
-    return GirthResult(value=length, witness=witness, stats=stats)
 
 
 @dataclass(frozen=True)

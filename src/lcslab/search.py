@@ -3,10 +3,10 @@
 Every oracle maps a word to a group state: its image in a quotient, in
 Z^2 x a quotient, the image plus projected Fox derivatives, or a truncated
 Magnus expansion.  A nontrivial word is a member exactly when its state is
-the identity, and each oracle exposes (identity, step, key) for its states;
-the oracles are the library's one membership interface.  A quotient is the
-pair (identity, step) that quotients.parse_quotient_spec returns; the three
-quotient oracles keep it as q and build their states on its step.  Every
+the identity.  Each oracle's group is the pair (identity, step), the same
+form as the quotient that quotients.parse_quotient_spec returns, and the
+oracles are the library's one membership interface; the three quotient
+oracles keep their quotient as q and build their states on its step.  Every
 oracle decides a normal subgroup of F2 (gamma_n, a kernel, or a derived
 subgroup [N, N]), so every search tests only cyclically reduced words (the
 shortest member of a conjugation-closed set is cyclically reduced, and
@@ -35,33 +35,34 @@ the middle: a reduced word uv is a member exactly when state(u) =
 state(v^-1), so it buckets the left halves by key and looks each right
 half up once, at 3^(L/2) cost per length rather than 3^L.  The halves
 come from a store of levels, every reduced word of length k beside its
-key, each level made once from the one before.  alpha, girth and
-almostlaw.seed_pool_obstruction use it, so every minimum the CLI and the
-battery report comes from it.  search_min serves only the tests'
-cross-checks and the benchmark's pins of its walker counts, which hold
+key, each level made once from the one before.  girth (and so alpha,
+the girth of lcs:n) and almostlaw.seed_pool_obstruction use it, so every
+minimum the CLI and the battery report comes from it.  search_min serves
+only the tests' cross-checks and the benchmark's pins of its walker counts, which hold
 it in place until the benchmark counts the square-root search
 (ROADMAP.md).
 
-A found minimum is re-checked by verify_minimum, which shares none of the
-search's pruning (no symmetry, balance or cyclic prune, no odd-length
-skip): a meet in the middle over every reduced word of every shorter
-length, on the same join as search_mitm, with a store of its own.
+A minimum girth finds is re-checked by verify_minimum, which shares none
+of the search's pruning (no symmetry, balance or cyclic prune, no
+odd-length skip): a meet in the middle over every reduced word of every
+shorter length, on the same join as search_mitm, with a store of its own.
 
 Both join on a key that equal states always share, so a length with no
-key match has no member, and both confirm every key match on the exact
-group() state before it counts.  For lcs:n the key is utkey's row 0 in
-UT(n, F_p), built level by level on arrays; for a derived oracle it is
-the image beside one linear hash of the Fox derivatives (key_group);
-every other oracle joins on its exact state.
+key match has no member, and both confirm every key match by folding the
+word on group() and comparing the state with the identity.  For lcs:n the
+key is utkey's row 0 in UT(n, F_p), built level by level on arrays; for a
+derived oracle it is the state of key_group(), the image beside one linear
+hash of the Fox derivatives; every other oracle joins on its exact state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from operator import add, sub
 from random import Random
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+                    Tuple, Union)
 
 from . import utkey
 from .magnus import _check_degree, _letter_updates
@@ -191,35 +192,31 @@ class Oracle:
     """Membership of nontrivial reduced words in a normal subgroup of F2,
     with the two prunes that vary declared (see the module docstring).
 
-    group() returns (identity, step, key): the state of the empty word,
+    group() returns (identity, step): the state of the empty word, and
     step(state, letter) -> the state of the longer prefix (it never
-    changes its argument), and key(state) -> a hashable value, equal for
-    two states exactly when the states are equal.  Word to state is a
-    homomorphism into a group, so w is a member exactly when its state is
-    the identity.  make_walker wraps the first two in a GroupWalker, which
-    calls step only for a state that is extended or tested.
+    changes its argument).  Word to state is a homomorphism into a group,
+    so w is a member exactly when its state == identity.  make_walker
+    wraps the pair in a GroupWalker, which calls step only for a state
+    that is extended or tested.
 
-    key_group() returns the (identity, step, key) the meet in the middle
-    joins on.  Its one contract: words with equal group() states get
-    equal keys, so a length with no key match has no member.  Distinct
-    states may share a key; every match is confirmed on the exact group()
-    state.  It defaults to group(), whose keys never collide."""
+    key_group() returns the (identity, step) whose hashable states the
+    meet in the middle joins on.  Its one contract: words with equal
+    group() states get equal key states, so a length with no match has
+    no member.  Distinct states may share a key state; every match is
+    confirmed on group().  It defaults to group(), which never collides.
+    lcs:n, whose states are lists, joins on utkey's arrays instead."""
 
     automorphism_invariant = False
     requires_zero_exponent_sums = False
 
-    def group(self) -> Tuple[object, Callable, Callable]:
+    def group(self) -> Tuple[object, Callable]:
         raise NotImplementedError
 
-    def key_group(self) -> Tuple[object, Callable, Callable]:
+    def key_group(self) -> Tuple[object, Callable]:
         return self.group()
 
     def make_walker(self) -> GroupWalker:
         raise NotImplementedError
-
-
-def _state_key(state):
-    return state
 
 
 class KernelOracle(Oracle):
@@ -233,15 +230,10 @@ class KernelOracle(Oracle):
 
     def group(self):
         # state: the image of the prefix in the quotient
-        return (*self.q, _state_key)
+        return self.q
 
     def make_walker(self) -> GroupWalker:
-        return GroupWalker(*self.group()[:2])
-
-
-def _derived_key(state):
-    p, da, db = state
-    return p, frozenset(da.items()), frozenset(db.items())
+        return GroupWalker(*self.group())
 
 
 class DerivedKernelOracle(Oracle):
@@ -278,7 +270,7 @@ class DerivedKernelOracle(Oracle):
                 del table[g]
             return p2, da, db
 
-        return (identity, {}, {}), step, _derived_key
+        return (identity, {}, {}), step
 
     def key_group(self):
         # state: the image p and h = sum of coeff * r(g, gen) mod P61 over
@@ -305,10 +297,10 @@ class DerivedKernelOracle(Oracle):
                 r = table[p2] = draw(P61)
             return p2, (h - r) % P61
 
-        return (identity, 0), step, _state_key
+        return (identity, 0), step
 
     def make_walker(self) -> GroupWalker:
-        return GroupWalker(*self.group()[:2])
+        return GroupWalker(*self.group())
 
 
 class ZeroSumKernelOracle(KernelOracle):
@@ -326,10 +318,10 @@ class ZeroSumKernelOracle(KernelOracle):
             da, db = EXPONENT_DELTA[c]
             return ea + da, eb + db, multiply(p, c)
 
-        return (0, 0, identity), step, _state_key
+        return (0, 0, identity), step
 
     def make_walker(self) -> GroupWalker:
-        return GroupWalker(*self.group()[:2])
+        return GroupWalker(*self.group())
 
 
 class DepthOracle(Oracle):
@@ -363,10 +355,10 @@ class DepthOracle(Oracle):
                 out[target] = map(op, out[target], out[source])
             return out
 
-        return [1] + [0] * ((2 << D) - 2), step, tuple
+        return [1] + [0] * ((2 << D) - 2), step
 
     def make_walker(self) -> GroupWalker:
-        return GroupWalker(*self.group()[:2])
+        return GroupWalker(*self.group())
 
 
 def build_oracle(oracle_id: str) -> Oracle:
@@ -429,8 +421,8 @@ class SearchStats:
 @dataclass(frozen=True)
 class NotFoundBelow:
     """The bounded search exhausted every length <= bound with no member.
-    Says nothing about longer words.  girth() attaches the engine
-    counters as stats; search_min returns them beside the outcome."""
+    Says nothing about longer words.  search_mitm attaches its counters as
+    stats; search_min returns them beside the outcome."""
     bound: int
     stats: Optional[SearchStats] = field(default=None, compare=False,
                                          repr=False)
@@ -553,32 +545,28 @@ _FIRST = [(c, bytes([c])) for c in _BYTE_ORDER]
 
 
 class _Levels:
-    """Every reduced word of length k in byte order, beside the join key of
-    its state, for an oracle's key_group() (identity, step, key).  Level
-    k+1 is made from level k, three letters per word in byte order.  Every
-    level keeps its words and keys, and only the newest its states: one
-    store serves the later lengths of one search, and no other."""
+    """Every reduced word of length k in byte order, beside its state, the
+    join key, for an oracle's key_group() (identity, step).  Level k+1 is
+    made from level k, three letters per word in byte order.  Every level
+    keeps its words and states: one store serves the later lengths of one
+    search, and no other."""
 
-    def __init__(self, identity, step, key):
-        self.step, self.key = step, key
-        self.words: List[List[bytes]] = [[b""]]
-        self.keys: List[list] = [[key(identity)]]
-        self.states = [identity]
+    def __init__(self, identity, step):
+        self.step = step
+        self.levels: List[Tuple[List[bytes], list]] = [([b""], [identity])]
 
     def level(self, k: int) -> Tuple[List[bytes], list]:
-        """(words, keys) of the reduced words of length k."""
+        """(words, states) of the reduced words of length k."""
         step = self.step
-        while len(self.words) <= k:
+        while len(self.levels) <= k:
             words, states = [], []
             add_word, add_state = words.append, states.append
-            for w, state in zip(self.words[-1], self.states):
+            for w, state in zip(*self.levels[-1]):
                 for c, letter in (_NEXT[w[-1]] if w else _FIRST):
                     add_word(w + letter)
                     add_state(step(state, c))
-            self.words.append(words)
-            self.keys.append(list(map(self.key, states)))
-            self.states = states
-        return self.words[k], self.keys[k]
+            self.levels.append((words, states))
+        return self.levels[k]
 
     def joins(self, length: int, split: int, roots: bytes,
               cyclic: bool) -> List[bytes]:
@@ -610,13 +598,9 @@ def _confirmed(oracle: Oracle, words: List[bytes], stats: SearchStats
                ) -> Iterator[bytes]:
     """The words whose exact group() state is the identity, in the given
     order; each other one is a key collision, counted in stats."""
-    identity, step, key = oracle.group()
-    target = key(identity)
+    identity, step = oracle.group()
     for w in words:
-        state = identity
-        for c in w:
-            state = step(state, c)
-        if key(state) == target:
+        if reduce(step, w, identity) == identity:
             yield w
         else:
             stats.key_collisions += 1
@@ -633,9 +617,9 @@ def _key_levels(oracle: Oracle):
 def search_mitm(oracle_id: str, max_len: int,
                 stats: Optional[SearchStats] = None):
     """Shortest member as (length, canonical witness Word), or
-    NotFoundBelow(max_len): the outcome of search_min under engine_flags,
-    found by meeting in the middle at 3^(L/2) cost per length instead of
-    3^L.
+    NotFoundBelow(max_len) carrying stats: the outcome of search_min under
+    engine_flags, found by meeting in the middle at 3^(L/2) cost per
+    length instead of 3^L.
 
     Joins are cyclically reduced, and it prunes what the oracle declares:
     left halves start with 'A' when it is automorphism-invariant, and odd
@@ -671,7 +655,7 @@ def search_mitm(oracle_id: str, max_len: int,
         best = next(_confirmed(oracle, joins, stats), None)
         if best is not None:
             return L, Word.from_reduced(best)
-    return NotFoundBelow(max_len)
+    return NotFoundBelow(max_len, stats)
 
 
 def verify_minimum(oracle_id: str, found_length: int, witness: Word,
@@ -689,12 +673,9 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word,
     match exactly.  Returns False at the first shorter member.
     """
     oracle = build_oracle(oracle_id)
-    identity, step, key = oracle.group()
-    state = identity
-    for c in witness.data:
-        state = step(state, c)
+    identity, step = oracle.group()
     if (len(witness) != found_length or not witness
-            or key(state) != key(identity)):
+            or reduce(step, witness.data, identity) != identity):
         return False
     levels = _key_levels(oracle)
     stats = SearchStats() if stats is None else stats
@@ -706,7 +687,39 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word,
 
 
 # ----------------------------------------------------------------------
-# alpha table
+# girth and the alpha table
+
+@dataclass(frozen=True)
+class GirthResult:
+    value: int
+    witness: Word
+    stats: Optional[SearchStats] = field(default=None, compare=False,
+                                         repr=False)
+
+    def __post_init__(self):
+        if len(self.witness) != self.value:
+            raise ValueError("witness length disagrees with girth value")
+
+
+def girth(oracle_id: str, max_len: int, reverify: bool = True
+          ) -> Union[GirthResult, NotFoundBelow]:
+    """Length of the shortest nontrivial member, by search_mitm, with the
+    byte-least member of that length in canonical form.  Either outcome
+    carries the counters as `stats`.  A hit is re-verified by
+    verify_minimum unless reverify is off; a disagreement raises
+    AssertionError.  NotFoundBelow is an explicit outcome, never an
+    absence claim beyond the bound."""
+    stats = SearchStats()
+    outcome = search_mitm(oracle_id, max_len, stats)
+    if isinstance(outcome, NotFoundBelow):
+        return outcome
+    length, witness = outcome
+    if reverify and not verify_minimum(oracle_id, length, witness, stats):
+        raise AssertionError(
+            f"pruned search and independent scan disagree for {oracle_id} "
+            f"at length {length}")
+    return GirthResult(value=length, witness=witness, stats=stats)
+
 
 class NotFoundBelowError(RuntimeError):
     def __init__(self, bound: int):
@@ -724,27 +737,18 @@ class AlphaEntry:
 
 
 def alpha(n: int, max_len: int, D: int) -> AlphaEntry:
-    """Shortest word at lower-central depth >= n, exact below max_len.
-
-    Found by search_mitm and re-checked by verify_minimum; a refuted
-    minimum raises AssertionError.  The entry counts the key collisions
-    both of them refuted."""
+    """Shortest word at lower-central depth >= n, exact below max_len: the
+    girth of lcs:n, whose NotFoundBelow raises NotFoundBelowError here.
+    The entry counts the key collisions the search and re-check refuted."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if D < n:
         raise ValueError("truncation degree must be >= n")
-    oracle_id = f"lcs:{n}"
-    stats = SearchStats()
-    outcome = search_mitm(oracle_id, max_len, stats)
+    outcome = girth(f"lcs:{n}", max_len)
     if isinstance(outcome, NotFoundBelow):
         raise NotFoundBelowError(outcome.bound)
-    length, witness = outcome
-    if not verify_minimum(oracle_id, length, witness, stats):
-        raise AssertionError(
-            f"square-root search and independent scan disagree for "
-            f"{oracle_id} at length {length}")
-    return AlphaEntry(n=n, value=length, witness=witness,
-                      key_collisions=stats.key_collisions)
+    return AlphaEntry(n=n, value=outcome.value, witness=outcome.witness,
+                      key_collisions=outcome.stats.key_collisions)
 
 
 def alpha_table(n_max: int, max_len: int) -> List[AlphaEntry]:

@@ -1,3 +1,4 @@
+import decimal
 import math
 import sys
 from fractions import Fraction
@@ -475,6 +476,33 @@ def test_decay_table_rejections():
                       (1.0 / 3.0, 1)):
         with pytest.raises(ValueError):
             al.decay_table(u0, n_max)
+    with pytest.raises(ValueError, match="<= 40"):
+        al.decay_table(0.3, al.DECAY_N_MAX + 1)
+
+
+def test_decay_lengths_are_the_family_lengths_and_build_no_word(monkeypatch):
+    seq = build(14)
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the decay table built the family")
+
+    monkeypatch.setattr(al, "build", unbuilt)
+    t = al.decay_table(0.3, 14)
+    assert [r.length for r in t.rows] == [len(seq.a(n)) for n in range(15)]
+
+
+@pytest.mark.parametrize("u0", [5e-324, 1.0 / 3.0])
+def test_decay_bounds_keep_falling_to_the_last_level(u0):
+    # at level 40 even the smallest double's bound is a normal 40-digit
+    # decimal; one level more and 5e-324 underflows the context
+    decimal_up = al._UP
+    decimal_up.clear_flags()
+    t = al.decay_table(u0, al.DECAY_N_MAX)
+    assert not (decimal_up.flags[decimal.Underflow]
+                or decimal_up.flags[decimal.Subnormal])
+    uppers = [r.upper for r in t.rows]
+    assert len(uppers) == 41 and all(u > 0 for u in uppers)
+    assert all(b < a for a, b in zip(uppers, uppers[1:]))
 
 
 def test_icosahedral_gap_identity():

@@ -128,14 +128,14 @@ def test_output_is_deterministic(argv, expect):
 
 
 def test_girth_reverifies_every_minimum(monkeypatch, capsys):
-    from lcslab import girth as girth_module
+    from lcslab import search
     calls = []
 
     def refuting(oracle_id, length, witness, stats=None):
         calls.append((oracle_id, length, str(witness)))
         return False
 
-    monkeypatch.setattr(girth_module, "verify_minimum", refuting)
+    monkeypatch.setattr(search, "verify_minimum", refuting)
     assert cli.main(["girth", "--quotient", "z2", "--max-len", "6"]) == 1
     assert calls == [("z2", 4, "ABab")]
     assert "disagree" in capsys.readouterr().err
@@ -475,9 +475,13 @@ def test_battery_constants_check_fails_on_delta():
 def test_battery_budgets_give_inconclusive():
     row = battery.run_check("alpha-table", _ctx(10))
     assert row.status == "inconclusive", row.detail
+    # NotFoundBelow(3) rules out every length <= 3, and the rows say so
     row = battery.run_check("girth-theorem", _ctx(3))
     assert row.status == "inconclusive", row.detail
-    assert "z2" in row.detail
+    assert row.detail == "z2: kernel girth not found up to length 3"
+    row = battery.run_check("beta2-bracket", _ctx(3))
+    assert row.status == "inconclusive", row.detail
+    assert row.detail == "no member up to length 3; need max_len 14"
     # a search cut short by the budget never turns into a failure
     for cap in (1, 2, 3, 8, 10, 12, 13):
         for name in ("alpha-table", "girth-theorem", "beta2-bracket"):

@@ -1,3 +1,4 @@
+from functools import reduce
 from types import SimpleNamespace
 
 import pytest
@@ -165,6 +166,23 @@ def test_alpha_6_is_pinned():
     e6 = alpha(6, 22, 6)
     assert (e6.value, str(e6.witness)) == (22, "AAABaabABAbaaaBAAbaBab")
     assert e6.key_collisions == 0
+
+
+@pytest.mark.parametrize("n,cap", [(2, 14), (3, 14), (4, 14), (5, 12),
+                                   (6, 12)])
+def test_alpha_is_the_girth_of_lcs_n(n, cap):
+    # the benchmark's depth-search queries: alpha(5) = 14 and alpha(6) = 22
+    # lie beyond the cap of 12
+    found = girth(f"lcs:{n}", cap)
+    assert isinstance(found, NotFoundBelow) == (n >= 5)
+    if isinstance(found, NotFoundBelow):
+        with pytest.raises(NotFoundBelowError) as raised:
+            alpha(n, cap, n)
+        assert raised.value.bound == found.bound == cap
+        return
+    entry = alpha(n, cap, n)
+    assert (entry.value, entry.witness, entry.key_collisions) == (
+        found.value, found.witness, found.stats.key_collisions)
 
 
 def test_alpha_requires_degree_at_least_n():
@@ -404,12 +422,11 @@ def test_verify_minimum_rejections():
 
 
 def _constant_key(monkeypatch, cls):
-    """Patch cls.key_group so every state has the same key: every join the
-    meet in the middle makes is then a match, confirmed on its exact
-    state."""
-    key_group = cls.key_group
+    """Patch cls.key_group so every word has the same key state: every
+    join the meet in the middle makes is then a match, confirmed on its
+    exact state."""
     monkeypatch.setattr(cls, "key_group",
-                        lambda self: (*key_group(self)[:2], lambda state: 0))
+                        lambda self: (0, lambda state, letter: 0))
 
 
 @pytest.mark.parametrize("oid,witness", [
@@ -490,33 +507,29 @@ def test_girth_agrees_with_dfs_at_length_14(oid):
 
 @pytest.mark.parametrize("oid", sorted(BRUTE_FORCE))
 def test_group_keys_are_equal_exactly_when_states_are(oid):
-    identity, step, key = build_oracle(oid).group()
-    states = []
-    for w in enumerate_words(4):
-        state = identity
-        for c in w.data:
-            state = step(state, c)
-        states.append((state, key(state)))
-    for s, ks in states:
-        for t, kt in states:
-            assert (ks == kt) == (s == t)
+    # word to state is a homomorphism whose kernel is the oracle's
+    # subgroup, so == on states decides u = v modulo it
+    identity, step = build_oracle(oid).group()
+    words = [Word.parse("")] + list(enumerate_words(4))
+    states = [reduce(step, w.data, identity) for w in words]
+    member = {}
+    for u, su in zip(words, states):
+        for v, sv in zip(words, states):
+            w = u * ~v
+            if w not in member:
+                member[w] = not w or BRUTE_FORCE[oid](w)
+            assert (su == sv) == member[w], (u, v)
 
 
 @pytest.mark.parametrize("oid", ["z2", "derived2", "zerosum-" + S3_KERNEL])
 def test_store_levels_are_the_reduced_words_in_byte_order(oid):
-    identity, step, key = build_oracle(oid).key_group()
-    levels = search._Levels(identity, step, key)
+    identity, step = build_oracle(oid).key_group()
+    levels = search._Levels(identity, step)
     for k in range(7):
-        words, keys = levels.level(k)
+        words, states = levels.level(k)
         assert words == ([w.data for w in enumerate_words(6) if len(w) == k]
                          or [b""])
-        for w, kw in zip(words, keys):
-            state = identity
-            for c in w:
-                state = step(state, c)
-            assert key(state) == kw
-        # only the newest level keeps its states
-        assert len(levels.states) == len(words)
+        assert states == [reduce(step, w, identity) for w in words]
 
 
 @pytest.mark.parametrize("oid", [
@@ -529,7 +542,9 @@ def test_hashed_keys_group_words_as_exact_keys_do(oid):
     for k in range(7):
         words, keys = hashed.level(k)
         assert exact.level(k)[0] == words
-        pairs += zip(keys, exact.level(k)[1])
+        # an exact state's Fox derivatives are dicts: frozen to hash them
+        pairs += zip(keys, [(p, frozenset(da.items()), frozenset(db.items()))
+                            for p, da, db in exact.level(k)[1]])
     # one class of equal hashed keys per class of equal exact keys: u and
     # v share a state when u v^-1 is a member, which the derived S3 and
     # Klein subgroups have at length 10 and 8, derived2 only at 14

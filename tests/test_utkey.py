@@ -82,8 +82,11 @@ _PARAMETERS = {
 def test_key_join_agrees_with_the_generic_join(n, join):
     oracle = build_oracle(f"lcs:{n}")
     levels = utkey.Levels(n)
-    # the level store on the exact expansion, whose keys never collide
-    exact = search._Levels(*oracle.key_group())
+    # the level store on the exact expansion, whose states never collide,
+    # held as tuples so that they hash
+    identity, step = oracle.group()
+    exact = search._Levels(tuple(identity),
+                           lambda state, c: tuple(step(list(state), c)))
     stats = SearchStats()
     for length in range(1, 11):
         split, roots, cyclic = _PARAMETERS[join](length)
