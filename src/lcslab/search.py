@@ -45,7 +45,13 @@ it in place until the benchmark counts the square-root search
 A minimum girth finds is re-checked by verify_minimum, which shares none
 of the search's pruning (no symmetry, balance or cyclic prune, no
 odd-length skip): a meet in the middle over every reduced word of every
-shorter length, on the same join as search_mitm, with a store of its own.
+shorter length, on the same join as search_mitm.  Within one girth call
+the two share one store, since a level is a pure function of the oracle
+and its fixed seeds and a second store would hold the same bytes; the
+store lives only for that call.  What stays the re-check's own is its
+oracle, built again from the id, which pairs it joins, at every shorter
+length with no prune, and the exact group() confirmation of every
+match and of the witness.
 
 Both join on a key that equal states always share, so a length with no
 key match has no member, and both confirm every key match by folding the
@@ -204,7 +210,9 @@ class Oracle:
     group() states get equal key states, so a length with no match has
     no member.  Distinct states may share a key state; every match is
     confirmed on group().  It defaults to group(), which never collides.
-    lcs:n, whose states are lists, joins on utkey's arrays instead."""
+    lcs:n, whose group() states are lists, gives them as tuples, but
+    the search joins lcs:n on utkey's arrays (_key_levels); its
+    key_group() serves only to check that join against exact states."""
 
     automorphism_invariant = False
     requires_zero_exponent_sums = False
@@ -356,6 +364,12 @@ class DepthOracle(Oracle):
             return out
 
         return [1] + [0] * ((2 << D) - 2), step
+
+    def key_group(self):
+        # the exact expansion as a tuple, so that it hashes; the search
+        # never calls this, as it joins lcs:n on utkey's arrays
+        identity, step = self.group()
+        return tuple(identity), lambda state, c: tuple(step(list(state), c))
 
     def make_walker(self) -> GroupWalker:
         return GroupWalker(*self.group())
@@ -549,11 +563,12 @@ class _Levels:
     join key, for an oracle's key_group() (identity, step).  Level k+1 is
     made from level k, three letters per word in byte order.  Every level
     keeps its words and states: one store serves the later lengths of one
-    search, and no other."""
+    search and of its re-check, and no other."""
 
     def __init__(self, identity, step):
         self.step = step
         self.levels: List[Tuple[List[bytes], list]] = [([b""], [identity])]
+        self.distinct: Dict[int, bool] = {}  # level -> no two states equal
 
     def level(self, k: int) -> Tuple[List[bytes], list]:
         """(words, states) of the reduced words of length k."""
@@ -568,6 +583,15 @@ class _Levels:
             self.levels.append((words, states))
         return self.levels[k]
 
+    def _is_distinct(self, k: int) -> bool:
+        """Whether no two reduced words of length k share a state, found in
+        one pass the first time it is asked."""
+        distinct = self.distinct.get(k)
+        if distinct is None:
+            states = self.level(k)[1]
+            distinct = self.distinct[k] = len(set(states)) == len(states)
+        return distinct
+
     def joins(self, length: int, split: int, roots: bytes,
               cyclic: bool) -> List[bytes]:
         """Every word uv of this length, with |u| = split and first(u) in
@@ -578,14 +602,23 @@ class _Levels:
         A reduced word uv is a member exactly when state(u) = state(v'),
         where v' = v^-1, and it is reduced exactly when last(u) !=
         last(v').  The left halves u go into buckets by key, and each
-        right half v' is looked up once."""
+        right half v' is looked up once.  Two joins end early with
+        nothing, exactly where the lookups would keep no pair: halves of
+        equal length on a level whose states are distinct, where each u
+        meets only itself and u u^-1 is not reduced, and halves that share
+        no state."""
+        if split == length - split and self._is_distinct(split):
+            return []
         buckets: Dict[object, List[bytes]] = {}
         for u, key in zip(*self.level(split)):
             if not u or u[0] in roots:
                 buckets.setdefault(key, []).append(u)
+        right_words, right_keys = self.level(length - split)
+        if split != length - split and buckets.keys().isdisjoint(right_keys):
+            return []
         get = buckets.get
         out = []
-        for v1, key in zip(*self.level(length - split)):
+        for v1, key in zip(right_words, right_keys):
             for u in get(key, ()):
                 if u and v1 and (u[-1] == v1[-1] or (cyclic and u[0] == v1[0])):
                     continue
@@ -608,7 +641,9 @@ def _confirmed(oracle: Oracle, words: List[bytes], stats: SearchStats
 
 def _key_levels(oracle: Oracle):
     """A fresh join store: utkey's UT(n, F_p) key arrays for an lcs:n
-    oracle, the level store on key_group() for every other."""
+    oracle, the level store on key_group() for every other.  A level is a
+    pure function of the oracle and its fixed seeds, so a search and its
+    re-check may share one store and see the same bytes."""
     if isinstance(oracle, DepthOracle):
         return utkey.Levels(oracle.n)
     return _Levels(*oracle.key_group())
@@ -638,10 +673,14 @@ def search_mitm(oracle_id: str, max_len: int,
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     oracle = build_oracle(oracle_id)
+    return _meet(oracle, _key_levels(oracle), max_len,
+                 SearchStats() if stats is None else stats)
+
+
+def _meet(oracle: Oracle, levels, max_len: int, stats: SearchStats):
+    """search_mitm's search, on an oracle and a join store."""
     automorphism = oracle.automorphism_invariant
     roots = b"A" if automorphism else _BYTE_ORDER
-    levels = _key_levels(oracle)
-    stats = SearchStats() if stats is None else stats
     for L in range(1, max_len + 1):
         if oracle.requires_zero_exponent_sums and L % 2:
             continue
@@ -659,7 +698,8 @@ def search_mitm(oracle_id: str, max_len: int,
 
 
 def verify_minimum(oracle_id: str, found_length: int, witness: Word,
-                   stats: Optional[SearchStats] = None) -> bool:
+                   stats: Optional[SearchStats] = None, *,
+                   levels=None) -> bool:
     """Independent re-check: the witness has the claimed length and is a
     member, and no reduced word shorter than it is.
 
@@ -669,15 +709,18 @@ def verify_minimum(oracle_id: str, found_length: int, witness: Word,
     cyclic prune.  Each shorter word is tested once, as one pair of
     halves, and the pairs are found by key lookup, so the cost is about
     3^(found_length/2) rather than 3^(found_length-1).  It joins on the
-    same keys as search_mitm, in a store of its own, and confirms each
-    match exactly.  Returns False at the first shorter member.
+    same keys as search_mitm and confirms each match on the exact
+    group() state.  levels is the join store: girth passes the one its
+    search filled, whose levels hold the same bytes a fresh one would
+    build, and called alone it makes a fresh _key_levels(oracle).
+    Returns False at the first shorter member.
     """
     oracle = build_oracle(oracle_id)
     identity, step = oracle.group()
     if (len(witness) != found_length or not witness
             or reduce(step, witness.data, identity) != identity):
         return False
-    levels = _key_levels(oracle)
+    levels = _key_levels(oracle) if levels is None else levels
     stats = SearchStats() if stats is None else stats
     for length in range(1, found_length):
         joins = levels.joins(length, length // 2, _BYTE_ORDER, False)
@@ -703,18 +746,24 @@ class GirthResult:
 
 def girth(oracle_id: str, max_len: int, reverify: bool = True
           ) -> Union[GirthResult, NotFoundBelow]:
-    """Length of the shortest nontrivial member, by search_mitm, with the
-    byte-least member of that length in canonical form.  Either outcome
-    carries the counters as `stats`.  A hit is re-verified by
-    verify_minimum unless reverify is off; a disagreement raises
-    AssertionError.  NotFoundBelow is an explicit outcome, never an
-    absence claim beyond the bound."""
+    """Length of the shortest nontrivial member, by search_mitm's meet in
+    the middle, with the byte-least member of that length in canonical
+    form.  Either outcome carries the counters as `stats`.  A hit is
+    re-verified by verify_minimum unless reverify is off; a disagreement
+    raises AssertionError.  NotFoundBelow is an explicit outcome, never an
+    absence claim beyond the bound.  The search and the re-check share
+    one join store, made here and dropped on return."""
+    if max_len < 1:
+        raise ValueError("max_len must be >= 1")
+    oracle = build_oracle(oracle_id)
+    levels = _key_levels(oracle)
     stats = SearchStats()
-    outcome = search_mitm(oracle_id, max_len, stats)
+    outcome = _meet(oracle, levels, max_len, stats)
     if isinstance(outcome, NotFoundBelow):
         return outcome
     length, witness = outcome
-    if reverify and not verify_minimum(oracle_id, length, witness, stats):
+    if reverify and not verify_minimum(oracle_id, length, witness, stats,
+                                       levels=levels):
         raise AssertionError(
             f"pruned search and independent scan disagree for {oracle_id} "
             f"at length {length}")

@@ -30,7 +30,7 @@ ascending j, each product below 2^62.  Both act on a whole level at once.
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class Levels:
     bytes (N, k), beside its key rows (N, n-1), the order that sorts their
     uint64 hashes, and the sorted hashes.  Level k+1 is made from level k,
     three letters per word, and each level is kept for the later lengths
-    of the same search."""
+    of the same search and of its re-check."""
 
     def __init__(self, n: int):
         self.x = evaluation_point(n)
@@ -87,6 +87,7 @@ class Levels:
             (np.zeros((1, 0), dtype=np.uint8),
              np.zeros((1, n - 1), dtype=np.int64),
              np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.uint64))]
+        self.distinct: Dict[int, bool] = {}  # level -> no two hashes equal
 
     def level(self, k: int) -> Tuple[np.ndarray, ...]:
         """(words, keys, order, sorted hashes) of the reduced words of
@@ -119,6 +120,15 @@ class Levels:
             h += keys[:, j].view(np.uint64) * m  # wraps modulo 2^64
         return h
 
+    def _is_distinct(self, k: int) -> bool:
+        """Whether no two reduced words of length k hash alike, found in
+        one pass over the sorted hashes the first time it is asked."""
+        distinct = self.distinct.get(k)
+        if distinct is None:
+            h = self.level(k)[3]
+            distinct = self.distinct[k] = bool((h[1:] != h[:-1]).all())
+        return distinct
+
     def joins(self, length: int, split: int, roots: bytes,
               cyclic: bool) -> List[bytes]:
         """Every word uv of this length, with |u| = split and first(u) in
@@ -128,7 +138,13 @@ class Levels:
 
         Both sides are taken in key hash order, so each right half v^-1
         finds its run of equal left hashes by searchsorted in one pass;
-        pairs whose hashes match but whose key rows differ are dropped."""
+        pairs whose hashes match but whose key rows differ are dropped.
+        Two joins end early with nothing, exactly where the full route
+        would keep no pair: halves of equal length on a level whose hashes
+        are distinct, where each u meets only itself and u u^-1 is not
+        reduced, and halves that share no hash."""
+        if split == length - split and self._is_distinct(split):
+            return []
         lw, lk, lorder, lh = self.level(split)
         if len(roots) < len(LETTERS):
             is_root = np.zeros(256, dtype=bool)
@@ -136,6 +152,11 @@ class Levels:
             first = is_root[lw[lorder, 0]]
             lorder, lh = lorder[first], lh[first]
         rw, rk, rorder, rh = self.level(length - split)
+        if split != length - split:
+            # the left halves are the fewer here: look each up on the right
+            at = np.minimum(np.searchsorted(rh, lh), len(rh) - 1)
+            if not (rh[at] == lh).any():
+                return []
         lo = np.searchsorted(lh, rh, side="left")
         count = np.searchsorted(lh, rh, side="right") - lo
         ri = np.repeat(np.arange(len(rh)), count)

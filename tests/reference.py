@@ -4,7 +4,8 @@ enumerate_words lists reduced words one by one, with no level store and no
 meet in the middle; letter_series gives the Magnus image of one letter, so
 a word's expansion can be rebuilt as a product of letter series, and
 series_rows and series_terms read an expansion's coefficient array;
-generated_elements closes a finite quotient's letter images by search.
+generated_elements closes a finite quotient's letter images by search;
+folded_joins makes a level store's joins one word at a time.
 chunked_haar_pairs draws the SU(2) sample stream one chunk at a time, and
 chunked_estimate and repeat_tile_net_max are the sampled estimate and the
 grid's net maximum on copied-out pairs, one chunk or block at a time.
@@ -18,7 +19,7 @@ is the free derivative in the integer group ring of F2, which project_fox
 is checked against.
 """
 
-from typing import Dict, Hashable, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +27,8 @@ from lcslab import almostlaw
 from lcslab.magnus import _BIT, _POSITIVE, _check_degree, _one, _row
 from lcslab.quotients import Quotient
 from lcslab.search import _ALLOWED, _BYTE_ORDER, SearchFlags, canonical_bytes
-from lcslab.words import LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS, Word
+from lcslab.words import (LETTER_A, LETTER_AI, LETTER_B, LETTER_BI, LETTERS,
+                          Word, inverse_bytes, inverse_letter)
 
 
 def enumerate_words(max_len: int, flags: SearchFlags = SearchFlags()) -> Iterator[Word]:
@@ -118,6 +120,28 @@ def fox_derivative(w: Word, gen: str) -> Dict[Word, int]:
             key = data[:i + 1]
             out[key] = out.get(key, 0) - 1
     return {Word.from_reduced(k): v for k, v in out.items() if v}
+
+
+def folded_joins(group: Quotient, words: Sequence[bytes], split: int,
+                 roots: bytes, cyclic: bool) -> List[bytes]:
+    """A level store's joins, made one word at a time: the words w = uv
+    among the given reduced words, in their order, with |u| = split,
+    first(u) in roots (w cyclically reduced too, with cyclic), whose
+    halves u and v^-1 fold to the same state on group, an (identity, step)
+    pair.  Each half is folded letter by letter from the identity, and
+    no level store is made."""
+    identity, step = group
+    states = {b"": identity}
+
+    def fold(w: bytes):
+        if w not in states:
+            states[w] = step(fold(w[:-1]), w[-1])
+        return states[w]
+
+    return [w for w in words
+            if not (split and w[0] not in roots)
+            and not (cyclic and w[0] == inverse_letter(w[-1]))
+            and fold(w[:split]) == fold(inverse_bytes(w[split:]))]
 
 
 def image(w: Word, q: Quotient) -> Hashable:

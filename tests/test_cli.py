@@ -131,7 +131,7 @@ def test_girth_reverifies_every_minimum(monkeypatch, capsys):
     from lcslab import search
     calls = []
 
-    def refuting(oracle_id, length, witness, stats=None):
+    def refuting(oracle_id, length, witness, stats=None, *, levels=None):
         calls.append((oracle_id, length, str(witness)))
         return False
 
@@ -158,7 +158,7 @@ def test_alpha_reverifies_every_minimum(monkeypatch, capsys):
     from lcslab import search
     calls = []
 
-    def refuting(oracle_id, length, witness, stats=None):
+    def refuting(oracle_id, length, witness, stats=None, *, levels=None):
         calls.append((oracle_id, length, str(witness)))
         return False
 

@@ -1,10 +1,11 @@
 from functools import reduce
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lcslab import search
+from lcslab import search, utkey
 from lcslab.almostlaw import _a5_block_spec, seed_pool_obstruction
 from lcslab.battery import matches_printed, quotient_tables, report_constants
 from lcslab.construction import build
@@ -405,6 +406,65 @@ def test_verify_minimum_agrees_with_brute_force(oid):
             assert verify_minimum(oid, L, members[L]) == (L == shortest)
         if L in others:
             assert not verify_minimum(oid, L, others[L])
+
+
+def _record_level_builds(monkeypatch) -> list:
+    """The index of every level any join store builds, in build order."""
+    built = []
+    for cls in (utkey.Levels, search._Levels):
+        def level(self, k, original=cls.level):
+            before = len(self.levels)
+            out = original(self, k)
+            built.extend(range(before, len(self.levels)))
+            return out
+        monkeypatch.setattr(cls, "level", level)
+    return built
+
+
+@pytest.mark.parametrize("oid,value,top", [
+    ("lcs:4", 14, 7), ("derived-" + KLEIN_KERNEL, 8, 4)])
+def test_girth_builds_each_level_once(monkeypatch, oid, value, top):
+    # the search and the re-check share one store: lcs:4 on utkey's
+    # arrays, the derived Klein oracle on the generic store
+    built = _record_level_builds(monkeypatch)
+    found = girth(oid, 14)
+    assert found.value == value
+    assert built == list(range(1, top + 1))
+    # called alone, the re-check builds a store of its own
+    del built[:]
+    assert verify_minimum(oid, value, found.witness)
+    assert built == list(range(1, top + 1))
+
+
+def _level_copies(levels) -> list:
+    return [[np.array(part) if isinstance(part, np.ndarray) else list(part)
+             for part in level] for level in levels.levels]
+
+
+@pytest.mark.parametrize("store", [
+    lambda: utkey.Levels(3),
+    lambda: search._Levels(*build_oracle("lcs:3").key_group()),
+    lambda: search._Levels(*build_oracle("derived-" + KLEIN_KERNEL)
+                           .key_group())])
+def test_joins_leave_the_levels_unchanged(store):
+    # lengths up to 10 reach both early exits and joins that keep pairs:
+    # lcs:3 and the derived Klein subgroup have members at length 8
+    levels = store()
+    levels.level(5)
+    before = _level_copies(levels)
+    kept = 0
+    for length in range(1, 11):
+        kept += len(levels.joins(length, (length + 1) // 2, b"A", True))
+        kept += len(levels.joins(length, length // 2, b"ABab", False))
+    assert kept
+    after = _level_copies(levels)
+    assert len(after) == len(before) == 6
+    for old, new in zip(before, after):
+        for a, b in zip(old, new):
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            else:
+                assert a == b
 
 
 def test_verify_minimum_rejections():

@@ -9,7 +9,7 @@ from lcslab.construction import build
 from lcslab.girth import girth
 from lcslab.search import SearchStats, build_oracle, search_mitm, verify_minimum
 from lcslab.words import Word, inverse_letter, random_word
-from reference import enumerate_words
+from reference import enumerate_words, folded_joins
 
 
 def _key(w: bytes, x: np.ndarray) -> list:
@@ -82,11 +82,8 @@ _PARAMETERS = {
 def test_key_join_agrees_with_the_generic_join(n, join):
     oracle = build_oracle(f"lcs:{n}")
     levels = utkey.Levels(n)
-    # the level store on the exact expansion, whose states never collide,
-    # held as tuples so that they hash
-    identity, step = oracle.group()
-    exact = search._Levels(tuple(identity),
-                           lambda state, c: tuple(step(list(state), c)))
+    # the level store on the exact expansion, whose states never collide
+    exact = search._Levels(*oracle.key_group())
     stats = SearchStats()
     for length in range(1, 11):
         split, roots, cyclic = _PARAMETERS[join](length)
@@ -97,6 +94,31 @@ def test_key_join_agrees_with_the_generic_join(n, join):
         assert len(keyed) == len(set(keyed))
         assert set(keyed) == set(generic), (length, split)
     assert stats.key_collisions == 0
+
+
+def test_both_stores_join_as_folding_each_word_does():
+    # every split the search and the re-check use, on utkey's arrays and
+    # on the generic store over lcs:n's exact expansions, against joins
+    # made one word at a time; every word is in lcs:1, so there every
+    # join keeps pairs, unequal halves included
+    by_length = {}
+    for w in enumerate_words(10):
+        by_length.setdefault(len(w), []).append(w.data)
+    for n in range(1, 6):
+        oracle = build_oracle(f"lcs:{n}")
+        stores = (utkey.Levels(n), search._Levels(*oracle.key_group()))
+        members = 0
+        for length, words in sorted(by_length.items()):
+            for join in sorted(_PARAMETERS):
+                split, roots, cyclic = _PARAMETERS[join](length)
+                want = folded_joins(oracle.group(), words, split, roots,
+                                    cyclic)
+                members += len(want)
+                for store in stores:
+                    got = store.joins(length, split, roots, cyclic)
+                    assert got == want, (n, join, length, type(store))
+        # alpha(1..3) = 1, 4, 8; alpha(4) and alpha(5) are 14
+        assert (members > 0) == (n <= 3)
 
 
 @pytest.fixture
